@@ -215,21 +215,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.kind == "oracle":
-        spec = OracleSpec(curve=args.curve, level=args.level)
-        data = generate_oracle(spec, args.n, args.seed)
-        with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["score", "label"])
-            for score, label in zip(data.scores, data.labels):
-                writer.writerow([format_float(score), int(label)])
-    else:
-        data = generate_xor(args.n, noise_sd=args.noise_sd, seed=args.seed)
-        with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x1", "x2", "label"])
-            for row, label in zip(data.features, data.labels):
-                writer.writerow([format_float(row[0]), format_float(row[1]), int(label)])
+    try:
+        if args.kind == "oracle":
+            spec = OracleSpec(curve=args.curve, level=args.level)
+            data = generate_oracle(spec, args.n, args.seed)
+            header = ["score", "label"]
+            rows = ([format_float(s), int(z)] for s, z in zip(data.scores, data.labels))
+        else:
+            data = generate_xor(args.n, noise_sd=args.noise_sd, seed=args.seed)
+            header = ["x1", "x2", "label"]
+            rows = (
+                [format_float(x[0]), format_float(x[1]), int(z)]
+                for x, z in zip(data.features, data.labels)
+            )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
     print(f"{args.n} rows written to {args.outfile}")
     return EXIT_OK
 
@@ -256,8 +260,8 @@ def _finish_verify(report, args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = OracleSpec(curve=args.curve, level=args.level)
     try:
+        spec = OracleSpec(curve=args.curve, level=args.level)
         if args.check == "mce-bound":
             report = verify_mce_bound(
                 spec,

@@ -15,16 +15,17 @@ a large held-out test set, and compares against the closed-form guarantee:
 * ``calibration_size_sweep``: more calibration data gives non-increasing
                            MCE and ECE.
 
-All routines derive one independent random stream per trial from the
-master seed via spawn keys, so results are reproducible bit for bit
-regardless of execution order or thread count.
+All routines derive the random streams of trial t from the master seed
+and a spawn key ``(t,)`` or ``(grid_index, t)``, so trial t draws the
+same data however many trials run and in whatever order.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -82,6 +83,8 @@ class SweepReport:
 
 def mce_bound(n_cal: int, n_bins: int, delta: float) -> float:
     """Closed-form high-probability MCE bound sqrt(2B log(2B/delta) / N)."""
+    if n_cal < 1 or n_bins < 1:
+        raise ValueError(f"n_cal and n_bins must be >= 1, got {n_cal} and {n_bins}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(2.0 * n_bins * math.log(2.0 * n_bins / delta) / n_cal)
@@ -96,17 +99,15 @@ def default_test_size(n_cal: int) -> int:
     return max(10 * n_cal, DEFAULT_MIN_TEST)
 
 
+def oracle_generator(spec: OracleSpec) -> Callable:
+    """Adapter: a (size, seed) -> ScoredDataset generator drawing from the oracle."""
+    return partial(generate_oracle, spec)
+
+
 def _rng_pair(seed: int, *path: int):
     """Two independent deterministic streams addressed by (seed, path)."""
     root = np.random.SeedSequence(seed, spawn_key=tuple(path))
     return root.spawn(2)
-
-
-def _safe_auc(scores, labels):
-    try:
-        return auc(scores, labels)
-    except ValueError:
-        return None
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -116,36 +117,52 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1))
 
 
-def _calibration_trial(
-    trial: int,
-    cal_data,
-    test_data,
+def _run_trials(
+    generate: Callable,
+    n_cal: int,
+    n_test: int,
     n_bins: int | None,
-    bound: float | None = None,
+    trials: int,
+    seed: int,
+    path: tuple = (),
     metric_bins: int | None = None,
-) -> TrialReport:
-    model = HistogramCalibrator(n_bins=n_bins).fit(cal_data.scores, cal_data.labels)
-    calibrated = model.predict(test_data.scores)
-    bins = reliability(
-        calibrated,
-        test_data.labels,
-        num_bins=metric_bins if metric_bins is not None else model.n_bins_,
-        scheme=SCHEME_FREQUENCY,
-    )
-    raw_auc = _safe_auc(test_data.scores, test_data.labels)
-    cal_auc = _safe_auc(calibrated, test_data.labels)
-    loss = raw_auc - cal_auc if raw_auc is not None and cal_auc is not None else None
-    return TrialReport(
-        trial=trial,
-        n_cal=len(cal_data),
-        n_bins=model.n_bins_,
-        mce=mce(bins),
-        ece=ece(bins),
-        auc_raw=raw_auc,
-        auc_calibrated=cal_auc,
-        auc_loss=loss,
-        mce_bound=bound,
-    )
+    raw_auc: bool = False,
+    calibrated_auc: bool = False,
+    bound: float | None = None,
+) -> tuple:
+    """Run trials 0..trials-1 of one grid point.
+
+    Trial t draws its calibration and test sets with ``generate(n, stream)``
+    from the streams at (seed, *path, t), fits the histogram calibrator and
+    measures MCE and ECE on the test set. Only the AUCs asked for are
+    computed; they stay None when the test set holds one class.
+    """
+    reports = []
+    for t in range(trials):
+        cal_ss, test_ss = _rng_pair(seed, *path, t)
+        cal = generate(n_cal, cal_ss)
+        test = generate(n_test, test_ss)
+        model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
+        calibrated = model.predict(test.scores)
+        num_bins = model.n_bins_ if metric_bins is None else metric_bins
+        bins = reliability(calibrated, test.labels, num_bins=num_bins, scheme=SCHEME_FREQUENCY)
+        two_class = 0 < test.n_pos < test.n_samples
+        raw = auc(test.scores, test.labels) if raw_auc and two_class else None
+        cal_auc = auc(calibrated, test.labels) if calibrated_auc and two_class else None
+        reports.append(
+            TrialReport(
+                trial=t,
+                n_cal=len(cal),
+                n_bins=model.n_bins_,
+                mce=mce(bins),
+                ece=ece(bins),
+                auc_raw=raw,
+                auc_calibrated=cal_auc,
+                auc_loss=raw - cal_auc if raw is not None and cal_auc is not None else None,
+                mce_bound=bound,
+            )
+        )
+    return tuple(reports)
 
 
 def verify_mce_bound(
@@ -169,22 +186,17 @@ def verify_mce_bound(
         raise ValueError("trials must be >= 1")
     n_test = default_test_size(n_cal) if n_test is None else n_test
     bound = mce_bound(n_cal, n_bins, delta)
-    reports = []
-    one_class_trials = 0
-    for t in range(trials):
-        cal_ss, test_ss = _rng_pair(seed, t)
-        cal = generate_oracle(spec, n_cal, cal_ss)
-        test = generate_oracle(spec, n_test, test_ss)
-        report = _calibration_trial(t, cal, test, n_bins, bound=bound)
-        if report.auc_raw is None:
-            one_class_trials += 1
-        reports.append(report)
+    reports = _run_trials(
+        oracle_generator(spec), n_cal, n_test, n_bins, trials, seed,
+        raw_auc=True, calibrated_auc=True, bound=bound,
+    )
+    one_class_trials = sum(r.auc_raw is None for r in reports)
     within = float(np.mean([r.mce <= bound for r in reports]))
     mean_mce, std_mce = _mean_std([r.mce for r in reports])
     mean_ece, std_ece = _mean_std([r.ece for r in reports])
     point = SweepPoint(
         axis_value=float(n_cal),
-        reports=tuple(reports),
+        reports=reports,
         summary={
             "n_cal": float(n_cal),
             "n_bins": float(n_bins),
@@ -239,19 +251,16 @@ def verify_ece_rate(
         raise ValueError("trials must be >= 1")
     points = []
     for grid_index, n_cal in enumerate(sizes):
-        n_test = default_test_size(n_cal)
-        reports = []
-        for t in range(trials):
-            cal_ss, test_ss = _rng_pair(seed, grid_index, t)
-            cal = generate_oracle(spec, n_cal, cal_ss)
-            test = generate_oracle(spec, n_test, test_ss)
-            reports.append(_calibration_trial(t, cal, test, n_bins))
+        reports = _run_trials(
+            oracle_generator(spec), n_cal, default_test_size(n_cal), n_bins, trials, seed,
+            (grid_index,),
+        )
         mean_ece, std_ece = _mean_std([r.ece for r in reports])
         mean_mce, std_mce = _mean_std([r.mce for r in reports])
         points.append(
             SweepPoint(
                 axis_value=float(n_cal),
-                reports=tuple(reports),
+                reports=reports,
                 summary={
                     "n_cal": float(n_cal),
                     "mean_ece": mean_ece,
@@ -295,7 +304,7 @@ def verify_auc_loss(
     gained) are possible and simply reported.
     """
     bins_sorted = sorted(int(b) for b in bin_grid)
-    if bins_sorted[0] < 1:
+    if not bins_sorted or bins_sorted[0] < 1:
         raise ValueError("bin counts must be >= 1")
     if bins_sorted[-1] > math.isqrt(n_cal):
         raise ValueError(
@@ -308,12 +317,10 @@ def verify_auc_loss(
     points = []
     assertions = []
     for grid_index, b in enumerate(bins_sorted):
-        reports = []
-        for t in range(trials):
-            cal_ss, test_ss = _rng_pair(seed, grid_index, t)
-            cal = generate_oracle(spec, n_cal, cal_ss)
-            test = generate_oracle(spec, n_test, test_ss)
-            reports.append(_calibration_trial(t, cal, test, b))
+        reports = _run_trials(
+            oracle_generator(spec), n_cal, n_test, b, trials, seed, (grid_index,),
+            raw_auc=True, calibrated_auc=True,
+        )
         losses = [r.auc_loss for r in reports if r.auc_loss is not None]
         if not losses:
             raise RuntimeError("no trial produced a defined AUC; oracle is degenerate")
@@ -325,7 +332,7 @@ def verify_auc_loss(
         points.append(
             SweepPoint(
                 axis_value=float(b),
-                reports=tuple(reports),
+                reports=reports,
                 summary={
                     "n_bins": float(b),
                     "mean_auc_loss": mean_loss,
@@ -372,7 +379,7 @@ def verify_theta_concentration(
     deviations = np.empty((trials, n_bins))
     reports = []
     for t in range(trials):
-        (cal_ss,) = np.random.SeedSequence(seed, spawn_key=(t,)).spawn(1)
+        cal_ss, _ = _rng_pair(seed, t)
         cal = generate_oracle(spec, n_cal, cal_ss)
         model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
         if model.n_bins_ != n_bins or np.isnan(model.theta_).any():
@@ -419,7 +426,11 @@ def verify_theta_concentration(
         )
     per_bin_mean = deviations.mean(axis=0)
     per_bin_se = deviations.std(axis=0, ddof=1) / math.sqrt(trials)
-    worst = float(np.max(np.abs(per_bin_mean) / per_bin_se))
+    # a bin with mean deviation exactly 0 is 0 standard errors out, even
+    # when every deviation is 0; a nonzero mean with no spread is infinitely many
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(per_bin_mean == 0, 0.0, np.abs(per_bin_mean) / per_bin_se)
+    worst = float(np.max(ratio))
     assertions.append(
         Assertion(
             name="per-bin mean deviation within 3 standard errors of zero",
@@ -429,15 +440,6 @@ def verify_theta_concentration(
         )
     )
     return SweepReport(axis_name="epsilon", points=points, assertions=assertions)
-
-
-def oracle_generator(spec: OracleSpec) -> Callable:
-    """Adapter: a (size, seed) -> ScoredDataset generator for the sweep."""
-
-    def generate(n: int, seed) -> object:
-        return generate_oracle(spec, n, seed)
-
-    return generate
 
 
 def calibration_size_sweep(
@@ -465,19 +467,17 @@ def calibration_size_sweep(
         raise ValueError("trials must be >= 2")
     points = []
     for grid_index, n_cal in enumerate(size_list):
-        reports = []
-        for t in range(trials):
-            cal_ss, test_ss = _rng_pair(seed, grid_index, t)
-            cal = data_generator(n_cal, cal_ss)
-            test = data_generator(n_test, test_ss)
-            reports.append(_calibration_trial(t, cal, test, n_bins, metric_bins=metric_bins))
+        reports = _run_trials(
+            data_generator, n_cal, n_test, n_bins, trials, seed, (grid_index,),
+            metric_bins=metric_bins, calibrated_auc=True,
+        )
         mean_mce, std_mce = _mean_std([r.mce for r in reports])
         mean_ece, std_ece = _mean_std([r.ece for r in reports])
         auc_values = [r.auc_calibrated for r in reports if r.auc_calibrated is not None]
         points.append(
             SweepPoint(
                 axis_value=float(n_cal),
-                reports=tuple(reports),
+                reports=reports,
                 summary={
                     "n_cal": float(n_cal),
                     "mean_mce": mean_mce,
@@ -534,15 +534,7 @@ def write_sweep_json(report: SweepReport, path) -> None:
         "axis": report.axis_name,
         "passed": report.passed,
         "slope": report.slope,
-        "assertions": [
-            {
-                "name": a.name,
-                "passed": a.passed,
-                "observed": a.observed,
-                "limit": a.limit,
-            }
-            for a in report.assertions
-        ],
+        "assertions": [asdict(a) for a in report.assertions],
         "points": [
             {"axis_value": p.axis_value, **p.summary} for p in report.points
         ],

@@ -52,6 +52,23 @@ class TestSimulate:
             main(["simulate", "--kind", "oracle", "--n", "100", "--seed", "5", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "oracle", "--curve", "constant", "--level", "1.5", "--n", "10"],
+            ["--kind", "oracle", "--n", "0"],
+            ["--kind", "xor", "--n", "2"],
+        ],
+    )
+    def test_bad_generator_flags_are_input_errors(self, flags, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        code = main(["simulate", *flags, "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_different_seed_gives_different_data(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -258,6 +275,23 @@ class TestVerifyCommand:
     def test_unsorted_sizes_is_input_error(self, capsys):
         code = main(["verify", "size-sweep", "--sizes", "1000,100", "--trials", "2"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["mce-bound", "--n", "0"], "n_cal and n_bins must be >= 1"),
+            (["mce-bound", "--bins", "0"], "n_cal and n_bins must be >= 1"),
+            (["mce-bound", "--curve", "constant", "--level", "1.5"], "level must lie in [0, 1]"),
+            (["auc-loss", "--bin-grid", ","], "bin counts must be >= 1"),
+        ],
+    )
+    def test_degenerate_flags_are_input_errors(self, flags, message, capsys):
+        code = main(["verify", *flags, "--trials", "2"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert err.count("\n") == 1
 
     def test_report_files_are_deterministic(self, tmp_path):
         outputs = []

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from probcal.binning import HistogramCalibrator
 from probcal.data import ScoredDataset
 from probcal.harness import (
     Assertion,
@@ -22,9 +23,11 @@ from probcal.harness import (
     write_sweep_csv,
     write_sweep_json,
 )
-from probcal.synth import OracleSpec
+from probcal.metrics import auc, ece, mce, reliability
+from probcal.synth import OracleSpec, generate_oracle, true_theta
 
 IDENTITY = OracleSpec()
+SQUARE = OracleSpec(curve="square")
 
 
 class TestBounds:
@@ -46,6 +49,11 @@ class TestBounds:
     def test_mce_bound_rejects_bad_delta(self, delta):
         with pytest.raises(ValueError, match="delta"):
             mce_bound(1000, 10, delta)
+
+    @pytest.mark.parametrize("n_cal, n_bins", [(0, 10), (-5, 10), (1000, 0), (1000, -1)])
+    def test_mce_bound_rejects_empty_sample_or_bins(self, n_cal, n_bins):
+        with pytest.raises(ValueError, match="n_cal and n_bins must be >= 1"):
+            mce_bound(n_cal, n_bins, 0.05)
 
     def test_hoeffding_reference_value(self):
         # eps=0.05, N=1e4, B=10 gives 2 exp(-5)
@@ -155,6 +163,10 @@ class TestVerifyAucLoss:
         with pytest.raises(ValueError, match="trials"):
             verify_auc_loss(IDENTITY, n_cal=100, bin_grid=(5,), trials=1)
 
+    def test_rejects_empty_bin_grid(self):
+        with pytest.raises(ValueError, match="bin counts"):
+            verify_auc_loss(IDENTITY, n_cal=100, bin_grid=(), trials=2)
+
     def test_report_structure_and_limits(self):
         report = verify_auc_loss(IDENTITY, n_cal=2500, bin_grid=(5, 10), trials=3)
         assert report.axis_name == "n_bins"
@@ -214,6 +226,29 @@ class TestVerifyThetaConcentration:
         with pytest.raises(RuntimeError, match="degenerate binning"):
             verify_theta_concentration(IDENTITY, n_cal=100, n_bins=5, trials=2)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_exact_estimates_are_zero_standard_errors_out(self, level):
+        # every bin rate equals its limit exactly, so each deviation is 0:
+        # a 0/0 ratio that counts as centered, not as NaN
+        report = verify_theta_concentration(
+            OracleSpec(curve="constant", level=level), n_cal=1000, n_bins=5, trials=5
+        )
+        centering = report.assertions[-1]
+        assert centering.observed == 0.0
+        assert report.passed
+
+    def test_constant_nonzero_deviation_fails_centering(self, monkeypatch):
+        # rates are exactly 1 in every trial, limits are pinned at 0.9
+        monkeypatch.setattr(
+            "probcal.harness.true_theta", lambda spec, edges: np.full(len(edges) - 1, 0.9)
+        )
+        report = verify_theta_concentration(
+            OracleSpec(curve="constant", level=1.0), n_cal=1000, n_bins=5, trials=5
+        )
+        centering = report.assertions[-1]
+        assert centering.observed == math.inf
+        assert not centering.passed
+
 
 class TestCalibrationSizeSweep:
     def test_rejects_unsorted_sizes(self):
@@ -254,6 +289,88 @@ class TestCalibrationSizeSweep:
         a = calibration_size_sweep(generator, sizes=(100, 1000), trials=2, n_test=2000)
         b = calibration_size_sweep(generator, sizes=(100, 1000), trials=2, n_test=2000)
         assert [p.summary for p in a.points] == [p.summary for p in b.points]
+
+
+@pytest.fixture()
+def harness_auc_calls(monkeypatch):
+    """Record the length of every score vector the harness computes an AUC on."""
+    calls = []
+
+    def counting(scores, labels):
+        calls.append(len(scores))
+        return auc(scores, labels)
+
+    monkeypatch.setattr("probcal.harness.auc", counting)
+    return calls
+
+
+def _assert_direct_fit(report, spec, seed, key, n_test, n_bins, raw, calibrated, metric_bins=None):
+    """The trial report equals a fit on the streams at (seed, key), done here."""
+    cal_ss, test_ss = np.random.SeedSequence(seed, spawn_key=key).spawn(2)
+    cal = generate_oracle(spec, report.n_cal, cal_ss)
+    test = generate_oracle(spec, n_test, test_ss)
+    model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
+    predicted = model.predict(test.scores)
+    bins = reliability(predicted, test.labels, num_bins=metric_bins or model.n_bins_)
+    assert (report.mce, report.ece) == (mce(bins), ece(bins))
+    assert report.auc_raw == (auc(test.scores, test.labels) if raw else None)
+    assert report.auc_calibrated == (auc(predicted, test.labels) if calibrated else None)
+
+
+class TestTrialStreamsAndAucWork:
+    """Trial t at grid point g draws from SeedSequence(seed, spawn_key=(g, t)),
+    or (t,) for the single-point checks, and computes only the AUCs its check
+    reports."""
+
+    def test_mce_bound(self, harness_auc_calls):
+        report = verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=3, n_test=2000, seed=4)
+        assert len(harness_auc_calls) == 2 * 3
+        for r in report.points[0].reports:
+            _assert_direct_fit(r, SQUARE, 4, (r.trial,), 2000, 5, raw=True, calibrated=True)
+
+    def test_ece_rate(self, harness_auc_calls):
+        report = verify_ece_rate(SQUARE, n_bins=5, n_grid=(100, 10_000), trials=2, seed=4)
+        assert harness_auc_calls == []
+        for g, point in enumerate(report.points):
+            for r in point.reports:
+                n_test = default_test_size(r.n_cal)
+                _assert_direct_fit(
+                    r, SQUARE, 4, (g, r.trial), n_test, 5, raw=False, calibrated=False
+                )
+
+    def test_auc_loss(self, harness_auc_calls):
+        report = verify_auc_loss(SQUARE, n_cal=2500, bin_grid=(5, 10), trials=2, seed=4)
+        assert len(harness_auc_calls) == 2 * 2 * 2
+        for g, point in enumerate(report.points):
+            for r in point.reports:
+                n_test = default_test_size(2500)
+                _assert_direct_fit(
+                    r, SQUARE, 4, (g, r.trial), n_test, r.n_bins, raw=True, calibrated=True
+                )
+
+    def test_size_sweep(self, harness_auc_calls):
+        report = calibration_size_sweep(
+            oracle_generator(SQUARE), sizes=(100, 1000), trials=2, seed=4, n_test=2000
+        )
+        assert len(harness_auc_calls) == 2 * 2
+        for g, point in enumerate(report.points):
+            for r in point.reports:
+                _assert_direct_fit(
+                    r, SQUARE, 4, (g, r.trial), 2000, None,
+                    raw=False, calibrated=True, metric_bins=10,
+                )
+
+    def test_theta_concentration(self, harness_auc_calls):
+        report = verify_theta_concentration(
+            SQUARE, n_cal=1000, n_bins=5, epsilon_grid=(0.05,), trials=3, seed=4
+        )
+        assert harness_auc_calls == []
+        for r in report.points[0].reports:
+            cal_ss, _ = np.random.SeedSequence(4, spawn_key=(r.trial,)).spawn(2)
+            cal = generate_oracle(SQUARE, 1000, cal_ss)
+            model = HistogramCalibrator(n_bins=5).fit(cal.scores, cal.labels)
+            limits = true_theta(SQUARE, model.edges_)
+            assert r.max_theta_error == float(np.abs(model.theta_ - limits).max())
 
 
 def _point(mean, se):
