@@ -12,11 +12,10 @@ Monte-Carlo simulation against synthetic oracles with known truth curves.
 """
 
 from .base import BaseCalibrator, NotFittedError
-from .binning import HistogramCalibrator, default_bin_count, plug_in_estimate
+from .binning import HistogramCalibrator, default_bin_count
 from .data import (
     FeatureDataset,
     ScoredDataset,
-    ScoredSample,
     kfold_calibration_set,
     load_scored_csv,
     split,
@@ -69,7 +68,6 @@ __all__ = [
     "ReliabilityBin",
     "ReliabilityReport",
     "ScoredDataset",
-    "ScoredSample",
     "accuracy",
     "auc",
     "calibration_size_sweep",
@@ -85,7 +83,6 @@ __all__ = [
     "load_scored_csv",
     "mce",
     "mce_bound",
-    "plug_in_estimate",
     "pool_adjacent_violators",
     "reliability",
     "rmse",

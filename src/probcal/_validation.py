@@ -1,6 +1,8 @@
-"""Shared input checks for score and label arrays."""
+"""Shared input checks for score and label arrays and for model files."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,6 +26,8 @@ def as_labels(values, name: str = "labels") -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
     out = np.asarray(arr, dtype=np.int64)
     if arr.size and not np.array_equal(out, np.asarray(arr, dtype=np.float64)):
         raise ValueError(f"{name} must contain only 0 and 1")
@@ -42,3 +46,44 @@ def class_counts(labels: np.ndarray) -> tuple[int, int, int]:
     total = int(labels.size)
     pos = int(np.count_nonzero(labels))
     return total, pos, total - pos
+
+
+def model_field(
+    payload,
+    key: str,
+    ndim: int | None = 0,
+    low: float = -math.inf,
+    high: float = math.inf,
+    integer: bool = False,
+    nullable: bool = False,
+) -> np.ndarray:
+    """A numeric field of a model file's JSON object, checked.
+
+    The field must hold a number (ndim 0) or a list nested ndim deep (any
+    depth when ndim is None) of finite numbers in [low, high], integers if
+    ``integer``; null entries of a flat list become NaN if ``nullable``.
+    Anything else raises ValueError naming the field.
+    """
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"model field {key!r} is missing")
+    value = payload[key]
+    if nullable and isinstance(value, list):
+        value = [math.nan if v is None else v for v in value]
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    valid = (arr.size == 0 or arr.dtype.kind in ("i" if integer else "if")) and (
+        ndim is None or arr.ndim == ndim
+    )
+    if valid and arr.size:
+        present = arr[~np.isnan(arr)] if nullable else arr
+        valid = bool(np.all(np.isfinite(present) & (present >= low) & (present <= high)))
+    if not valid:
+        shape = {0: "a number", 1: "a list", 2: "a list of rows"}.get(ndim, "numbers")
+        kind = "integers" if integer else "finite"
+        raise ValueError(
+            f"model field {key!r} must be {shape} ({kind}, in [{low:g}, {high:g}]"
+            f"{', or null' if nullable else ''})"
+        )
+    return arr.astype(np.int64 if integer else np.float64, copy=False)

@@ -11,18 +11,14 @@ to its bin's positive fraction. Two partition schemes are supported:
 
 Bins are right-open, except the last which is closed at 1. A query landing
 in an empty bin is answered with the nearest nonempty bin's value (ties go
-to the lower bin). ``plug_in_estimate`` recomputes the same answer through
-the class-prior times likelihood-ratio route in exact rational arithmetic
-and exists as an independent cross-check of ``predict``.
+to the lower bin).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from ._validation import as_labels, as_scores, check_same_length, class_counts
+from ._validation import as_labels, as_scores, check_same_length, class_counts, model_field
 from .base import BaseCalibrator
 from .metrics import SCHEME_FREQUENCY, SCHEME_WIDTH, SCHEMES
 
@@ -102,6 +98,8 @@ class HistogramCalibrator(BaseCalibrator):
             raise ValueError("need at least one sample")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.n_bins is not None and not isinstance(self.n_bins, (int, np.integer)):
+            raise ValueError(f"n_bins must be an integer or None, got {self.n_bins!r}")
         b = default_bin_count(n) if self.n_bins is None else int(self.n_bins)
         if not 1 <= b <= n:
             raise ValueError(f"n_bins must satisfy 1 <= B <= {n}, got {b}")
@@ -131,9 +129,7 @@ class HistogramCalibrator(BaseCalibrator):
         n_bins = len(edges) - 1
         counts = np.bincount(idx, minlength=n_bins)
         positives = np.bincount(idx[z == 1], minlength=n_bins)
-        with np.errstate(invalid="ignore"):
-            theta = np.where(counts > 0, positives / np.maximum(counts, 1), np.nan)
-        theta[counts == 0] = np.nan
+        theta = np.where(counts > 0, positives / np.maximum(counts, 1), np.nan)
 
         self.edges_ = edges
         self.counts_ = counts
@@ -162,66 +158,34 @@ class HistogramCalibrator(BaseCalibrator):
             "positives": [int(c) for c in self.positives_],
         }
 
+    def describe(self) -> str:
+        self._require_fitted("edges_")
+        return f"bins: {self.n_bins_} ({self.scheme})"
+
     @classmethod
     def from_dict(cls, payload: dict) -> "HistogramCalibrator":
-        model = cls(n_bins=len(payload["counts"]), scheme=payload["scheme"])
-        model.edges_ = np.asarray(payload["edges"], dtype=np.float64)
-        model.counts_ = np.asarray(payload["counts"], dtype=np.int64)
-        model.positives_ = np.asarray(payload["positives"], dtype=np.int64)
-        model.theta_ = np.asarray(
-            [np.nan if t is None else t for t in payload["theta"]], dtype=np.float64
-        )
-        model.n_bins_ = len(model.counts_)
-        model.n_ = int(model.counts_.sum())
-        model.n_pos_ = int(model.positives_.sum())
+        if payload.get("scheme") not in SCHEMES:
+            raise ValueError(f"histogram scheme must be one of {SCHEMES}")
+        edges = model_field(payload, "edges", 1, 0.0, 1.0)
+        counts = model_field(payload, "counts", 1, 0, integer=True)
+        positives = model_field(payload, "positives", 1, 0, integer=True)
+        theta = model_field(payload, "theta", 1, 0.0, 1.0, nullable=True)
+        if not edges.size - 1 == counts.size == positives.size == theta.size > 0:
+            raise ValueError("histogram needs one more edge than counts, positives and theta")
+        if np.any(np.diff(edges) <= 0) or np.any(positives > counts):
+            raise ValueError("histogram edges must increase and positives must not exceed counts")
+        if not np.array_equal(np.isnan(theta), counts == 0):
+            raise ValueError("histogram theta must be null exactly for empty bins")
+        model = cls(n_bins=counts.size, scheme=payload["scheme"])
+        model.edges_ = edges
+        model.counts_ = counts
+        model.positives_ = positives
+        model.theta_ = theta
+        model.n_bins_ = counts.size
+        model._fill = _nearest_nonempty(counts)
+        model.n_ = int(counts.sum())
+        model.n_pos_ = int(positives.sum())
         model.n_neg_ = model.n_ - model.n_pos_
-        model.weights_ = model.counts_ / model.n_ if model.n_ else model.counts_ * 0.0
-        model._fill = _nearest_nonempty(model.counts_)
+        model.weights_ = counts / model.n_
         return model
 
-
-def plug_in_estimate(scores, labels, calibrator: HistogramCalibrator, query):
-    """Calibrated probability via priors times histogram likelihoods.
-
-    Evaluates prior(z) * density(score | z) for both classes, with the
-    class-conditional densities estimated by histograms over the
-    calibrator's bins, and returns the posterior for class 1. All
-    arithmetic is exact (rational), so the result equals the correctly
-    rounded value of the underlying ratio; algebraically it reduces to
-    positives/count of the query's bin, which is what predict returns.
-
-    Queries in empty bins mirror predict's nearest-nonempty redirect, since
-    both class likelihoods vanish there.
-    """
-    y = as_scores(scores)
-    z = as_labels(labels)
-    check_same_length(y, z)
-    calibrator._require_fitted("edges_")
-    _, m, n_neg = class_counts(z)
-    if m == 0 or n_neg == 0:
-        raise ValueError("plug-in estimate needs both classes present")
-
-    edges = calibrator.edges_
-    n_bins = len(edges) - 1
-    idx = _bin_indices(edges, y)
-    bin_total = np.bincount(idx, minlength=n_bins)
-    bin_pos = np.bincount(idx[z == 1], minlength=n_bins)
-    fill = _nearest_nonempty(bin_total)
-
-    queries, scalar = BaseCalibrator._prepare_queries(query)
-    query_bins = fill[_bin_indices(edges, queries)]
-
-    n_total = int(y.size)
-    prior_pos = Fraction(m, n_total)
-    prior_neg = Fraction(n_neg, n_total)
-    out = np.empty(queries.size, dtype=np.float64)
-    for k, j in enumerate(query_bins):
-        width = Fraction(float(edges[j + 1])) - Fraction(float(edges[j]))
-        m_j = int(bin_pos[j])
-        n_j = int(bin_total[j]) - m_j
-        likelihood_pos = Fraction(m_j, m) / width
-        likelihood_neg = Fraction(n_j, n_neg) / width
-        numerator = prior_pos * likelihood_pos
-        denominator = numerator + prior_neg * likelihood_neg
-        out[k] = float(numerator / denominator)
-    return BaseCalibrator._finish(out, scalar)

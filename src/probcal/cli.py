@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .binning import HistogramCalibrator
-from .data import load_scored_csv
+from .data import load_scored_csv, read_scored_rows
 from .density import DPMCalibrator, KDECalibrator
 from .harness import (
     calibration_size_sweep,
@@ -50,17 +49,17 @@ class FitError(Exception):
 
 def _build_calibrator(args):
     method = args.method
+    iteration = {
+        name: value
+        for name, value in (("max_iter", args.max_iter), ("tol", args.tol))
+        if value is not None
+    }
     if method == "histogram":
         return HistogramCalibrator(n_bins=args.bins, scheme="frequency")
     if method == "histogram-width":
         return HistogramCalibrator(n_bins=args.bins, scheme="width")
     if method == "platt":
-        extra = {}
-        if args.max_iter is not None:
-            extra["max_iter"] = args.max_iter
-        if args.tol is not None:
-            extra["tol"] = args.tol
-        return PlattCalibrator(**extra)
+        return PlattCalibrator(**iteration)
     if method == "isotonic":
         return IsotonicCalibrator()
     if method == "kde":
@@ -68,16 +67,8 @@ def _build_calibrator(args):
     if method == "kde-shared":
         return KDECalibrator(shared_bandwidth=True)
     if method == "dpm":
-        extra = {}
-        if args.max_iter is not None:
-            extra["max_iter"] = args.max_iter
-        if args.tol is not None:
-            extra["tol"] = args.tol
         return DPMCalibrator(
-            truncation=args.truncation,
-            alpha=args.alpha,
-            seed=args.seed,
-            **extra,
+            truncation=args.truncation, alpha=args.alpha, seed=args.seed, **iteration
         )
     raise InputError(f"unknown method {method!r}")
 
@@ -87,27 +78,6 @@ def _load_dataset(path, score_column, label_column):
         return load_scored_csv(path, score_column=score_column, label_column=label_column)
     except (FileNotFoundError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-
-
-def _read_rows(path):
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise InputError(f"{path}: empty file, expected a header row")
-        return list(reader.fieldnames), list(reader)
-
-
-def _parse_score_cell(raw, row_number, path):
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"{path}: row {row_number}: cannot parse score {raw!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise InputError(f"{path}: row {row_number}: score {raw} outside [0, 1]")
-    return value
 
 
 def cmd_fit(args) -> int:
@@ -120,25 +90,7 @@ def cmd_fit(args) -> int:
     save_model(calibrator, args.outfile)
     print(f"method: {args.method}")
     print(f"samples: {data.n_samples} ({data.n_pos} positive, {data.n_neg} negative)")
-    if isinstance(calibrator, HistogramCalibrator):
-        print(f"bins: {calibrator.n_bins_} ({calibrator.scheme})")
-    elif isinstance(calibrator, PlattCalibrator):
-        print(
-            f"slope: {calibrator.slope_:.6g}  intercept: {calibrator.intercept_:.6g}  "
-            f"converged: {calibrator.converged_}"
-        )
-    elif isinstance(calibrator, IsotonicCalibrator):
-        print(f"breakpoints: {len(calibrator.breakpoints_)}")
-    elif isinstance(calibrator, KDECalibrator):
-        print(
-            f"bandwidths: h1={calibrator.bandwidth_pos_:.6g} h0={calibrator.bandwidth_neg_:.6g}  "
-            f"prior: {calibrator.prior_:.6g}"
-        )
-    elif isinstance(calibrator, DPMCalibrator):
-        print(
-            f"truncation: {calibrator.truncation}  alpha: {calibrator.alpha:g}  "
-            f"elbo: {calibrator.positive_.elbo:.6g} / {calibrator.negative_.elbo:.6g}"
-        )
+    print(calibrator.describe())
     print(f"model written to {args.outfile}")
     return EXIT_OK
 
@@ -146,22 +98,15 @@ def cmd_fit(args) -> int:
 def cmd_apply(args) -> int:
     try:
         model = load_model(args.model)
+        fieldnames, scores, _, rows = read_scored_rows(
+            args.infile, args.score_column, keep_rows=True
+        )
     except (FileNotFoundError, ValueError) as exc:
         raise InputError(str(exc)) from exc
-    fieldnames, rows = _read_rows(args.infile)
-    if args.score_column not in fieldnames:
-        raise InputError(f"{args.infile}: missing column {args.score_column!r}")
     if args.column in fieldnames:
         raise InputError(
             f"{args.infile}: column {args.column!r} already exists; refusing to replace it"
         )
-    scores = np.array(
-        [
-            _parse_score_cell(row.get(args.score_column), i, args.infile)
-            for i, row in enumerate(rows, start=1)
-        ],
-        dtype=np.float64,
-    )
     calibrated = model.predict(scores) if scores.size else np.empty(0)
     with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

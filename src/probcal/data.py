@@ -5,18 +5,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from ._validation import as_labels, as_scores, check_same_length
-
-
-class ScoredSample(NamedTuple):
-    """One instance: uncalibrated score in [0, 1] plus binary label."""
-
-    score: float
-    label: int
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -57,13 +50,6 @@ class ScoredDataset:
     def __len__(self) -> int:
         return self.n_samples
 
-    def __getitem__(self, i: int) -> ScoredSample:
-        return ScoredSample(float(self.scores[i]), int(self.labels[i]))
-
-    def __iter__(self) -> Iterator[ScoredSample]:
-        for i in range(len(self)):
-            yield self[i]
-
     def subset(self, indices) -> "ScoredDataset":
         idx = np.asarray(indices, dtype=np.intp)
         return ScoredDataset(self.scores[idx].copy(), self.labels[idx].copy())
@@ -103,33 +89,38 @@ class FeatureDataset:
         return FeatureDataset(self.features[idx].copy(), self.labels[idx].copy())
 
 
-def load_scored_csv(
+def read_scored_rows(
     path,
     score_column: str = "score",
-    label_column: str = "label",
-) -> ScoredDataset:
-    """Read (score, label) rows from a headered CSV file.
+    label_column: str | None = None,
+    keep_rows: bool = False,
+) -> tuple:
+    """Read a headered CSV file one row at a time.
 
-    Scores must parse as reals in [0, 1] and labels as 0/1; violations are
-    reported with the 1-based data-row number (the header is not counted).
+    Scores must parse as reals in [0, 1] and, when ``label_column`` is
+    given, labels as 0/1; violations are reported with the 1-based data-row
+    number (the header is not counted). Returns (fieldnames, scores, labels,
+    rows): labels is None without a label column, and rows holds the row
+    dicts only when ``keep_rows`` is set.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
     scores: list[float] = []
     labels: list[int] = []
+    rows: list[dict] | None = [] if keep_rows else None
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        for column in (score_column, label_column):
+        for column in (score_column,) if label_column is None else (score_column, label_column):
             if column not in reader.fieldnames:
                 raise ValueError(
                     f"{path}: missing column {column!r}; file has {reader.fieldnames}"
                 )
         for row_number, row in enumerate(reader, start=1):
             raw_score = row.get(score_column)
-            raw_label = row.get(label_column)
+            raw_label = row.get(label_column) if label_column is not None else ""
             if raw_score is None or raw_label is None:
                 raise ValueError(f"{path}: row {row_number}: short row")
             try:
@@ -142,13 +133,31 @@ def load_scored_csv(
                 raise ValueError(
                     f"{path}: row {row_number}: score {raw_score} outside [0, 1]"
                 )
-            if raw_label.strip() not in ("0", "1"):
-                raise ValueError(
-                    f"{path}: row {row_number}: label {raw_label!r} not in {{0, 1}}"
-                )
             scores.append(score)
-            labels.append(int(raw_label))
-    return ScoredDataset(np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+            if label_column is not None:
+                if raw_label.strip() not in ("0", "1"):
+                    raise ValueError(
+                        f"{path}: row {row_number}: label {raw_label!r} not in {{0, 1}}"
+                    )
+                labels.append(int(raw_label))
+            if rows is not None:
+                rows.append(row)
+    return (
+        list(reader.fieldnames),
+        np.asarray(scores, dtype=np.float64),
+        None if label_column is None else np.asarray(labels, dtype=np.int64),
+        rows,
+    )
+
+
+def load_scored_csv(
+    path,
+    score_column: str = "score",
+    label_column: str = "label",
+) -> ScoredDataset:
+    """Read (score, label) rows from a headered CSV file (see read_scored_rows)."""
+    _, scores, labels, _ = read_scored_rows(path, score_column, label_column)
+    return ScoredDataset(scores, labels)
 
 
 def split(data, fraction: float, seed):

@@ -16,15 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln
-from scipy.stats import t as student_t
+from scipy.special import betaln, digamma, gammaln, poch
 
-from ._validation import as_labels, as_scores, check_same_length, class_counts
+from ._validation import as_labels, as_scores, check_same_length, class_counts, model_field
 from .base import BaseCalibrator
-
-KDE_FORM_BAYES = "bayes"
-KDE_FORM_PREFACTOR = "prefactor"
-KDE_FORMS = (KDE_FORM_BAYES, KDE_FORM_PREFACTOR)
 
 _SILVERMAN_FLOOR = 1e-3
 
@@ -54,21 +49,18 @@ class KDECalibrator(BaseCalibrator):
 
     The kernel K(u) = 1/2 on |u| <= 1 (boundary included) and 0 elsewhere.
     With S+ the kernel sum over positive training scores at bandwidth h1
-    and S- over negatives at h0, the default form is
+    and S- over negatives at h0, the calibrated probability is
 
         p(x) = h0 * S+ / (h0 * S+ + h1 * S-)
 
     which is what Bayes' rule gives for KDE class-conditional densities
     with priors m/N, n/N, and reduces to the Nadaraya-Watson estimator
-    S+/(S+ + S-) when the bandwidths are shared. form="prefactor" instead
-    evaluates n*h0*S+ / (n*h0*S+ + m*h1*S-), kept for comparison; it
-    agrees with the default only for balanced classes. An empty window
+    S+/(S+ + S-) when the bandwidths are shared. An empty window
     (S+ = S- = 0) falls back to the positive-class prior.
     """
 
-    def __init__(self, shared_bandwidth: bool = False, form: str = KDE_FORM_BAYES):
+    def __init__(self, shared_bandwidth: bool = False):
         self.shared_bandwidth = shared_bandwidth
-        self.form = form
         self.positives_ = None
         self.negatives_ = None
         self.bandwidth_pos_ = None
@@ -76,8 +68,6 @@ class KDECalibrator(BaseCalibrator):
         self.prior_ = None
 
     def fit(self, scores, labels) -> "KDECalibrator":
-        if self.form not in KDE_FORMS:
-            raise ValueError(f"form must be one of {KDE_FORMS}, got {self.form!r}")
         y = as_scores(scores)
         z = as_labels(labels)
         check_same_length(y, z)
@@ -113,22 +103,16 @@ class KDECalibrator(BaseCalibrator):
         queries, scalar = self._prepare_queries(scores)
         s_pos = self._kernel_sum(self.positives_, queries, self.bandwidth_pos_)
         s_neg = self._kernel_sum(self.negatives_, queries, self.bandwidth_neg_)
-        if self.form == KDE_FORM_PREFACTOR:
-            numerator = len(self.negatives_) * self.bandwidth_neg_ * s_pos
-            alternative = len(self.positives_) * self.bandwidth_pos_ * s_neg
-        else:
-            numerator = self.bandwidth_neg_ * s_pos
-            alternative = self.bandwidth_pos_ * s_neg
-        denominator = numerator + alternative
-        with np.errstate(invalid="ignore"):
-            out = np.where(denominator > 0.0, numerator / np.where(denominator > 0.0, denominator, 1.0), self.prior_)
+        numerator = self.bandwidth_neg_ * s_pos
+        denominator = numerator + self.bandwidth_pos_ * s_neg
+        out = np.where(denominator > 0.0, numerator / np.where(denominator > 0.0, denominator, 1.0), self.prior_)
         return self._finish(out, scalar)
 
     def to_dict(self) -> dict:
         self._require_fitted("positives_")
         return {
             "method": "kde",
-            "form": self.form,
+            "form": "bayes",
             "shared_bandwidth": bool(self.shared_bandwidth),
             "positives": [float(x) for x in self.positives_],
             "negatives": [float(x) for x in self.negatives_],
@@ -137,17 +121,23 @@ class KDECalibrator(BaseCalibrator):
             "prior": float(self.prior_),
         }
 
+    def describe(self) -> str:
+        self._require_fitted("positives_")
+        return (
+            f"bandwidths: h1={self.bandwidth_pos_:.6g} h0={self.bandwidth_neg_:.6g}  "
+            f"prior: {self.prior_:.6g}"
+        )
+
     @classmethod
     def from_dict(cls, payload: dict) -> "KDECalibrator":
-        model = cls(
-            shared_bandwidth=bool(payload.get("shared_bandwidth", False)),
-            form=payload.get("form", KDE_FORM_BAYES),
-        )
-        model.positives_ = np.sort(np.asarray(payload["positives"], dtype=np.float64))
-        model.negatives_ = np.sort(np.asarray(payload["negatives"], dtype=np.float64))
-        model.bandwidth_neg_ = float(payload["h0"])
-        model.bandwidth_pos_ = float(payload["h1"])
-        model.prior_ = float(payload["prior"])
+        if payload.get("form", "bayes") != "bayes":
+            raise ValueError(f"unknown KDE form {payload['form']!r}; only 'bayes' is supported")
+        model = cls(shared_bandwidth=bool(payload.get("shared_bandwidth", False)))
+        model.positives_ = np.sort(model_field(payload, "positives", 1, 0.0, 1.0))
+        model.negatives_ = np.sort(model_field(payload, "negatives", 1, 0.0, 1.0))
+        model.bandwidth_neg_ = float(model_field(payload, "h0", low=0.0))
+        model.bandwidth_pos_ = float(model_field(payload, "h1", low=0.0))
+        model.prior_ = float(model_field(payload, "prior", low=0.0, high=1.0))
         return model
 
 
@@ -188,7 +178,11 @@ class StickBreakingPosterior:
         rate = self.components[:, 3]
         df = 2.0 * shape
         scale = np.sqrt(rate * (kappa + 1.0) / (shape * kappa))
-        pdf = student_t.pdf(np.asarray(x)[:, None], df[None, :], loc=mean[None, :], scale=scale[None, :])
+        # Student-t pdf in the same arithmetic as scipy's t distribution, so
+        # predictions keep their bits
+        u = (np.asarray(x)[:, None] - mean) / scale
+        log_norm = np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+        pdf = np.exp(log_norm - (df + 1) / 2 * np.log1p(u * u / df)) / scale
         return pdf @ self.expected_weights()
 
 
@@ -400,18 +394,36 @@ class DPMCalibrator(BaseCalibrator):
             "negative": self._class_payload(self.negative_),
         }
 
+    def describe(self) -> str:
+        self._require_fitted("positive_")
+        return (
+            f"truncation: {self.truncation}  alpha: {self.alpha:g}  "
+            f"elbo: {self.positive_.elbo:.6g} / {self.negative_.elbo:.6g}"
+        )
+
     @classmethod
     def from_dict(cls, payload: dict) -> "DPMCalibrator":
-        model = cls(truncation=int(payload["truncation"]), alpha=float(payload["alpha"]))
+        truncation = int(model_field(payload, "truncation", low=1, integer=True))
+        model = cls(truncation=truncation, alpha=float(model_field(payload, "alpha", low=0.0)))
 
-        def rebuild(part: dict) -> StickBreakingPosterior:
+        def rebuild(key: str) -> StickBreakingPosterior:
+            part = payload.get(key)
+            sticks = model_field(part, "sticks", None, low=0.0)
+            sticks = sticks.reshape(0, 2) if sticks.size == 0 else sticks  # truncation 1
+            components = model_field(part, "components", 2)
+            # Beta parameters and kappa, shape, rate must be positive for the density
+            if (
+                sticks.shape != (truncation - 1, 2)
+                or components.shape != (truncation, 4)
+                or np.any(sticks <= 0)
+                or np.any(components[:, 1:] <= 0)
+            ):
+                raise ValueError(f"dpm {key} posterior does not fit truncation {truncation}")
             return StickBreakingPosterior(
-                sticks=np.asarray(part["sticks"], dtype=np.float64).reshape(-1, 2),
-                components=np.asarray(part["components"], dtype=np.float64).reshape(-1, 4),
-                elbo=float(part["elbo"]),
+                sticks=sticks, components=components, elbo=float(model_field(part, "elbo"))
             )
 
-        model.positive_ = rebuild(payload["positive"])
-        model.negative_ = rebuild(payload["negative"])
-        model.prior_ = float(payload["prior"])
+        model.positive_ = rebuild("positive")
+        model.negative_ = rebuild("negative")
+        model.prior_ = float(model_field(payload, "prior", low=0.0, high=1.0))
         return model

@@ -49,7 +49,6 @@ class TrialReport:
     auc_raw: float | None = None
     auc_calibrated: float | None = None
     auc_loss: float | None = None
-    mce_bound: float | None = None
     max_theta_error: float | None = None
 
 
@@ -128,7 +127,6 @@ def _run_trials(
     metric_bins: int | None = None,
     raw_auc: bool = False,
     calibrated_auc: bool = False,
-    bound: float | None = None,
 ) -> tuple:
     """Run trials 0..trials-1 of one grid point.
 
@@ -159,7 +157,6 @@ def _run_trials(
                 auc_raw=raw,
                 auc_calibrated=cal_auc,
                 auc_loss=raw - cal_auc if raw is not None and cal_auc is not None else None,
-                mce_bound=bound,
             )
         )
     return tuple(reports)
@@ -188,7 +185,7 @@ def verify_mce_bound(
     bound = mce_bound(n_cal, n_bins, delta)
     reports = _run_trials(
         oracle_generator(spec), n_cal, n_test, n_bins, trials, seed,
-        raw_auc=True, calibrated_auc=True, bound=bound,
+        raw_auc=True, calibrated_auc=True,
     )
     one_class_trials = sum(r.auc_raw is None for r in reports)
     within = float(np.mean([r.mce <= bound for r in reports]))
@@ -270,6 +267,8 @@ def verify_ece_rate(
                 },
             )
         )
+    if min(p.summary["mean_ece"] for p in points) <= 0:
+        raise ValueError("mean ECE is 0, so its log-log slope is undefined; oracle is degenerate")
     log_n = np.log([p.axis_value for p in points])
     log_e = np.log([p.summary["mean_ece"] for p in points])
     slope = float(np.polyfit(log_n, log_e, 1)[0])
@@ -323,7 +322,7 @@ def verify_auc_loss(
         )
         losses = [r.auc_loss for r in reports if r.auc_loss is not None]
         if not losses:
-            raise RuntimeError("no trial produced a defined AUC; oracle is degenerate")
+            raise ValueError("no trial produced a defined AUC; oracle is degenerate")
         mean_loss, std_loss = _mean_std(losses)
         stderr = std_loss / math.sqrt(len(losses))
         limit = 1.0 / (2.0 * b) + 3.0 * stderr

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._validation import as_labels, as_scores, check_same_length, class_counts
 
@@ -49,11 +48,6 @@ class ReliabilityReport:
     auc: float
 
 
-def _check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-
-
 def reliability(
     predictions,
     labels,
@@ -74,13 +68,13 @@ def reliability(
         raise ValueError("cannot bin an empty prediction list")
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    _check_scheme(scheme)
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
     n = p.size
     if scheme == SCHEME_FREQUENCY:
         order = np.argsort(p, kind="stable")
-        groups = np.array_split(order, num_bins)
-        members = [g for g in groups]
+        members = np.array_split(order, num_bins)
     else:
         edges = np.linspace(0.0, 1.0, num_bins + 1)
         idx = np.clip(np.searchsorted(edges, p, side="right") - 1, 0, num_bins - 1)
@@ -132,7 +126,13 @@ def auc(scores, labels) -> float:
     _, m, n_neg = class_counts(z)
     if m == 0 or n_neg == 0:
         raise ValueError("AUC is undefined without both classes present")
-    ranks = rankdata(y, method="average")
+    order = np.argsort(y, kind="stable")
+    ordered = y[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], y.size]
+    # a run of ties at sorted positions start..end-1 shares the midrank
+    ranks = np.empty(y.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     positive_rank_sum = float(ranks[z == 1].sum())
     return (positive_rank_sum - m * (m + 1) / 2.0) / (m * n_neg)
 

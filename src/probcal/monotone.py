@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 from scipy.special import expit
 
-from ._validation import as_labels, as_scores, check_same_length, class_counts
+from ._validation import as_labels, as_scores, check_same_length, class_counts, model_field
 from .base import BaseCalibrator
 
 
@@ -155,12 +155,20 @@ class PlattCalibrator(BaseCalibrator):
         self._require_fitted("slope_")
         return {"method": "platt", "A": self.slope_, "B": self.intercept_}
 
+    def describe(self) -> str:
+        self._require_fitted("slope_")
+        return (
+            f"slope: {self.slope_:.6g}  intercept: {self.intercept_:.6g}  "
+            f"converged: {self.converged_}"
+        )
+
     @classmethod
     def from_dict(cls, payload: dict) -> "PlattCalibrator":
         model = cls()
-        model.slope_ = float(payload["A"])
-        model.intercept_ = float(payload["B"])
-        model.converged_ = True
+        model.slope_ = float(model_field(payload, "A"))
+        model.intercept_ = float(model_field(payload, "B"))
+        # the file does not record convergence; None means unknown
+        model.converged_ = None
         return model
 
 
@@ -209,9 +217,19 @@ class IsotonicCalibrator(BaseCalibrator):
             "values": [float(v) for v in self.values_],
         }
 
+    def describe(self) -> str:
+        self._require_fitted("breakpoints_")
+        return f"breakpoints: {len(self.breakpoints_)}"
+
     @classmethod
     def from_dict(cls, payload: dict) -> "IsotonicCalibrator":
+        breakpoints = model_field(payload, "breakpoints", 1, 0.0, 1.0)
+        values = model_field(payload, "values", 1, 0.0, 1.0)
+        if not breakpoints.size == values.size > 0:
+            raise ValueError("isotonic model needs as many values as breakpoints, at least one")
+        if np.any(np.diff(breakpoints) <= 0) or np.any(np.diff(values) < 0):
+            raise ValueError("isotonic breakpoints must increase and values must not decrease")
         model = cls()
-        model.breakpoints_ = np.asarray(payload["breakpoints"], dtype=np.float64)
-        model.values_ = np.asarray(payload["values"], dtype=np.float64)
+        model.breakpoints_ = breakpoints
+        model.values_ = values
         return model

@@ -73,6 +73,9 @@ def load_model(path):
     if not isinstance(payload, dict) or "method" not in payload:
         raise ValueError(f"{path}: not a model file (missing 'method')")
     method = payload["method"]
-    if method not in MODEL_CLASSES:
+    if not isinstance(method, str) or method not in MODEL_CLASSES:
         raise ValueError(f"{path}: unknown model method {method!r}")
-    return MODEL_CLASSES[method].from_dict(payload)
+    try:
+        return MODEL_CLASSES[method].from_dict(payload)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

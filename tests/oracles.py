@@ -7,8 +7,10 @@ the library's vectorized code paths.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -111,3 +113,49 @@ def ece_by_definition(predictions, labels, bin_of) -> float:
         frac_pos = sum(labels[i] for i in members) / len(members)
         total += (len(members) / n) * abs(frac_pos - mean_pred)
     return total
+
+
+def plug_in_estimate(scores, labels, calibrator, query):
+    """Calibrated probability via priors times histogram likelihoods.
+
+    Evaluates prior(z) * density(score | z) for both classes, with the
+    class-conditional densities estimated by histograms over the fitted
+    calibrator's bin edges, and returns the posterior for class 1. All
+    arithmetic is exact (rational), so the result is the correctly rounded
+    value of the ratio; algebraically it reduces to positives/count of the
+    query's bin, which is what predict returns.
+
+    Bins are right-open with the last closed at 1. A query in an empty bin
+    is answered from the nearest nonempty bin (ties to the lower one),
+    since both class likelihoods vanish there. Returns a float for a
+    scalar query and an array otherwise.
+    """
+    edges = [float(e) for e in calibrator.edges_]
+    n_bins = len(edges) - 1
+
+    def bin_of(value):
+        return min(max(bisect.bisect_right(edges, float(value)) - 1, 0), n_bins - 1)
+
+    total = [0] * n_bins
+    positive = [0] * n_bins
+    for score, label in zip(scores, labels):
+        j = bin_of(score)
+        total[j] += 1
+        positive[j] += int(label)
+    m = sum(positive)
+    n_neg = len(scores) - m
+    if m == 0 or n_neg == 0:
+        raise ValueError("plug-in estimate needs both classes present")
+    nonempty = [j for j in range(n_bins) if total[j] > 0]
+
+    def estimate(value):
+        j = bin_of(value)
+        j = min(nonempty, key=lambda k: (abs(k - j), k))
+        width = Fraction(edges[j + 1]) - Fraction(edges[j])
+        numerator = Fraction(m, len(scores)) * (Fraction(positive[j], m) / width)
+        alternative = Fraction(n_neg, len(scores)) * (Fraction(total[j] - positive[j], n_neg) / width)
+        return float(numerator / (numerator + alternative))
+
+    if np.ndim(query) == 0:
+        return estimate(query)
+    return np.array([estimate(q) for q in np.asarray(query)], dtype=np.float64)

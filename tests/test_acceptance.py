@@ -12,8 +12,13 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import auc_by_pair_enumeration, isotonic_by_exhaustion, nadaraya_watson_direct
-from probcal.binning import HistogramCalibrator, plug_in_estimate
+from oracles import (
+    auc_by_pair_enumeration,
+    isotonic_by_exhaustion,
+    nadaraya_watson_direct,
+    plug_in_estimate,
+)
+from probcal.binning import HistogramCalibrator
 from probcal.density import DPMCalibrator, KDECalibrator
 from probcal.harness import (
     calibration_size_sweep,

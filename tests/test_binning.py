@@ -3,12 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import plug_in_estimate
 from probcal.base import NotFittedError
-from probcal.binning import (
-    HistogramCalibrator,
-    default_bin_count,
-    plug_in_estimate,
-)
+from probcal.binning import HistogramCalibrator, default_bin_count
 
 
 def fit_hist(scores, labels, **kwargs):
@@ -156,6 +153,12 @@ class TestValidationAndState:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme"):
             fit_hist([0.1, 0.9], [0, 1], scheme="quantile")
+
+    def test_rejects_fractional_bin_count(self):
+        scores, labels = [0.1, 0.4, 0.6, 0.9], [0, 0, 1, 1]
+        with pytest.raises(ValueError, match="n_bins must be an integer"):
+            fit_hist(scores, labels, n_bins=2.7)
+        assert fit_hist(scores, labels, n_bins=np.int64(2)).n_bins_ == 2
 
     def test_rejects_query_outside_unit_interval(self):
         model = fit_hist([0.1, 0.9], [0, 1], n_bins=1)

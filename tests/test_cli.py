@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import probcal
 from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, main, run
 from probcal.serialize import load_model
 
@@ -198,6 +202,29 @@ class TestApply:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"method": "histogram"},
+            {"method": "platt", "A": None, "B": 0.0},
+            {
+                "method": "histogram", "scheme": "frequency", "edges": [0.0, 1.0],
+                "theta": [0.5, 0.5], "counts": [2], "positives": [1],
+            },
+        ],
+        ids=["histogram-fields-missing", "platt-null-slope", "histogram-theta-length"],
+    )
+    def test_invalid_model_file_is_input_error(self, scored_csv, tmp_path, capsys, payload):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "o.csv"
+        code = main(["apply", "--model", str(model), "--in", str(scored_csv), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestEval:
     def test_prints_metrics(self, scored_csv, capsys):
@@ -283,6 +310,14 @@ class TestVerifyCommand:
             (["mce-bound", "--bins", "0"], "n_cal and n_bins must be >= 1"),
             (["mce-bound", "--curve", "constant", "--level", "1.5"], "level must lie in [0, 1]"),
             (["auc-loss", "--bin-grid", ","], "bin counts must be >= 1"),
+            (
+                ["auc-loss", "--curve", "constant", "--level", "1", "--n", "100", "--bin-grid", "5"],
+                "no trial produced a defined AUC",
+            ),
+            (
+                ["ece-rate", "--curve", "constant", "--level", "0", "--n-grid", "100,10000"],
+                "mean ECE is 0",
+            ),
         ],
     )
     def test_degenerate_flags_are_input_errors(self, flags, message, capsys):
@@ -351,3 +386,18 @@ class TestPipeline:
         assert main(["apply", "--model", str(model), "--in", str(data), "--out", str(applied)]) == EXIT_OK
         assert main(["eval", "--in", str(applied), "--prediction-column", "calibrated"]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_neither_scipy_stats_nor_integrate(self):
+        source = str(Path(probcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import sys, probcal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'stats'], ['scipy', 'integrate'])))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "[]"

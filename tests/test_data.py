@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probcal._validation import as_labels
 from probcal.data import (
     FeatureDataset,
     ScoredDataset,
-    ScoredSample,
     kfold_calibration_set,
     load_scored_csv,
     split,
@@ -20,13 +20,11 @@ def make_csv(tmp_path, text, name="data.csv"):
 
 
 class TestScoredDataset:
-    def test_counts_and_indexing(self):
+    def test_counts(self):
         data = ScoredDataset(np.array([0.1, 0.9, 0.5]), np.array([0, 1, 1]))
         assert data.n_samples == len(data) == 3
         assert data.n_pos == 2
         assert data.n_neg == 1
-        assert data[1] == ScoredSample(0.9, 1)
-        assert list(data)[0] == ScoredSample(0.1, 0)
 
     def test_arrays_are_read_only(self):
         data = ScoredDataset(np.array([0.1, 0.9]), np.array([0, 1]))
@@ -44,6 +42,12 @@ class TestScoredDataset:
     def test_rejects_nonbinary_labels(self):
         with pytest.raises(ValueError, match="label"):
             ScoredDataset(np.array([0.1, 0.2]), np.array([0, 2]))
+
+    def test_rejects_string_labels(self):
+        with pytest.raises(ValueError, match="numeric"):
+            as_labels(["1", "0"])
+        with pytest.raises(ValueError, match="numeric"):
+            ScoredDataset(np.array([0.1, 0.2]), np.array(["0", "1"]))
 
     def test_rejects_fractional_float_labels(self):
         with pytest.raises(ValueError):

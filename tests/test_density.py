@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import t as student_t
 
 from oracles import nadaraya_watson_direct, student_t_density_direct
 from probcal.base import NotFittedError
@@ -14,11 +15,11 @@ from probcal.density import (
 )
 
 
-def kde_from_parts(positives, negatives, h, prior, form="bayes"):
+def kde_from_parts(positives, negatives, h, prior):
     return KDECalibrator.from_dict(
         {
             "method": "kde",
-            "form": form,
+            "form": "bayes",
             "positives": list(positives),
             "negatives": list(negatives),
             "h0": h,
@@ -80,10 +81,10 @@ class TestKDEFit:
             KDECalibrator().fit(np.array([0.1, 0.5, 0.9]), np.array([0, 1, 1]))
 
     def test_rejects_unknown_form(self):
+        payload = KDECalibrator().fit(np.array([0.1, 0.2, 0.8, 0.9]), np.array([0, 0, 1, 1])).to_dict()
+        assert payload["form"] == "bayes"
         with pytest.raises(ValueError, match="form"):
-            KDECalibrator(form="printed").fit(
-                np.array([0.1, 0.2, 0.8, 0.9]), np.array([0, 0, 1, 1])
-            )
+            KDECalibrator.from_dict({**payload, "form": "prefactor"})
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -117,17 +118,6 @@ class TestKDEPredict:
             expected = nadaraya_watson_direct(pos, neg, q, h)
             assert model.predict(q) == pytest.approx(expected, abs=1e-12)
 
-    def test_prefactor_form_agrees_only_when_balanced(self):
-        balanced = kde_from_parts([0.5, 0.6], [0.3, 0.4], 0.1, prior=0.5)
-        balanced_alt = kde_from_parts([0.5, 0.6], [0.3, 0.4], 0.1, prior=0.5, form="prefactor")
-        for q in (0.35, 0.45, 0.55):
-            assert balanced.predict(q) == pytest.approx(balanced_alt.predict(q), abs=1e-15)
-
-        skewed = kde_from_parts([0.5, 0.6, 0.7], [0.45], 0.2, prior=0.75)
-        skewed_alt = kde_from_parts([0.5, 0.6, 0.7], [0.45], 0.2, prior=0.75, form="prefactor")
-        # at 0.5 both windows are populated; the class-count prefactors bite
-        assert skewed.predict(0.5) != pytest.approx(skewed_alt.predict(0.5), abs=1e-6)
-
     def test_invariant_under_dataset_duplication(self):
         pos = [0.4, 0.55, 0.7]
         neg = [0.2, 0.35]
@@ -135,10 +125,6 @@ class TestKDEPredict:
         doubled = kde_from_parts(pos * 2, neg * 2, 0.15, prior=0.6)
         grid = np.linspace(0, 1, 41)
         assert np.allclose(single.predict(grid), doubled.predict(grid), atol=1e-15)
-        # the printed-prefactor variant shares the invariance
-        single_alt = kde_from_parts(pos, neg, 0.15, prior=0.6, form="prefactor")
-        doubled_alt = kde_from_parts(pos * 2, neg * 2, 0.15, prior=0.6, form="prefactor")
-        assert np.allclose(single_alt.predict(grid), doubled_alt.predict(grid), atol=1e-15)
 
     def test_implied_class_density_integrates_to_one(self):
         pos = [0.3, 0.5, 0.52]
@@ -162,14 +148,13 @@ class TestKDEPredict:
     @given(
         seed=st.integers(0, 2**31 - 1),
         shared=st.booleans(),
-        form=st.sampled_from(["bayes", "prefactor"]),
     )
-    def test_outputs_are_probabilities(self, seed, shared, form):
+    def test_outputs_are_probabilities(self, seed, shared):
         rng = np.random.default_rng(seed)
         scores = rng.random(60)
         labels = rng.integers(0, 2, 60)
         labels[:2], labels[-2:] = [0, 0], [1, 1]
-        model = KDECalibrator(shared_bandwidth=shared, form=form).fit(scores, labels)
+        model = KDECalibrator(shared_bandwidth=shared).fit(scores, labels)
         out = model.predict(rng.random(40))
         assert np.all((out >= 0) & (out <= 1))
         assert not np.any(np.isnan(out))
@@ -282,6 +267,15 @@ class TestDPM:
                 scale = np.sqrt(rate * (kappa + 1.0) / (shape * kappa))
                 direct += w * student_t_density_direct(q, df, mean, scale)
             assert posterior.density(np.array([q]))[0] == pytest.approx(direct, rel=1e-10)
+
+    def test_density_equals_scipy_student_t_bitwise(self):
+        scores, labels = two_cluster_data(seed=9, n=200)
+        posterior = DPMCalibrator(truncation=20, seed=0).fit(scores, labels).positive_
+        mean, kappa, shape, rate = posterior.components.T
+        scale = np.sqrt(rate * (kappa + 1.0) / (shape * kappa))
+        grid = np.linspace(0.0, 1.0, 20001)
+        expected = student_t.pdf(grid[:, None], 2.0 * shape, loc=mean, scale=scale)
+        assert np.array_equal(posterior.density(grid), expected @ posterior.expected_weights())
 
     def test_expected_weights_form_a_distribution(self):
         scores, labels = two_cluster_data(seed=10)

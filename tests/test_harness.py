@@ -179,7 +179,7 @@ class TestVerifyAucLoss:
             assert 0.5 < point.summary["mean_auc_raw"] < 1.0
 
     def test_degenerate_oracle_raises(self):
-        with pytest.raises(RuntimeError, match="degenerate"):
+        with pytest.raises(ValueError, match="degenerate"):
             verify_auc_loss(
                 OracleSpec(curve="constant", level=1.0), n_cal=100, bin_grid=(5,), trials=2
             )

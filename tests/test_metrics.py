@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from oracles import auc_by_pair_enumeration, ece_by_definition
 from probcal.metrics import (
@@ -171,6 +172,24 @@ class TestAuc:
         assert auc(scores, labels) == pytest.approx(
             auc_by_pair_enumeration(scores, labels), abs=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.integers(1, 400),
+        labels=st.lists(st.integers(0, 1), min_size=2, max_size=300),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_equals_rankdata_reference_exactly(self, levels, labels, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.array(labels)
+        labels[0], labels[-1] = 0, 1
+        # few levels force long tie runs; many give mostly distinct scores
+        scores = rng.integers(0, levels, labels.size) / levels
+        m = int(labels.sum())
+        n_neg = labels.size - m
+        ranks = rankdata(scores, method="average")
+        reference = (float(ranks[labels == 1].sum()) - m * (m + 1) / 2.0) / (m * n_neg)
+        assert auc(scores, labels) == reference
 
     @settings(max_examples=40, deadline=None)
     @given(

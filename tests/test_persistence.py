@@ -4,13 +4,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probcal.binning import HistogramCalibrator
 from probcal.density import DPMCalibrator, KDECalibrator
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator
-from probcal.serialize import dumps, format_float, load_model, save_model
+from probcal.serialize import MODEL_CLASSES, dumps, format_float, load_model, save_model
 from probcal.synth import OracleSpec, generate_oracle
 
 
@@ -150,3 +150,89 @@ class TestModelFiles:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "nope.json")
+
+
+HISTOGRAM = {
+    "method": "histogram",
+    "scheme": "frequency",
+    "edges": [0.0, 0.5, 1.0],
+    "theta": [0.25, 0.75],
+    "counts": [4, 4],
+    "positives": [1, 3],
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=10,
+)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"method": "histogram"}, "scheme"),
+            (
+                {**HISTOGRAM, "edges": [0.0, 1.0], "counts": [8], "positives": [4], "theta": [0.5, 0.5]},
+                "one more edge",
+            ),
+            ({**HISTOGRAM, "positives": [1, 5]}, "exceed counts"),
+            ({**HISTOGRAM, "edges": [0.0, 0.5, 0.5]}, "edges must increase"),
+            ({**HISTOGRAM, "theta": [None, 0.75]}, "null exactly for empty bins"),
+            ({**HISTOGRAM, "theta": [0.25, 1.5]}, "'theta'"),
+            ({"method": "platt", "A": None, "B": 0.0}, "'A'"),
+            ({"method": "platt", "A": "1.0", "B": 0.0}, "'A'"),
+            ({"method": "isotonic", "breakpoints": [0.1, 0.5], "values": [0.6, 0.4]}, "must not decrease"),
+            ({"method": "isotonic", "breakpoints": [0.1, 0.5], "values": [0.4]}, "as many values"),
+            (
+                {"method": "dpm", "truncation": 2, "alpha": 1.0, "prior": 0.5,
+                 "positive": {"sticks": [[1.0, 1.0]], "components": [[0.5, 1.0, 1.0, 1.0]], "elbo": 0.0},
+                 "negative": {"sticks": [[1.0, 1.0]], "components": [[0.5, 1.0, 1.0, 1.0]], "elbo": 0.0}},
+                "truncation 2",
+            ),
+        ],
+        ids=[
+            "histogram-fields-missing", "histogram-theta-length", "histogram-positives-exceed-counts",
+            "histogram-edges-tie", "histogram-null-theta-in-nonempty-bin", "histogram-theta-range",
+            "platt-null-slope", "platt-string-slope", "isotonic-decreasing", "isotonic-length",
+            "dpm-component-count",
+        ],
+    )
+    def test_inconsistent_payload_is_rejected(self, tmp_path, payload, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    def test_valid_hand_written_histogram_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(HISTOGRAM))
+        assert load_model(path).predict([0.2, 0.8]).tolist() == [0.25, 0.75]
+
+    def test_platt_reload_does_not_claim_convergence(self, tmp_path):
+        model = _fitted_models()[1]
+        assert model.converged_ is True
+        path = tmp_path / "platt.json"
+        save_model(model, path)
+        assert load_model(path).converged_ is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(index=st.integers(0, 4), pick=st.integers(0, 10), delete=st.booleans(), value=json_values)
+    def test_corrupted_field_loads_or_raises_value_error(self, index, pick, delete, value):
+        payload = _VALID_PAYLOADS[index]
+        keys = [k for k in payload if k != "method"]
+        key = keys[pick % len(keys)]
+        corrupted = {k: v for k, v in payload.items() if not (delete and k == key)}
+        if not delete:
+            corrupted[key] = json.loads(json.dumps(value))
+        try:
+            model = MODEL_CLASSES[payload["method"]].from_dict(corrupted)
+        except ValueError:
+            return
+        out = model.predict(np.linspace(0.0, 1.0, 11))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+_VALID_PAYLOADS = [model.to_dict() for model in _fitted_models()]

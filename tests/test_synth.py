@@ -101,6 +101,19 @@ class TestTrueTheta:
                 bin_rate_by_quadrature(spec.probability, lo, hi), abs=1e-10
             )
 
+    @pytest.mark.parametrize("curve", ["identity", "square", "logistic", "constant"])
+    def test_closed_form_matches_quadrature(self, curve):
+        spec = OracleSpec(curve=curve, level=0.3)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            edges = np.concatenate([[0.0], np.sort(rng.random(9)), [1.0]])
+            theta = true_theta(spec, edges)
+            expected = [
+                bin_rate_by_quadrature(spec.probability, lo, hi)
+                for lo, hi in zip(edges[:-1], edges[1:])
+            ]
+            assert np.allclose(theta, expected, rtol=1e-13, atol=0.0)
+
     def test_values_are_probabilities(self):
         theta = true_theta(OracleSpec(curve="logistic"), np.linspace(0, 1, 11))
         assert np.all((theta >= 0) & (theta <= 1))
