@@ -9,7 +9,10 @@ import numpy as np
 
 def as_scores(values, name: str = "scores") -> np.ndarray:
     """Coerce to a 1-D float64 array of probabilities in [0, 1]."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1:
@@ -34,6 +37,14 @@ def as_labels(values, name: str = "labels") -> np.ndarray:
     if out.size and not np.isin(out, (0, 1)).all():
         raise ValueError(f"{name} must contain only 0 and 1")
     return out
+
+
+def check_iteration(max_iter: int, tol: float) -> None:
+    """Settings of an iterative fit: a budget of at least one step, a finite positive tolerance."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def check_same_length(a: np.ndarray, b: np.ndarray, what: str = "scores and labels") -> None:

@@ -1,8 +1,11 @@
-"""Command-line interface.
+"""Command-line interface, a thin layer over the library.
 
-Subcommands: fit, apply, eval, simulate, verify. Exit codes: 0 success,
-1 verification assertion failed, 2 input error, 3 fit error. All flags are
-long-form; every command that uses randomness takes --seed.
+Subcommands: fit, apply, eval, simulate, verify. ``METHODS`` maps each fit
+method to a calibrator constructor; verify flags are stored under the keyword
+names of the harness routine they feed. Exit codes, all set in ``main``: 0
+success, 1 verification assertion failed, 2 input error (bad flag, unreadable
+or malformed input, unwritable output), 3 fit error. Errors and calibrator
+warnings print as one line each. Every command that uses randomness takes --seed.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
 
 import numpy as np
 
@@ -36,53 +40,32 @@ EXIT_ASSERTION = 1
 EXIT_INPUT = 2
 EXIT_FIT = 3
 
-METHODS = ("histogram", "histogram-width", "platt", "isotonic", "kde", "kde-shared", "dpm")
-
-
-class InputError(Exception):
-    """Problem with files, flags, or data contents (exit 2)."""
-
 
 class FitError(Exception):
     """Calibrator could not be fitted (exit 3)."""
 
 
-def _build_calibrator(args):
-    method = args.method
-    iteration = {
-        name: value
-        for name, value in (("max_iter", args.max_iter), ("tol", args.tol))
-        if value is not None
-    }
-    if method == "histogram":
-        return HistogramCalibrator(n_bins=args.bins, scheme="frequency")
-    if method == "histogram-width":
-        return HistogramCalibrator(n_bins=args.bins, scheme="width")
-    if method == "platt":
-        return PlattCalibrator(**iteration)
-    if method == "isotonic":
-        return IsotonicCalibrator()
-    if method == "kde":
-        return KDECalibrator(shared_bandwidth=False)
-    if method == "kde-shared":
-        return KDECalibrator(shared_bandwidth=True)
-    if method == "dpm":
-        return DPMCalibrator(
-            truncation=args.truncation, alpha=args.alpha, seed=args.seed, **iteration
-        )
-    raise InputError(f"unknown method {method!r}")
+def _iteration(args) -> dict:
+    """--max-iter and --tol where given, so the calibrator's defaults apply otherwise."""
+    return {k: v for k, v in (("max_iter", args.max_iter), ("tol", args.tol)) if v is not None}
 
 
-def _load_dataset(path, score_column, label_column):
-    try:
-        return load_scored_csv(path, score_column=score_column, label_column=label_column)
-    except (FileNotFoundError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+METHODS = {
+    "histogram": lambda args: HistogramCalibrator(n_bins=args.bins, scheme="frequency"),
+    "histogram-width": lambda args: HistogramCalibrator(n_bins=args.bins, scheme="width"),
+    "platt": lambda args: PlattCalibrator(**_iteration(args)),
+    "isotonic": lambda args: IsotonicCalibrator(),
+    "kde": lambda args: KDECalibrator(shared_bandwidth=False),
+    "kde-shared": lambda args: KDECalibrator(shared_bandwidth=True),
+    "dpm": lambda args: DPMCalibrator(
+        truncation=args.truncation, alpha=args.alpha, seed=args.seed, **_iteration(args)
+    ),
+}
 
 
 def cmd_fit(args) -> int:
-    data = _load_dataset(args.infile, args.score_column, args.label_column)
-    calibrator = _build_calibrator(args)
+    data = load_scored_csv(args.infile, score_column=args.score_column, label_column=args.label_column)
+    calibrator = METHODS[args.method](args)
     try:
         calibrator.fit(data.scores, data.labels)
     except ValueError as exc:
@@ -96,17 +79,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    try:
-        model = load_model(args.model)
-        fieldnames, scores, _, rows = read_scored_rows(
-            args.infile, args.score_column, keep_rows=True
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+    model = load_model(args.model)
+    fieldnames, scores, _, rows = read_scored_rows(args.infile, args.score_column, keep_rows=True)
     if args.column in fieldnames:
-        raise InputError(
-            f"{args.infile}: column {args.column!r} already exists; refusing to replace it"
-        )
+        raise ValueError(f"{args.infile}: column {args.column!r} already exists; refusing to replace it")
     calibrated = model.predict(scores) if scores.size else np.empty(0)
     with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -118,25 +94,19 @@ def cmd_apply(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    prediction_column = args.prediction_column or args.score_column
-    data = _load_dataset(args.infile, prediction_column, args.label_column)
+    if args.model is not None and args.prediction_column is not None:
+        raise ValueError("--model and --prediction-column cannot be combined")
+    column = args.prediction_column or args.score_column
+    data = load_scored_csv(args.infile, score_column=column, label_column=args.label_column)
     predictions = data.scores
     auc_loss = None
     if args.model is not None:
+        predictions = load_model(args.model).predict(data.scores)
         try:
-            model = load_model(args.model)
-        except (FileNotFoundError, ValueError) as exc:
-            raise InputError(str(exc)) from exc
-        raw = _load_dataset(args.infile, args.score_column, args.label_column)
-        predictions = model.predict(raw.scores)
-        try:
-            auc_loss = auc(raw.scores, raw.labels) - auc(predictions, raw.labels)
-        except ValueError:
+            auc_loss = auc(data.scores, data.labels) - auc(predictions, data.labels)
+        except ValueError:  # one-class labels: AUC undefined
             auc_loss = None
-    try:
-        report = evaluate(predictions, data.labels, num_bins=args.bins, scheme=args.scheme)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = evaluate(predictions, data.labels, num_bins=args.bins, scheme=args.scheme)
     print(f"RMSE {report.rmse:.6f}")
     print(f"AUC  {report.auc:.6f}")
     print(f"ACC  {report.accuracy:.6f}")
@@ -160,21 +130,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        if args.kind == "oracle":
-            spec = OracleSpec(curve=args.curve, level=args.level)
-            data = generate_oracle(spec, args.n, args.seed)
-            header = ["score", "label"]
-            rows = ([format_float(s), int(z)] for s, z in zip(data.scores, data.labels))
-        else:
-            data = generate_xor(args.n, noise_sd=args.noise_sd, seed=args.seed)
-            header = ["x1", "x2", "label"]
-            rows = (
-                [format_float(x[0]), format_float(x[1]), int(z)]
-                for x, z in zip(data.features, data.labels)
-            )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.kind == "oracle":
+        data = generate_oracle(OracleSpec(curve=args.curve, level=args.level), args.n, args.seed)
+        header = ["score", "label"]
+        rows = ([format_float(s), int(z)] for s, z in zip(data.scores, data.labels))
+    else:
+        data = generate_xor(args.n, noise_sd=args.noise_sd, seed=args.seed)
+        header = ["x1", "x2", "label"]
+        rows = ([format_float(x[0]), format_float(x[1]), int(z)] for x, z in zip(data.features, data.labels))
     with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -183,7 +146,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _finish_verify(report, args) -> int:
+def cmd_verify(args) -> int:
+    # built per call, so a routine rebound on this module (say, by a tracer) is the one called
+    routines = {
+        "mce-bound": verify_mce_bound,
+        "ece-rate": verify_ece_rate,
+        "auc-loss": verify_auc_loss,
+        "theta-conc": verify_theta_concentration,
+        "size-sweep": lambda spec, **kw: calibration_size_sweep(oracle_generator(spec), **kw),
+    }
+    own = ("command", "check", "handler", "curve", "level", "csv_out", "json_out")
+    options = {k: v for k, v in vars(args).items() if k not in own}
+    report = routines[args.check](OracleSpec(curve=args.curve, level=args.level), **options)
     if report.slope is not None:
         print(f"slope: {report.slope:.4f}")
     for point in report.points:
@@ -202,58 +176,6 @@ def _finish_verify(report, args) -> int:
     if args.json_out is not None:
         write_sweep_json(report, args.json_out)
     return EXIT_OK if report.passed else EXIT_ASSERTION
-
-
-def cmd_verify(args) -> int:
-    try:
-        spec = OracleSpec(curve=args.curve, level=args.level)
-        if args.check == "mce-bound":
-            report = verify_mce_bound(
-                spec,
-                n_cal=args.n,
-                n_bins=args.bins,
-                delta=args.delta,
-                trials=args.trials,
-                n_test=args.test_size,
-                seed=args.seed,
-            )
-        elif args.check == "ece-rate":
-            report = verify_ece_rate(
-                spec,
-                n_bins=args.bins,
-                n_grid=args.n_grid,
-                trials=args.trials,
-                seed=args.seed,
-            )
-        elif args.check == "auc-loss":
-            report = verify_auc_loss(
-                spec,
-                n_cal=args.n,
-                bin_grid=args.bin_grid,
-                trials=args.trials,
-                seed=args.seed,
-            )
-        elif args.check == "theta-conc":
-            report = verify_theta_concentration(
-                spec,
-                n_cal=args.n,
-                n_bins=args.bins,
-                epsilon_grid=args.epsilon_grid,
-                trials=args.trials,
-                seed=args.seed,
-            )
-        else:
-            report = calibration_size_sweep(
-                oracle_generator(spec),
-                sizes=args.sizes,
-                trials=args.trials,
-                seed=args.seed,
-                n_test=args.test_size,
-                n_bins=args.bins,
-            )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return _finish_verify(report, args)
 
 
 def _int_list(text: str) -> list[int]:
@@ -332,29 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--json-out", default=None)
         sub.set_defaults(handler=cmd_verify)
 
+    # dest names are the keyword arguments of the harness routine each check calls
     mce_p = checks.add_parser("mce-bound", help="high-probability MCE bound")
-    mce_p.add_argument("--n", type=int, default=1000, help="calibration-set size")
-    mce_p.add_argument("--bins", type=int, default=10)
+    mce_p.add_argument("--n", dest="n_cal", metavar="N", type=int, default=1000, help="calibration-set size")
+    mce_p.add_argument("--bins", dest="n_bins", metavar="BINS", type=int, default=10)
     mce_p.add_argument("--delta", type=float, default=0.05)
     mce_p.add_argument("--trials", type=int, default=200)
-    mce_p.add_argument("--test-size", type=int, default=None)
+    mce_p.add_argument("--test-size", dest="n_test", metavar="TEST_SIZE", type=int, default=None)
     common(mce_p)
 
     ece_p = checks.add_parser("ece-rate", help="ECE decay rate in the calibration size")
-    ece_p.add_argument("--bins", type=int, default=10)
+    ece_p.add_argument("--bins", dest="n_bins", metavar="BINS", type=int, default=10)
     ece_p.add_argument("--n-grid", type=_int_list, default=[1_000, 10_000, 100_000])
     ece_p.add_argument("--trials", type=int, default=50)
     common(ece_p)
 
     auc_p = checks.add_parser("auc-loss", help="average AUC loss against 1/(2B)")
-    auc_p.add_argument("--n", type=int, default=100_000, help="calibration-set size")
+    auc_p.add_argument("--n", dest="n_cal", metavar="N", type=int, default=100_000, help="calibration-set size")
     auc_p.add_argument("--bin-grid", type=_int_list, default=[5, 10, 20, 50])
     auc_p.add_argument("--trials", type=int, default=20)
     common(auc_p)
 
     theta_p = checks.add_parser("theta-conc", help="per-bin rate concentration vs Hoeffding")
-    theta_p.add_argument("--n", type=int, default=10_000, help="calibration-set size")
-    theta_p.add_argument("--bins", type=int, default=10)
+    theta_p.add_argument("--n", dest="n_cal", metavar="N", type=int, default=10_000, help="calibration-set size")
+    theta_p.add_argument("--bins", dest="n_bins", metavar="BINS", type=int, default=10)
     theta_p.add_argument("--epsilon-grid", type=_float_list, default=[0.01, 0.02, 0.05, 0.1])
     theta_p.add_argument("--trials", type=int, default=500)
     common(theta_p)
@@ -362,27 +285,30 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = checks.add_parser("size-sweep", help="MCE/ECE against calibration-set size")
     sweep_p.add_argument("--sizes", type=_int_list, default=[100, 1_000, 10_000])
     sweep_p.add_argument("--trials", type=int, default=10)
-    sweep_p.add_argument("--test-size", type=int, default=100_000)
-    sweep_p.add_argument("--bins", type=int, default=None, help="fixed bin count (default: cube-root rule)")
+    sweep_p.add_argument("--test-size", dest="n_test", metavar="TEST_SIZE", type=int, default=100_000)
+    sweep_p.add_argument(
+        "--bins", dest="n_bins", metavar="BINS", type=int, default=None,
+        help="fixed bin count (default: cube-root rule)",
+    )
     common(sweep_p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
+    with warnings.catch_warnings():  # restores the caller's warning display on return
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.handler(args)
+        except SystemExit as exc:  # from argparse: 0 after --help, 2 (EXIT_INPUT) for a bad flag
+            return exc.code or EXIT_OK
+        except FitError as exc:
+            print(f"fit error: {exc}", file=sys.stderr)
+            return EXIT_FIT
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 def run() -> None:

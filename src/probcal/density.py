@@ -13,12 +13,15 @@ variational inference and uses its posterior-predictive density.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betaln, digamma, gammaln, poch
 
-from ._validation import as_labels, as_scores, check_same_length, class_counts, model_field
+from ._validation import (
+    as_labels, as_scores, check_iteration, check_same_length, class_counts, model_field,
+)
 from .base import BaseCalibrator
 
 _SILVERMAN_FLOOR = 1e-3
@@ -343,8 +346,7 @@ class DPMCalibrator(BaseCalibrator):
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        check_iteration(self.max_iter, self.tol)
         y = as_scores(scores)
         z = as_labels(labels)
         check_same_length(y, z)
@@ -362,6 +364,16 @@ class DPMCalibrator(BaseCalibrator):
             y[z == 0], self.truncation, self.alpha, self.max_iter, self.tol,
             np.random.default_rng(seed_neg),
         )
+        for name, posterior in (("positive", self.positive_), ("negative", self.negative_)):
+            if not posterior.converged:
+                history = posterior.elbo_history
+                change = history[-1] - history[-2] if len(history) > 1 else np.inf
+                warnings.warn(
+                    f"dpm fit of the {name} class stopped after {posterior.n_iter} iterations "
+                    f"with ELBO change {change:.3e} (tol {self.tol:.1e})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         self.prior_ = m / total
         return self
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .binning import HistogramCalibrator
 from .metrics import SCHEME_FREQUENCY, auc, ece, mce, reliability
+from .serialize import dumps
 from .synth import OracleSpec, generate_oracle, true_theta
 
 DEFAULT_MIN_TEST = 100_000
@@ -527,8 +528,6 @@ def write_sweep_csv(report: SweepReport, path) -> None:
 
 def write_sweep_json(report: SweepReport, path) -> None:
     """Summary with the pass/fail verdict of every assertion."""
-    from .serialize import dumps
-
     payload = {
         "axis": report.axis_name,
         "passed": report.passed,

@@ -9,7 +9,9 @@ import warnings
 import numpy as np
 from scipy.special import expit
 
-from ._validation import as_labels, as_scores, check_same_length, class_counts, model_field
+from ._validation import (
+    as_labels, as_scores, check_iteration, check_same_length, class_counts, model_field,
+)
 from .base import BaseCalibrator
 
 
@@ -71,6 +73,7 @@ class PlattCalibrator(BaseCalibrator):
         self.gradient_norm_ = None
 
     def fit(self, scores, labels) -> "PlattCalibrator":
+        check_iteration(self.max_iter, self.tol)
         f = as_scores(scores)
         z = as_labels(labels)
         check_same_length(f, z)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,11 +85,12 @@ class TestSimulate:
 class TestFit:
     @pytest.mark.parametrize(
         "method",
-        ["histogram", "histogram-width", "platt", "isotonic", "kde", "kde-shared"],
+        ["histogram", "histogram-width", "platt", "isotonic", "kde", "kde-shared", "dpm"],
     )
     def test_each_method_writes_loadable_model(self, scored_csv, tmp_path, method, capsys):
         path = tmp_path / "model.json"
-        code = main(["fit", "--method", method, "--in", str(scored_csv), "--out", str(path)])
+        small = ["--truncation", "5", "--max-iter", "50"] if method == "dpm" else []
+        code = main(["fit", "--method", method, "--in", str(scored_csv), "--out", str(path), *small])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert f"method: {method}" in out
@@ -131,6 +133,28 @@ class TestFit:
         )
         assert code == EXIT_FIT
         assert "fit error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["platt", "dpm"])
+    @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--tol", "-1"], ["--tol", "nan"]])
+    def test_bad_iteration_settings_are_fit_errors(self, scored_csv, tmp_path, method, flags, capsys):
+        out = tmp_path / "m.json"
+        code = main(["fit", "--method", method, "--in", str(scored_csv), "--out", str(out), *flags])
+        assert code == EXIT_FIT
+        err = capsys.readouterr().err
+        assert err.startswith("fit error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_warning_is_one_line_and_display_is_restored(self, scored_csv, tmp_path, capsys):
+        shown = warnings.showwarning
+        code = main(
+            ["fit", "--method", "platt", "--max-iter", "1", "--in", str(scored_csv),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith("warning: sigmoid fit stopped after 1 iterations")
+        assert err.count("\n") == 1
+        assert warnings.showwarning is shown
 
 
 class TestApply:
@@ -270,6 +294,13 @@ class TestEval:
         code = main(["eval", "--in", str(scored_csv), "--prediction-column", "nope"])
         assert code == EXIT_INPUT
 
+    def test_model_and_prediction_column_cannot_be_combined(self, scored_csv, histogram_model, capsys):
+        code = main(
+            ["eval", "--in", str(scored_csv), "--model", str(histogram_model), "--prediction-column", "score"]
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: --model and --prediction-column cannot be combined\n"
+
 
 class TestVerifyCommand:
     def test_generous_bound_passes(self, capsys):
@@ -345,6 +376,27 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1]
         payload = json.loads(outputs[0][1].decode())
         assert "assertions" in payload and "points" in payload
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["fit", "apply", "eval", "simulate", "verify"])
+    def test_is_an_input_error(self, scored_csv, histogram_model, tmp_path, command, capsys):
+        out = str(tmp_path / "no-such-dir" / "out")
+        argv = {
+            "fit": ["fit", "--method", "histogram", "--in", str(scored_csv), "--out", out],
+            "apply": ["apply", "--model", str(histogram_model), "--in", str(scored_csv), "--out", out],
+            "eval": ["eval", "--in", str(scored_csv), "--out", out],
+            "simulate": ["simulate", "--kind", "oracle", "--n", "10", "--out", out],
+            "verify": [
+                "verify", "mce-bound", "--n", "100", "--bins", "2", "--trials", "2",
+                "--test-size", "1000", "--json-out", out,
+            ],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no-such-dir" in err
+        assert err.count("\n") == 1
 
 
 class TestArgumentErrors:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probcal._validation import as_labels
+from probcal._validation import as_labels, as_scores
 from probcal.data import (
     FeatureDataset,
     ScoredDataset,
@@ -48,6 +48,10 @@ class TestScoredDataset:
             as_labels(["1", "0"])
         with pytest.raises(ValueError, match="numeric"):
             ScoredDataset(np.array([0.1, 0.2]), np.array(["0", "1"]))
+
+    def test_rejects_string_scores(self):
+        with pytest.raises(ValueError, match="numeric"):
+            as_scores(["0.5", "1"])
 
     def test_rejects_fractional_float_labels(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,26 @@ class TestDPM:
             DPMCalibrator(alpha=0.0).fit(scores, labels)
         with pytest.raises(ValueError, match="max_iter"):
             DPMCalibrator(max_iter=0).fit(scores, labels)
+        for tol in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol"):
+                DPMCalibrator(tol=tol).fit(scores, labels)
+
+    def test_warns_per_class_when_iteration_budget_too_small(self):
+        scores, labels = two_cluster_data()
+        with pytest.warns(RuntimeWarning) as record:
+            DPMCalibrator(max_iter=2).fit(scores, labels)
+        messages = [str(w.message) for w in record]
+        assert len(messages) == 2
+        for name, message in zip(("positive", "negative"), messages):
+            assert message.startswith(f"dpm fit of the {name} class stopped after 2 iterations")
+            assert "ELBO change" in message and "(tol 1.0e-06)" in message
+
+    def test_converged_fit_does_not_warn(self):
+        scores, labels = two_cluster_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = DPMCalibrator().fit(scores, labels)
+        assert model.positive_.converged and model.negative_.converged
 
     def test_rejects_small_class(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -133,6 +133,20 @@ class TestPlattCalibrator:
         with pytest.warns(RuntimeWarning, match="gradient norm"):
             PlattCalibrator(max_iter=1).fit(scores, labels)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iter": 0}, "max_iter"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": -1e-8}, "tol"),
+            ({"tol": math.nan}, "tol"),
+            ({"tol": math.inf}, "tol"),
+        ],
+    )
+    def test_rejects_bad_iteration_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PlattCalibrator(**kwargs).fit(np.array([0.1, 0.9]), np.array([0, 1]))
+
     def test_requires_both_classes(self):
         with pytest.raises(ValueError, match="both classes"):
             PlattCalibrator().fit(np.array([0.1, 0.9]), np.array([1, 1]))
