@@ -15,8 +15,6 @@ import csv
 import sys
 import warnings
 
-import numpy as np
-
 from .binning import HistogramCalibrator
 from .data import load_scored_csv, read_scored_rows
 from .density import DPMCalibrator, KDECalibrator
@@ -32,7 +30,7 @@ from .harness import (
 )
 from .metrics import SCHEMES, auc, evaluate, write_reliability_csv
 from .monotone import IsotonicCalibrator, PlattCalibrator
-from .serialize import format_float, load_model, save_model
+from .serialize import format_floats, load_model, save_model
 from .synth import CURVES, OracleSpec, generate_oracle, generate_xor
 
 EXIT_OK = 0
@@ -83,12 +81,10 @@ def cmd_apply(args) -> int:
     fieldnames, scores, _, rows = read_scored_rows(args.infile, args.score_column, keep_rows=True)
     if args.column in fieldnames:
         raise ValueError(f"{args.infile}: column {args.column!r} already exists; refusing to replace it")
-    calibrated = model.predict(scores) if scores.size else np.empty(0)
+    calibrated = format_floats(model.predict(scores).tolist()) if scores.size else []
     with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(fieldnames + [args.column])
-        for row, value in zip(rows, calibrated):
-            writer.writerow([row[name] for name in fieldnames] + [format_float(value)])
+        csv.writer(handle).writerow(fieldnames + [args.column])
+        handle.write("".join(map("{},{}\r\n".format, rows, calibrated)))
     print(f"{len(rows)} rows calibrated; written to {args.outfile}")
     return EXIT_OK
 
@@ -98,15 +94,9 @@ def cmd_eval(args) -> int:
         raise ValueError("--model and --prediction-column cannot be combined")
     column = args.prediction_column or args.score_column
     data = load_scored_csv(args.infile, score_column=column, label_column=args.label_column)
-    predictions = data.scores
-    auc_loss = None
-    if args.model is not None:
-        predictions = load_model(args.model).predict(data.scores)
-        try:
-            auc_loss = auc(data.scores, data.labels) - auc(predictions, data.labels)
-        except ValueError:  # one-class labels: AUC undefined
-            auc_loss = None
+    predictions = data.scores if args.model is None else load_model(args.model).predict(data.scores)
     report = evaluate(predictions, data.labels, num_bins=args.bins, scheme=args.scheme)
+    auc_loss = None if args.model is None else auc(data.scores, data.labels) - report.auc
     print(f"RMSE {report.rmse:.6f}")
     print(f"AUC  {report.auc:.6f}")
     print(f"ACC  {report.accuracy:.6f}")
@@ -115,15 +105,10 @@ def cmd_eval(args) -> int:
     if auc_loss is not None:
         print(f"AUC loss vs raw scores {auc_loss:.6f}")
     if args.outfile is not None:
-        header = ["rmse", "auc", "accuracy", "mce", "ece"]
-        values = [report.rmse, report.auc, report.accuracy, report.mce, report.ece]
-        if auc_loss is not None:
-            header.append("auc_loss")
-            values.append(auc_loss)
+        values = {"rmse": report.rmse, "auc": report.auc, "accuracy": report.accuracy, "mce": report.mce,
+                  "ece": report.ece, **({} if auc_loss is None else {"auc_loss": auc_loss})}
         with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerow([format_float(v) for v in values])
+            csv.writer(handle).writerows([list(values), format_floats(values.values())])
     if args.reliability_out is not None:
         write_reliability_csv(report.bins, args.reliability_out)
     return EXIT_OK
@@ -132,16 +117,15 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     if args.kind == "oracle":
         data = generate_oracle(OracleSpec(curve=args.curve, level=args.level), args.n, args.seed)
-        header = ["score", "label"]
-        rows = ([format_float(s), int(z)] for s, z in zip(data.scores, data.labels))
+        header, columns = ["score", "label"], [data.scores]
     else:
         data = generate_xor(args.n, noise_sd=args.noise_sd, seed=args.seed)
-        header = ["x1", "x2", "label"]
-        rows = ([format_float(x[0]), format_float(x[1]), int(z)] for x, z in zip(data.features, data.labels))
+        header, columns = ["x1", "x2", "label"], [data.features[:, 0], data.features[:, 1]]
+    cells = [format_floats(column.tolist()) for column in columns] + [data.labels.tolist()]
+    line = ",".join(["{}"] * len(cells)) + "\r\n"
     with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(handle).writerow(header)
+        handle.write("".join(map(line.format, *cells)))
     print(f"{args.n} rows written to {args.outfile}")
     return EXIT_OK
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -95,25 +97,71 @@ def read_scored_rows(
     label_column: str | None = None,
     keep_rows: bool = False,
 ) -> tuple:
-    """Read a headered CSV file one row at a time.
+    """Read a headered CSV file.
 
     Scores must parse as reals in [0, 1] and, when ``label_column`` is
     given, labels as 0/1; violations are reported with the 1-based data-row
     number (the header is not counted). Returns (fieldnames, scores, labels,
-    rows): labels is None without a label column, and rows holds the row
-    dicts only when ``keep_rows`` is set.
+    rows): labels is None without a label column; rows, only with
+    ``keep_rows``, holds each data row as csv.writer writes its fields,
+    without the line ending. Plain files are parsed a column at a time; any
+    other file, or one with a bad cell, is read by the row loop that raises.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
+    wanted = [score_column] if label_column is None else [score_column, label_column]
+    try:
+        parsed = _read_plain(path.read_bytes().decode("utf-8"), wanted, keep_rows)
+    except UnicodeDecodeError:  # the row loop reports it
+        parsed = None
+    return parsed if parsed is not None else _read_row_by_row(path, wanted, keep_rows)
+
+
+def _read_plain(text: str, wanted: list[str], keep_rows: bool) -> tuple | None:
+    """``read_scored_rows`` of a plain CSV text; None if it is not plain or a cell is bad.
+
+    Plain: no quote, NUL or CR outside a CRLF; a non-empty header of unique
+    names holding the wanted columns; every non-blank line with the header's
+    field count and within csv's field size limit. Each line then splits on
+    commas as csv reads it (csv breaks lines at LF only, unlike
+    str.splitlines) and is what csv.writer writes for its fields.
+    """
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    header, body = lines[0].split(","), list(filter(None, lines[1:]))  # csv skips blank lines
+    width = len(header)
+    if not lines[0] or len(set(header)) != width or not set(wanted) <= set(header):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit() or set(map(str.count, body, repeat(","))) - {width - 1}:
+        return None
+    cells = ",".join(body).split(",") if width > 1 and body else body
+    columns = [cells[header.index(name) :: width] for name in wanted]
+    try:
+        scores = np.fromiter(map(float, columns[0]), dtype=np.float64, count=len(body))
+    except ValueError:
+        return None
+    if not np.all((scores >= 0.0) & (scores <= 1.0)):
+        return None
+    labels = None
+    if len(columns) > 1:
+        if not set(columns[1]) <= {"0", "1"}:
+            return None
+        labels = (np.frombuffer("".join(columns[1]).encode(), dtype=np.uint8) == ord("1")).astype(np.int64)
+    return header, scores, labels, body if keep_rows else None
+
+
+def _read_row_by_row(path: Path, wanted: list[str], keep_rows: bool) -> tuple:
+    score_column, label_column = wanted[0], wanted[1] if len(wanted) > 1 else None
     scores: list[float] = []
     labels: list[int] = []
-    rows: list[dict] | None = [] if keep_rows else None
+    rows: list[str] | None = [] if keep_rows else None
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        for column in (score_column,) if label_column is None else (score_column, label_column):
+        for column in wanted:
             if column not in reader.fieldnames:
                 raise ValueError(
                     f"{path}: missing column {column!r}; file has {reader.fieldnames}"
@@ -140,8 +188,9 @@ def read_scored_rows(
                         f"{path}: row {row_number}: label {raw_label!r} not in {{0, 1}}"
                     )
                 labels.append(int(raw_label))
-            if rows is not None:
-                rows.append(row)
+            if rows is not None:  # csv.writer's line ending decides what it quotes, so cut it off after
+                csv.writer(out := io.StringIO()).writerow([row[name] for name in reader.fieldnames])
+                rows.append(out.getvalue()[:-2])
     return (
         list(reader.fieldnames),
         np.asarray(scores, dtype=np.float64),

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln, poch
 
 from ._validation import (
     as_labels, as_scores, check_iteration, check_same_length, class_counts, model_field,
@@ -25,6 +24,12 @@ from ._validation import (
 from .base import BaseCalibrator
 
 _SILVERMAN_FLOOR = 1e-3
+
+
+def _special():
+    """``scipy.special``, imported on first use: it is most of probcal's import time."""
+    import scipy.special
+    return scipy.special
 
 
 def silverman_bandwidth(scores) -> float:
@@ -184,7 +189,7 @@ class StickBreakingPosterior:
         # Student-t pdf in the same arithmetic as scipy's t distribution, so
         # predictions keep their bits
         u = (np.asarray(x)[:, None] - mean) / scale
-        log_norm = np.log(poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+        log_norm = np.log(_special().poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
         pdf = np.exp(log_norm - (df + 1) / 2 * np.log1p(u * u / df)) / scale
         return pdf @ self.expected_weights()
 
@@ -197,6 +202,7 @@ def _fit_class_mixture(
     tol: float,
     rng: np.random.Generator,
 ) -> StickBreakingPosterior:
+    special = _special()
     n = x.size
     t_count = truncation
     mu0 = float(np.mean(x))
@@ -234,15 +240,15 @@ def _fit_class_mixture(
 
         # responsibility update from the globals
         if t_count > 1:
-            digamma_total = digamma(gamma[:, 0] + gamma[:, 1])
-            e_log_v = digamma(gamma[:, 0]) - digamma_total
-            e_log_1mv = digamma(gamma[:, 1]) - digamma_total
+            digamma_total = special.digamma(gamma[:, 0] + gamma[:, 1])
+            e_log_v = special.digamma(gamma[:, 0]) - digamma_total
+            e_log_1mv = special.digamma(gamma[:, 1]) - digamma_total
             e_log_pi = np.concatenate([e_log_v, [0.0]])
             e_log_pi[1:] += np.cumsum(e_log_1mv)
         else:
             e_log_pi = np.zeros(1)
         e_lambda = aq / bq
-        e_log_lambda = digamma(aq) - np.log(bq)
+        e_log_lambda = special.digamma(aq) - np.log(bq)
         quad = e_lambda[None, :] * (x[:, None] - mq[None, :]) ** 2 + 1.0 / kq[None, :]
         log_rho = e_log_pi[None, :] + 0.5 * e_log_lambda[None, :] - 0.5 * log_2pi - 0.5 * quad
         log_rho -= log_rho.max(axis=1, keepdims=True)
@@ -260,7 +266,7 @@ def _fit_class_mixture(
             )
             stick_q = float(
                 np.sum(
-                    -betaln(gamma[:, 0], gamma[:, 1])
+                    -special.betaln(gamma[:, 0], gamma[:, 1])
                     + (gamma[:, 0] - 1.0) * e_log_v
                     + (gamma[:, 1] - 1.0) * e_log_1mv
                 )
@@ -274,7 +280,7 @@ def _fit_class_mixture(
                 + 0.5 * e_log_lambda
                 - 0.5 * kappa0 * e_lambda_dev0
                 + a0 * np.log(b0)
-                - gammaln(a0)
+                - special.gammaln(a0)
                 + (a0 - 1.0) * e_log_lambda
                 - b0 * e_lambda
             )
@@ -284,7 +290,7 @@ def _fit_class_mixture(
                 0.5 * (np.log(kq) - log_2pi)
                 - 0.5
                 + aq * np.log(bq)
-                - gammaln(aq)
+                - special.gammaln(aq)
                 + (aq - 0.5) * e_log_lambda
                 - aq
             )
@@ -344,8 +350,8 @@ class DPMCalibrator(BaseCalibrator):
     def fit(self, scores, labels) -> "DPMCalibrator":
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         check_iteration(self.max_iter, self.tol)
         y = as_scores(scores)
         z = as_labels(labels)

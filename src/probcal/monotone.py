@@ -7,12 +7,17 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.special import expit
 
 from ._validation import (
     as_labels, as_scores, check_iteration, check_same_length, class_counts, model_field,
 )
 from .base import BaseCalibrator
+
+
+def _expit(x):
+    """scipy's ``expit``, imported on first use: scipy.special is most of probcal's import time."""
+    from scipy.special import expit
+    return expit(x)
 
 
 def pool_adjacent_violators(values, weights=None) -> np.ndarray:
@@ -98,7 +103,7 @@ class PlattCalibrator(BaseCalibrator):
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
             s = a * f + b
-            p = expit(-s)
+            p = _expit(-s)
             d = target - p
             gradient = np.array([np.dot(d, f), d.sum()])
             gradient_norm = float(np.abs(gradient).max())
@@ -129,7 +134,7 @@ class PlattCalibrator(BaseCalibrator):
         if not converged:
             # re-check: the loop may exhaust right at the solution
             s = a * f + b
-            d = target - expit(-s)
+            d = target - _expit(-s)
             gradient_norm = float(
                 np.abs(np.array([np.dot(d, f), d.sum()])).max()
             )
@@ -152,7 +157,7 @@ class PlattCalibrator(BaseCalibrator):
     def predict(self, scores):
         self._require_fitted("slope_")
         queries, scalar = self._prepare_queries(scores)
-        return self._finish(expit(-(self.slope_ * queries + self.intercept_)), scalar)
+        return self._finish(_expit(-(self.slope_ * queries + self.intercept_)), scalar)
 
     def to_dict(self) -> dict:
         self._require_fitted("slope_")

@@ -31,6 +31,15 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+def format_floats(values) -> list[str]:
+    """``format_float`` of each value of a sequence of floats, formatted in one pass."""
+    values = tuple(values)
+    text = "%.17g," * len(values) % values
+    if "n" in text:  # only "nan" and "inf" contain an n: format each value
+        return [format_float(v) for v in values]
+    return text.split(",")[:-1]
+
+
 def dumps(obj, indent: int = 0) -> str:
     """Render to JSON text with stable formatting."""
     pad = "  " * indent
@@ -53,6 +62,8 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if set(map(type, obj)) == {float}:
+            return f"[\n{inner}" + f",\n{inner}".join(format_floats(obj)) + f"\n{pad}]"
         rows = [f"{inner}{dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

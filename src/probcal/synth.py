@@ -12,9 +12,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import FeatureDataset, ScoredDataset
+
+
+def _expit(x):
+    """scipy's ``expit``, imported on first use: scipy.special is most of probcal's import time."""
+    from scipy.special import expit
+    return expit(x)
 
 CURVES = ("identity", "square", "logistic", "constant")
 
@@ -44,7 +49,7 @@ class OracleSpec:
         if self.curve == "square":
             return y * y
         if self.curve == "logistic":
-            return expit(8.0 * (y - 0.5))
+            return _expit(8.0 * (y - 0.5))
         return np.full_like(y, self.level)
 
 
@@ -75,7 +80,7 @@ def true_theta(spec: OracleSpec, edges) -> np.ndarray:
     if spec.curve == "logistic":
         # the antiderivative of expit(8(y - 1/2)) is log1p(exp(8(y - 1/2))) / 8
         width = 8.0 * (hi - lo)
-        return np.log1p(np.expm1(width) * expit(8.0 * (lo - 0.5))) / width
+        return np.log1p(np.expm1(width) * _expit(8.0 * (lo - 0.5))) / width
     return np.full(lo.shape, spec.level, dtype=np.float64)
 
 
@@ -125,7 +130,7 @@ class LogisticScorer:
         x = np.asarray(features, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
-        return expit(_expand(x, self.feature_map) @ self.coef)
+        return _expit(_expand(x, self.feature_map) @ self.coef)
 
 
 def fit_logistic(
@@ -163,7 +168,7 @@ def fit_logistic(
     value = objective(w)
     gradient_norm = np.inf
     for _ in range(max_iter):
-        probabilities = expit(x @ w)
+        probabilities = _expit(x @ w)
         gradient = x.T @ (probabilities - z) + penalty * w
         gradient_norm = float(np.abs(gradient).max())
         if gradient_norm < tol:

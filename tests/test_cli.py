@@ -1,17 +1,21 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import probcal
 from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, main, run
-from probcal.serialize import load_model
+from probcal.serialize import format_float, load_model
 
 
 @pytest.fixture()
@@ -144,6 +148,14 @@ class TestFit:
         assert err.startswith("fit error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
+    def test_bad_dpm_alpha_is_a_fit_error(self, scored_csv, tmp_path, alpha, capsys):
+        out = tmp_path / "m.json"
+        code = main(["fit", "--method", "dpm", f"--alpha={alpha}", "--in", str(scored_csv), "--out", str(out)])
+        assert code == EXIT_FIT
+        assert capsys.readouterr().err == f"fit error: alpha must be finite and > 0, got {float(alpha)}\n"
+        assert not out.exists()
+
     def test_warning_is_one_line_and_display_is_restored(self, scored_csv, tmp_path, capsys):
         shown = warnings.showwarning
         code = main(
@@ -250,6 +262,56 @@ class TestApply:
         assert not out.exists()
 
 
+def apply_by_rows(model_path, in_path, column="calibrated") -> bytes:
+    """What apply writes, computed one row at a time with csv.DictReader and csv.writer."""
+    with open(in_path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        rows = list(reader)
+    predictions = load_model(model_path).predict(np.array([float(row["score"]) for row in rows]))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(reader.fieldnames + [column])
+    for row, value in zip(rows, predictions.tolist()):
+        writer.writerow([row[name] for name in reader.fieldnames] + [format_float(value)])
+    return out.getvalue().encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def module_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "hist.json"
+    data = tmp_path_factory.mktemp("data") / "scored.csv"
+    assert main(["simulate", "--kind", "oracle", "--n", "200", "--seed", "3", "--out", str(data)]) == EXIT_OK
+    assert main(["fit", "--method", "isotonic", "--in", str(data), "--out", str(path)]) == EXIT_OK
+    return path
+
+
+TEXT_CELLS = st.sampled_from(["", "a", "a b", "x,y", 'say "hi"', "two\nlines", "cr\rlf", "\u2028", "\x0b", "é", " "])
+
+
+class TestApplyOutputBytes:
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), TEXT_CELLS, st.sampled_from(["0", "1"])), max_size=8),
+        st.permutations(["score", "note", "label"]),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_a_csv_writer_reference(self, module_model, rows, names, ending):
+        with tempfile.TemporaryDirectory() as tmp:
+            source, out = Path(tmp) / "in.csv", Path(tmp) / "out.csv"
+            # csv.writer quotes a CR or LF only if its line ending holds one, so
+            # write CRLF lines (no cell holds a CRLF) and then change the endings
+            text = io.StringIO()
+            writer = csv.writer(text)
+            writer.writerow(names)
+            for score, note, label in rows:
+                cells = {"score": repr(score), "note": note, "label": label}
+                writer.writerow([cells[name] for name in names])
+            source.write_bytes(text.getvalue().replace("\r\n", ending).encode("utf-8"))
+            code = main(["apply", "--model", str(module_model), "--in", str(source), "--out", str(out)])
+            assert code == EXIT_OK
+            assert out.read_bytes() == apply_by_rows(module_model, source)
+
+
 class TestEval:
     def test_prints_metrics(self, scored_csv, capsys):
         code = main(["eval", "--in", str(scored_csv)])
@@ -293,6 +355,30 @@ class TestEval:
     def test_missing_column(self, scored_csv, capsys):
         code = main(["eval", "--in", str(scored_csv), "--prediction-column", "nope"])
         assert code == EXIT_INPUT
+
+    def test_one_class_labels_are_input_error(self, histogram_model, tmp_path, capsys):
+        data = tmp_path / "one_class.csv"
+        data.write_text("score,label\n0.2,1\n0.9,1\n")
+        for extra in ([], ["--model", str(histogram_model)]):
+            code = main(["eval", "--in", str(data), *extra])
+            assert code == EXIT_INPUT
+            assert capsys.readouterr() == ("", "error: AUC is undefined without both classes present\n")
+
+    def test_auc_of_the_predictions_is_computed_once(self, scored_csv, histogram_model, monkeypatch, capsys):
+        calls = []
+
+        def counted(original):
+            def auc(*args):
+                calls.append(args)
+                return original(*args)
+
+            return auc
+
+        for module in (probcal.cli, probcal.metrics):  # eval calls auc itself and through evaluate
+            monkeypatch.setattr(module, "auc", counted(module.auc))
+        assert main(["eval", "--in", str(scored_csv), "--model", str(histogram_model)]) == EXIT_OK
+        assert len(calls) == 2  # raw scores and predictions
+        capsys.readouterr()
 
     def test_model_and_prediction_column_cannot_be_combined(self, scored_csv, histogram_model, capsys):
         code = main(
@@ -444,11 +530,8 @@ class TestImportFootprint:
     def test_cli_import_loads_neither_scipy_stats_nor_integrate(self):
         source = str(Path(probcal.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
-        probe = (
-            "import sys, probcal.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'stats'], ['scipy', 'integrate'])))"
-        )
+        # scipy.special too: it is imported on first use by the paths that need it
+        probe = "import sys, probcal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )

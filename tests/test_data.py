@@ -1,3 +1,8 @@
+import csv
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +12,11 @@ from probcal._validation import as_labels, as_scores
 from probcal.data import (
     FeatureDataset,
     ScoredDataset,
+    _read_plain,
+    _read_row_by_row,
     kfold_calibration_set,
     load_scored_csv,
+    read_scored_rows,
     split,
 )
 
@@ -129,6 +137,123 @@ class TestLoadScoredCsv:
         path = make_csv(tmp_path, "")
         with pytest.raises(ValueError, match="header"):
             load_scored_csv(path)
+
+
+# cells a reader must treat exactly as csv does: label and score spellings that
+# float() or the label check accept or reject, quotes, NUL, and characters that
+# str.splitlines breaks on but csv does not
+MESSY_CELLS = (
+    "0", "1", " 1", "+1", "1.0", "2", "0.5", "0.25", "nan", "inf", "-0", "1e-3", "0.5_1",
+    " 0.5", "1.5", "", " ", "x", '"q"', '"a,b"', '"x""y"', "a\x00b", "a\u2028b", "a\x0bb",
+    "a\x85b", "a\x1cb", "a\rb", "\u00e9",
+)
+PLAIN_SCORES = ("0", "1", "0.5", "0.125", "1e-3", "0.5_1", " 0.5", "0.25 ", "-0", "9.99e-1")
+
+
+@st.composite
+def messy_csv(draw):
+    names = draw(st.lists(st.sampled_from(["score", "label", "id", "\ufeffscore", "", "n\u2028"]),
+                          min_size=1, max_size=4))
+    width = len(names)
+    rows = draw(st.lists(
+        st.one_of(
+            st.just([]),  # a blank line
+            st.lists(st.sampled_from(MESSY_CELLS), min_size=max(width - 1, 1), max_size=width + 1),
+        ),
+        max_size=6,
+    ))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows) + 1,
+                            max_size=len(rows) + 1))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    text = bom + "".join(",".join(cells) + end for cells, end in zip([names] + rows, endings))
+    return text.encode("utf-8") + draw(st.sampled_from([b"", b"\xff"]))
+
+
+@st.composite
+def plain_csv(draw):
+    names = [n for n in draw(st.permutations(["score", "label", "id"])) if n != "id" or draw(st.booleans())]
+    cells = {
+        "score": st.sampled_from(PLAIN_SCORES),
+        "label": st.sampled_from(["0", "1"]),
+        # line breaks to str.splitlines, not to csv
+        "id": st.sampled_from(["7", "", "a b", "a\u2028b", "x\x0by", "\x85\x1c\x0c", "\u00e9"]),
+    }
+    rows = draw(st.lists(st.tuples(*(cells[name] for name in names)), max_size=8))
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    blanks = draw(st.integers(1, len(lines)))
+    lines[blanks:blanks] = [""] * draw(st.integers(0, 2))  # blank lines csv skips
+    return "".join(line + ending for line in lines).encode("utf-8")
+
+
+def outcome(read):
+    """A reader's result with arrays as raw bytes, or its exception type and message."""
+    try:
+        fieldnames, scores, labels, rows = read()
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return fieldnames, scores.dtype, scores.tobytes(), None if labels is None else labels.tobytes(), rows
+
+
+def reads_like_row_loop(content: bytes, label_column, keep_rows):
+    wanted = ["score"] if label_column is None else ["score", label_column]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(content)
+        full = outcome(lambda: read_scored_rows(path, "score", label_column, keep_rows))
+        assert full == outcome(lambda: _read_row_by_row(path, wanted, keep_rows))
+        return full
+
+
+class TestColumnPath:
+    """read_scored_rows against the row-by-row reader it falls back to."""
+
+    @given(messy_csv(), st.sampled_from(["label", None]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_any_file_reads_like_the_row_loop(self, content, label_column, keep_rows):
+        reads_like_row_loop(content, label_column, keep_rows)
+
+    @given(plain_csv(), st.sampled_from(["label", None]))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_file_takes_the_column_path(self, content, label_column):
+        wanted = ["score"] if label_column is None else ["score", label_column]
+        assert _read_plain(content.decode("utf-8"), wanted, True) is not None
+        rows = reads_like_row_loop(content, label_column, True)[-1]
+        # each kept row is what csv.writer writes for the row's fields
+        cells = list(csv.reader(io.StringIO(content.decode("utf-8"), newline="")))
+        assert rows == [_render(row) for row in cells[1:] if row]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'score,label\n"0.5",1\n',  # quote
+            "score,label\n0.5,1\r0.25,0\n",  # bare CR
+            "score,score,label\n0.5,0.25,1\n",  # duplicate name
+            "score,label\n0.5,1,x\n",  # long row
+            "score,label\n0.5\n",  # short row
+            "score,label\n0.5,1\x00\n",  # NUL
+            "score,label\n0.5, 1\n",  # label with a space
+            "score,label\nnan,1\n",  # score out of range
+            "\nscore,label\n0.5,1\n",  # blank header line
+        ],
+    )
+    def test_non_plain_or_bad_cells_fall_back(self, text):
+        assert _read_plain(text, ["score", "label"], False) is None
+
+    def test_blank_header_line_has_no_columns(self, tmp_path):
+        path = make_csv(tmp_path, "\n0.5\n")
+        with pytest.raises(ValueError, match=r"missing column ''; file has \[\]"):
+            read_scored_rows(path, score_column="")
+
+    def test_overlong_field_is_left_to_the_row_loop(self):
+        content = ("score,label,blob\n0.5,1," + "x" * (csv.field_size_limit() + 1) + "\n").encode()
+        assert reads_like_row_loop(content, "label", False)[0] is csv.Error
+
+
+def _render(cells) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue().removesuffix("\r\n")
 
 
 class TestSplit:

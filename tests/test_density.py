@@ -298,6 +298,12 @@ class TestDPM:
             with pytest.raises(ValueError, match="tol"):
                 DPMCalibrator(tol=tol).fit(scores, labels)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_alpha(self, alpha):
+        scores, labels = two_cluster_data()
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            DPMCalibrator(alpha=alpha).fit(scores, labels)
+
     def test_warns_per_class_when_iteration_budget_too_small(self):
         scores, labels = two_cluster_data()
         with pytest.warns(RuntimeWarning) as record:

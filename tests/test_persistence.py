@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from probcal.binning import HistogramCalibrator
 from probcal.density import DPMCalibrator, KDECalibrator
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator
-from probcal.serialize import MODEL_CLASSES, dumps, format_float, load_model, save_model
+from probcal.serialize import MODEL_CLASSES, dumps, format_float, format_floats, load_model, save_model
 from probcal.synth import OracleSpec, generate_oracle
 
 
@@ -40,7 +40,37 @@ class TestFormatFloat:
         assert format_float(1.0) == "1"
 
 
+class TestFormatFloats:
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 5e-324])))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_format_float_elementwise(self, values):
+        assert format_floats(values) == [format_float(v) for v in values]
+
+    def test_numpy_array_and_empty_input(self):
+        values = np.array([0.1, np.nan, -np.inf, 1e-310, 2.0 / 3.0])
+        assert format_floats(values) == [format_float(v) for v in values.tolist()]
+        assert format_floats([]) == []
+
+
+def recursive_float_list(values, indent):
+    """A list of floats as dumps renders it one element at a time."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    return "[\n" + ",\n".join(inner + dumps(v, indent + 1) for v in values) + f"\n{pad}]"
+
+
 class TestDumps:
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float_list_renders_like_the_recursive_form(self, values, indent):
+        assert dumps(values, indent) == recursive_float_list(values, indent)
+        assert dumps({"v": values}) == '{\n  "v": ' + recursive_float_list(values, 1) + "\n}"
+
+    def test_mixed_list_keeps_each_type(self):
+        assert dumps([0.5, True, 2, None, np.float64(0.25)]) == "[\n  0.5,\n  true,\n  2,\n  null,\n  0.25\n]"
+
     def test_scalars(self):
         assert dumps(None) == "null"
         assert dumps(True) == "true"
