@@ -157,40 +157,48 @@ def _read_row_by_row(path: Path, wanted: list[str], keep_rows: bool) -> tuple:
     scores: list[float] = []
     labels: list[int] = []
     rows: list[str] | None = [] if keep_rows else None
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        for column in wanted:
-            if column not in reader.fieldnames:
-                raise ValueError(
-                    f"{path}: missing column {column!r}; file has {reader.fieldnames}"
-                )
-        for row_number, row in enumerate(reader, start=1):
-            raw_score = row.get(score_column)
-            raw_label = row.get(label_column) if label_column is not None else ""
-            if raw_score is None or raw_label is None:
-                raise ValueError(f"{path}: row {row_number}: short row")
-            try:
-                score = float(raw_score)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {row_number}: cannot parse score {raw_score!r}"
-                ) from None
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(
-                    f"{path}: row {row_number}: score {raw_score} outside [0, 1]"
-                )
-            scores.append(score)
-            if label_column is not None:
-                if raw_label.strip() not in ("0", "1"):
+    row_number = -1  # while the header is read
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: empty file, expected a header row")
+            for column in wanted:
+                if column not in reader.fieldnames:
                     raise ValueError(
-                        f"{path}: row {row_number}: label {raw_label!r} not in {{0, 1}}"
+                        f"{path}: missing column {column!r}; file has {reader.fieldnames}"
                     )
-                labels.append(int(raw_label))
-            if rows is not None:  # csv.writer's line ending decides what it quotes, so cut it off after
-                csv.writer(out := io.StringIO()).writerow([row[name] for name in reader.fieldnames])
-                rows.append(out.getvalue()[:-2])
+            row_number = 0
+            for row_number, row in enumerate(reader, start=1):
+                raw_score = row.get(score_column)
+                raw_label = row.get(label_column) if label_column is not None else ""
+                if raw_score is None or raw_label is None:
+                    raise ValueError(f"{path}: row {row_number}: short row")
+                try:
+                    score = float(raw_score)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {row_number}: cannot parse score {raw_score!r}"
+                    ) from None
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(
+                        f"{path}: row {row_number}: score {raw_score} outside [0, 1]"
+                    )
+                scores.append(score)
+                if label_column is not None:
+                    if raw_label.strip() not in ("0", "1"):
+                        raise ValueError(
+                            f"{path}: row {row_number}: label {raw_label!r} not in {{0, 1}}"
+                        )
+                    labels.append(int(raw_label))
+                if rows is not None:
+                    # csv.writer's line ending decides what it quotes, so cut it off after
+                    out = io.StringIO()
+                    csv.writer(out).writerow([row[name] for name in reader.fieldnames])
+                    rows.append(out.getvalue()[:-2])
+    except csv.Error as exc:  # say, a cell longer than csv.field_size_limit()
+        where = "header" if row_number < 0 else f"row {row_number + 1}"
+        raise ValueError(f"{path}: {where}: {exc}") from None
     return (
         list(reader.fieldnames),
         np.asarray(scores, dtype=np.float64),

@@ -110,11 +110,21 @@ def _rng_pair(seed: int, *path: int):
     return root.spawn(2)
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        return float(arr.mean()) if arr.size else math.nan, 0.0
-    return float(arr.mean()), float(arr.std(ddof=1))
+def _require_trials(trials: int, least: int, why: str = "") -> None:
+    if trials < least:
+        raise ValueError(f"trials must be >= {least}{why}")
+
+
+def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = "std") -> dict:
+    """``mean_<name>``, then ``std_<name>`` (ddof=1) or ``se_<name>`` (std / sqrt(n)),
+    for each report field in the order given; one report has spread 0."""
+    summary = {}
+    for name in names:
+        values = np.array([getattr(r, name) for r in reports], dtype=np.float64)
+        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+        summary[f"mean_{name}"] = float(values.mean())
+        summary[f"{spread}_{name}"] = std if spread == "std" else std / math.sqrt(values.size)
+    return summary
 
 
 def _run_trials(
@@ -180,8 +190,7 @@ def verify_mce_bound(
     of trials within the bound, which must reach 1 - delta. At least ~50
     trials are needed for that fraction to be meaningful.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_trials(trials, 1)
     n_test = default_test_size(n_cal) if n_test is None else n_test
     bound = mce_bound(n_cal, n_bins, delta)
     reports = _run_trials(
@@ -190,35 +199,24 @@ def verify_mce_bound(
     )
     one_class_trials = sum(r.auc_raw is None for r in reports)
     within = float(np.mean([r.mce <= bound for r in reports]))
-    mean_mce, std_mce = _mean_std([r.mce for r in reports])
-    mean_ece, std_ece = _mean_std([r.ece for r in reports])
-    point = SweepPoint(
-        axis_value=float(n_cal),
-        reports=reports,
-        summary={
-            "n_cal": float(n_cal),
-            "n_bins": float(n_bins),
-            "delta": delta,
-            "mce_bound": bound,
-            "fraction_within_bound": within,
-            "mean_mce": mean_mce,
-            "std_mce": std_mce,
-            "mean_ece": mean_ece,
-            "std_ece": std_ece,
-        },
-    )
+    summary = {
+        "n_cal": float(n_cal),
+        "n_bins": float(n_bins),
+        "delta": delta,
+        "mce_bound": bound,
+        "fraction_within_bound": within,
+        **_spread(reports, ("mce", "ece")),
+    }
+    name = f"fraction of trials with MCE <= {bound:.6g} reaches {1 - delta:g}"
     result = SweepReport(
         axis_name="n_cal",
-        points=[point],
-        assertions=[
-            Assertion(
-                name=f"fraction of trials with MCE <= {bound:.6g} reaches {1 - delta:g}",
-                passed=within >= 1.0 - delta,
-                observed=within,
-                limit=1.0 - delta,
-            )
-        ],
+        points=[SweepPoint(float(n_cal), reports, summary)],
+        assertions=[Assertion(name, within >= 1.0 - delta, within, 1.0 - delta)],
     )
+    if bound >= 1:
+        result.notes.append(
+            f"MCE bound {bound:.6g} is at least 1, so no MCE can exceed it; the check is vacuous"
+        )
     if one_class_trials:
         result.notes.append(
             f"{one_class_trials}/{trials} trials had one-class test data; AUC skipped there"
@@ -245,48 +243,24 @@ def verify_ece_rate(
         raise ValueError("n_grid needs at least two positive sizes")
     if sizes[-1] < 100 * sizes[0]:
         raise ValueError("n_grid must span at least two decades")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_trials(trials, 1)
     points = []
     for grid_index, n_cal in enumerate(sizes):
         reports = _run_trials(
             oracle_generator(spec), n_cal, default_test_size(n_cal), n_bins, trials, seed,
             (grid_index,),
         )
-        mean_ece, std_ece = _mean_std([r.ece for r in reports])
-        mean_mce, std_mce = _mean_std([r.mce for r in reports])
-        points.append(
-            SweepPoint(
-                axis_value=float(n_cal),
-                reports=reports,
-                summary={
-                    "n_cal": float(n_cal),
-                    "mean_ece": mean_ece,
-                    "std_ece": std_ece,
-                    "mean_mce": mean_mce,
-                    "std_mce": std_mce,
-                },
-            )
-        )
-    if min(p.summary["mean_ece"] for p in points) <= 0:
+        summary = {"n_cal": float(n_cal), **_spread(reports, ("ece", "mce"))}
+        points.append(SweepPoint(float(n_cal), reports, summary))
+    mean_ece = [p.summary["mean_ece"] for p in points]
+    if min(mean_ece) <= 0:
         raise ValueError("mean ECE is 0, so its log-log slope is undefined; oracle is degenerate")
-    log_n = np.log([p.axis_value for p in points])
-    log_e = np.log([p.summary["mean_ece"] for p in points])
-    slope = float(np.polyfit(log_n, log_e, 1)[0])
+    slope = float(np.polyfit(np.log(sizes), np.log(mean_ece), 1)[0])
     low, high = slope_window
-    return SweepReport(
-        axis_name="n_cal",
-        points=points,
-        slope=slope,
-        assertions=[
-            Assertion(
-                name=f"log-log ECE slope within [{low:g}, {high:g}]",
-                passed=low <= slope <= high,
-                observed=slope,
-                limit=high,
-            )
-        ],
+    assertion = Assertion(
+        f"log-log ECE slope within [{low:g}, {high:g}]", low <= slope <= high, slope, high
     )
+    return SweepReport(axis_name="n_cal", points=points, slope=slope, assertions=[assertion])
 
 
 def verify_auc_loss(
@@ -311,8 +285,7 @@ def verify_auc_loss(
             f"bin count {bins_sorted[-1]} exceeds sqrt(n_cal) = {math.isqrt(n_cal)}; "
             "per-bin noise would swamp the average-loss guarantee"
         )
-    if trials < 2:
-        raise ValueError("trials must be >= 2 for a standard error")
+    _require_trials(trials, 2, " for a standard error")
     n_test = default_test_size(n_cal)
     points = []
     assertions = []
@@ -321,37 +294,25 @@ def verify_auc_loss(
             oracle_generator(spec), n_cal, n_test, b, trials, seed, (grid_index,),
             raw_auc=True, calibrated_auc=True,
         )
-        losses = [r.auc_loss for r in reports if r.auc_loss is not None]
-        if not losses:
+        # each trial computes both AUCs or neither, so these trials are also those with either
+        defined = [r for r in reports if r.auc_loss is not None]
+        if not defined:
             raise ValueError("no trial produced a defined AUC; oracle is degenerate")
-        mean_loss, std_loss = _mean_std(losses)
-        stderr = std_loss / math.sqrt(len(losses))
+        loss = _spread(defined, ("auc_loss",))
+        stderr = loss["std_auc_loss"] / math.sqrt(len(defined))
         limit = 1.0 / (2.0 * b) + 3.0 * stderr
-        raw_values = [r.auc_raw for r in reports if r.auc_raw is not None]
-        cal_values = [r.auc_calibrated for r in reports if r.auc_calibrated is not None]
-        points.append(
-            SweepPoint(
-                axis_value=float(b),
-                reports=reports,
-                summary={
-                    "n_bins": float(b),
-                    "mean_auc_loss": mean_loss,
-                    "std_auc_loss": std_loss,
-                    "stderr_auc_loss": stderr,
-                    "loss_limit": limit,
-                    "mean_auc_raw": float(np.mean(raw_values)),
-                    "mean_auc_calibrated": float(np.mean(cal_values)),
-                },
-            )
-        )
-        assertions.append(
-            Assertion(
-                name=f"mean AUC loss at B={b} within 1/(2B) + 3*SE",
-                passed=mean_loss <= limit,
-                observed=mean_loss,
-                limit=limit,
-            )
-        )
+        summary = {
+            "n_bins": float(b),
+            **loss,
+            "stderr_auc_loss": stderr,
+            "loss_limit": limit,
+            "mean_auc_raw": float(np.mean([r.auc_raw for r in defined])),
+            "mean_auc_calibrated": float(np.mean([r.auc_calibrated for r in defined])),
+        }
+        points.append(SweepPoint(float(b), reports, summary))
+        mean_loss = loss["mean_auc_loss"]
+        name = f"mean AUC loss at B={b} within 1/(2B) + 3*SE"
+        assertions.append(Assertion(name, mean_loss <= limit, mean_loss, limit))
     return SweepReport(axis_name="n_bins", points=points, assertions=assertions)
 
 
@@ -371,13 +332,11 @@ def verify_theta_concentration(
     checks the estimates are centered: per-bin mean deviation within
     three standard errors of zero.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    _require_trials(trials, 2)
     epsilons = sorted(float(e) for e in epsilon_grid)
     if not epsilons or epsilons[0] <= 0:
         raise ValueError("epsilon_grid must contain positive values")
     deviations = np.empty((trials, n_bins))
-    reports = []
     for t in range(trials):
         cal_ss, _ = _rng_pair(seed, t)
         cal = generate_oracle(spec, n_cal, cal_ss)
@@ -387,43 +346,22 @@ def verify_theta_concentration(
                 "degenerate binning (tied scores); concentration check "
                 "expects continuous score data"
             )
-        limits = true_theta(spec, model.edges_)
-        deviations[t] = model.theta_ - limits
-        reports.append(
-            TrialReport(
-                trial=t,
-                n_cal=n_cal,
-                n_bins=n_bins,
-                mce=math.nan,
-                ece=math.nan,
-                max_theta_error=float(np.abs(deviations[t]).max()),
-            )
-        )
+        deviations[t] = model.theta_ - true_theta(spec, model.edges_)
     absolute = np.abs(deviations)
+    # the trials are reported once, on the first point; they measure no MCE or ECE
+    reports = tuple(
+        TrialReport(t, n_cal, n_bins, math.nan, math.nan, max_theta_error=float(worst))
+        for t, worst in enumerate(absolute.max(axis=1))
+    )
     points = []
     assertions = []
     for eps in epsilons:
         bound = hoeffding_bound(eps, n_cal, n_bins)
         frequency = float(np.mean(absolute >= eps))
-        points.append(
-            SweepPoint(
-                axis_value=eps,
-                reports=tuple(reports) if eps == epsilons[0] else (),
-                summary={
-                    "epsilon": eps,
-                    "exceedance_frequency": frequency,
-                    "hoeffding_bound": bound,
-                },
-            )
-        )
-        assertions.append(
-            Assertion(
-                name=f"exceedance frequency at eps={eps:g} within Hoeffding bound",
-                passed=frequency <= bound,
-                observed=frequency,
-                limit=bound,
-            )
-        )
+        summary = {"epsilon": eps, "exceedance_frequency": frequency, "hoeffding_bound": bound}
+        points.append(SweepPoint(eps, reports if eps == epsilons[0] else (), summary))
+        name = f"exceedance frequency at eps={eps:g} within Hoeffding bound"
+        assertions.append(Assertion(name, frequency <= bound, frequency, bound))
     per_bin_mean = deviations.mean(axis=0)
     per_bin_se = deviations.std(axis=0, ddof=1) / math.sqrt(trials)
     # a bin with mean deviation exactly 0 is 0 standard errors out, even
@@ -431,14 +369,8 @@ def verify_theta_concentration(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(per_bin_mean == 0, 0.0, np.abs(per_bin_mean) / per_bin_se)
     worst = float(np.max(ratio))
-    assertions.append(
-        Assertion(
-            name="per-bin mean deviation within 3 standard errors of zero",
-            passed=worst <= 3.0,
-            observed=worst,
-            limit=3.0,
-        )
-    )
+    name = "per-bin mean deviation within 3 standard errors of zero"
+    assertions.append(Assertion(name, worst <= 3.0, worst, 3.0))
     return SweepReport(axis_name="epsilon", points=points, assertions=assertions)
 
 
@@ -463,31 +395,20 @@ def calibration_size_sweep(
         raise ValueError("sizes must be ascending")
     if len(size_list) < 2:
         raise ValueError("need at least two sizes")
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    _require_trials(trials, 2)
     points = []
     for grid_index, n_cal in enumerate(size_list):
         reports = _run_trials(
             data_generator, n_cal, n_test, n_bins, trials, seed, (grid_index,),
             metric_bins=metric_bins, calibrated_auc=True,
         )
-        mean_mce, std_mce = _mean_std([r.mce for r in reports])
-        mean_ece, std_ece = _mean_std([r.ece for r in reports])
         auc_values = [r.auc_calibrated for r in reports if r.auc_calibrated is not None]
-        points.append(
-            SweepPoint(
-                axis_value=float(n_cal),
-                reports=reports,
-                summary={
-                    "n_cal": float(n_cal),
-                    "mean_mce": mean_mce,
-                    "se_mce": std_mce / math.sqrt(trials),
-                    "mean_ece": mean_ece,
-                    "se_ece": std_ece / math.sqrt(trials),
-                    "mean_auc_calibrated": float(np.mean(auc_values)) if auc_values else math.nan,
-                },
-            )
-        )
+        summary = {
+            "n_cal": float(n_cal),
+            **_spread(reports, ("mce", "ece"), spread="se"),
+            "mean_auc_calibrated": float(np.mean(auc_values)) if auc_values else math.nan,
+        }
+        points.append(SweepPoint(float(n_cal), reports, summary))
     assertions = [
         _monotone_assertion(points, "mean_mce", "se_mce", "mean MCE"),
         _monotone_assertion(points, "mean_ece", "se_ece", "mean ECE"),

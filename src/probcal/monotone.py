@@ -20,6 +20,34 @@ def _expit(x):
     return expit(x)
 
 
+def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float) -> tuple:
+    """Minimize ``objective`` by damped Newton steps from ``w``.
+
+    ``derivatives(w)`` returns the gradient and the Hessian. Each step is
+    halved until it meets the Armijo condition, at most down to 2^-20. The
+    fit stops once the gradient's max-norm is below ``tol`` or after
+    ``max_iter`` steps, and the gradient is always checked at the point
+    returned. Returns (w, iterations, gradient norm, converged), where
+    iterations counts gradient evaluations, capped at ``max_iter``.
+    """
+    value = objective(w)
+    for iteration in range(max_iter + 1):
+        gradient, hessian = derivatives(w)
+        gradient_norm = float(np.abs(gradient).max())
+        if gradient_norm < tol or iteration == max_iter:
+            break
+        step = np.linalg.solve(hessian, gradient)
+        descent = float(gradient @ step)
+        stepsize = 1.0
+        while stepsize >= 2.0**-20:
+            if objective(w - stepsize * step) <= value - 1e-4 * stepsize * descent:
+                break
+            stepsize *= 0.5
+        w = w - stepsize * step
+        value = objective(w)
+    return w, min(iteration + 1, max_iter), gradient_norm, gradient_norm < tol
+
+
 def pool_adjacent_violators(values, weights=None) -> np.ndarray:
     """Weighted least-squares non-decreasing fit of a real sequence.
 
@@ -88,57 +116,26 @@ class PlattCalibrator(BaseCalibrator):
 
         target = np.where(z == 1, (m + 1.0) / (m + 2.0), 1.0 / (n_neg + 2.0))
 
-        def objective(a, b):
-            s = a * f + b
+        def objective(w):
+            s = w[0] * f + w[1]
             # stable form of -sum t*log(p) + (1-t)*log(1-p) with p = expit(-s)
             return float(
                 np.sum(np.where(s >= 0, target * s, (target - 1.0) * s))
                 + np.sum(np.log1p(np.exp(-np.abs(s))))
             )
 
-        a, b = 0.0, float(np.log((n_neg + 1.0) / (m + 1.0)))
-        value = objective(a, b)
-        converged = False
-        gradient_norm = np.inf
-        iteration = 0
-        for iteration in range(1, self.max_iter + 1):
-            s = a * f + b
-            p = _expit(-s)
+        def derivatives(w):
+            p = _expit(-(w[0] * f + w[1]))
             d = target - p
-            gradient = np.array([np.dot(d, f), d.sum()])
-            gradient_norm = float(np.abs(gradient).max())
-            if gradient_norm < self.tol:
-                converged = True
-                break
-            w = p * (1.0 - p)
-            hessian = np.array(
-                [
-                    [np.dot(w, f * f) + 1e-12, np.dot(w, f)],
-                    [np.dot(w, f), w.sum() + 1e-12],
-                ]
-            )
-            step = np.linalg.solve(hessian, gradient)
-            descent = float(np.dot(gradient, step))
-            stepsize = 1.0
-            while stepsize >= 2.0**-20:
-                candidate = objective(a - stepsize * step[0], b - stepsize * step[1])
-                if candidate <= value - 1e-4 * stepsize * descent:
-                    break
-                stepsize *= 0.5
-            a -= stepsize * step[0]
-            b -= stepsize * step[1]
-            value = objective(a, b)
-        else:
-            iteration = self.max_iter
+            c = p * (1.0 - p)
+            cross = np.dot(c, f)
+            hessian = np.array([[np.dot(c, f * f) + 1e-12, cross], [cross, c.sum() + 1e-12]])
+            return np.array([np.dot(d, f), d.sum()]), hessian
 
-        if not converged:
-            # re-check: the loop may exhaust right at the solution
-            s = a * f + b
-            d = target - _expit(-s)
-            gradient_norm = float(
-                np.abs(np.array([np.dot(d, f), d.sum()])).max()
-            )
-            converged = gradient_norm < self.tol
+        start = np.array([0.0, np.log((n_neg + 1.0) / (m + 1.0))])
+        w, iteration, gradient_norm, converged = _newton(
+            objective, derivatives, start, self.max_iter, self.tol
+        )
         if not converged:
             warnings.warn(
                 f"sigmoid fit stopped after {iteration} iterations with "
@@ -147,8 +144,8 @@ class PlattCalibrator(BaseCalibrator):
                 stacklevel=2,
             )
 
-        self.slope_ = float(a)
-        self.intercept_ = float(b)
+        self.slope_ = float(w[0])
+        self.intercept_ = float(w[1])
         self.converged_ = converged
         self.n_iter_ = iteration
         self.gradient_norm_ = gradient_norm

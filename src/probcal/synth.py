@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._validation import check_iteration
 from .data import FeatureDataset, ScoredDataset
-
-
-def _expit(x):
-    """scipy's ``expit``, imported on first use: scipy.special is most of probcal's import time."""
-    from scipy.special import expit
-    return expit(x)
+from .monotone import _expit, _newton
 
 CURVES = ("identity", "square", "logistic", "constant")
 
@@ -151,6 +147,7 @@ def fit_logistic(
         raise ValueError(f"feature_map must be 'linear' or 'quadratic', got {feature_map!r}")
     if l2 < 0:
         raise ValueError(f"l2 must be >= 0, got {l2}")
+    check_iteration(max_iter, tol)
     z = data.labels.astype(np.float64)
     if not 0 < z.sum() < z.size:
         raise ValueError("logistic fitting needs both classes present")
@@ -164,28 +161,14 @@ def fit_logistic(
         nll = float(np.sum(np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - z * s))
         return nll + 0.5 * float(penalty @ (weights * weights))
 
-    w = np.zeros(p)
-    value = objective(w)
-    gradient_norm = np.inf
-    for _ in range(max_iter):
-        probabilities = _expit(x @ w)
-        gradient = x.T @ (probabilities - z) + penalty * w
-        gradient_norm = float(np.abs(gradient).max())
-        if gradient_norm < tol:
-            break
+    def derivatives(weights: np.ndarray) -> tuple:
+        probabilities = _expit(x @ weights)
         curvature = np.maximum(probabilities * (1.0 - probabilities), 1e-12)
         hessian = (x * curvature[:, None]).T @ x + np.diag(penalty + 1e-12)
-        step = np.linalg.solve(hessian, gradient)
-        descent = float(gradient @ step)
-        stepsize = 1.0
-        while stepsize >= 2.0**-20:
-            candidate = objective(w - stepsize * step)
-            if candidate <= value - 1e-4 * stepsize * descent:
-                break
-            stepsize *= 0.5
-        w = w - stepsize * step
-        value = objective(w)
-    else:
+        return x.T @ (probabilities - z) + penalty * weights, hessian
+
+    w, _, gradient_norm, converged = _newton(objective, derivatives, np.zeros(p), max_iter, tol)
+    if not converged:
         warnings.warn(
             f"logistic fit reached {max_iter} iterations with gradient norm "
             f"{gradient_norm:.3e} (tol {tol:.1e})",

@@ -445,6 +445,19 @@ class TestVerifyCommand:
         assert message in err
         assert err.count("\n") == 1
 
+    def test_vacuous_mce_bound_is_noted(self, tmp_path, capsys):
+        # a bound above 1 holds for any MCE; the verdict stands, with a note saying so
+        json_path = tmp_path / "mce.json"
+        argv = ["verify", "mce-bound", "--n", "100", "--test-size", "1", "--trials", "3"]
+        assert main([*argv, "--json-out", str(json_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        note = "MCE bound 1.09467 is at least 1, so no MCE can exceed it; the check is vacuous"
+        assert out.splitlines()[1].startswith("[PASS]")
+        assert out.splitlines()[2:] == [
+            f"note: {note}", "note: 3/3 trials had one-class test data; AUC skipped there"
+        ]
+        assert json.loads(json_path.read_text())["notes"][0] == note
+
     def test_report_files_are_deterministic(self, tmp_path):
         outputs = []
         for name in ("a", "b"):
@@ -462,6 +475,27 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1]
         payload = json.loads(outputs[0][1].decode())
         assert "assertions" in payload and "points" in payload
+
+
+class TestOverLongCell:
+    """A cell longer than csv.field_size_limit() is an input error on its row."""
+
+    @pytest.mark.parametrize("command", ["fit", "apply", "eval"])
+    def test_is_an_input_error_naming_the_row(self, histogram_model, tmp_path, command, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("score,label,note\n0.5,1,a\n0.25,0," + "x" * 140_000 + "\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "fit": ["fit", "--method", "histogram", "--in", str(data), "--out", out],
+            "apply": ["apply", "--model", str(histogram_model), "--in", str(data), "--out", out],
+            "eval": ["eval", "--in", str(data), "--model", str(histogram_model)],
+        }[command]
+        assert main(argv) == EXIT_INPUT
+        limit = csv.field_size_limit()
+        assert capsys.readouterr().err == (
+            f"error: {data}: row 2: field larger than field limit ({limit})\n"
+        )
+        assert not Path(out).exists()
 
 
 class TestUnwritableOutput:

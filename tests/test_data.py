@@ -247,7 +247,14 @@ class TestColumnPath:
 
     def test_overlong_field_is_left_to_the_row_loop(self):
         content = ("score,label,blob\n0.5,1," + "x" * (csv.field_size_limit() + 1) + "\n").encode()
-        assert reads_like_row_loop(content, "label", False)[0] is csv.Error
+        error, message = reads_like_row_loop(content, "label", False)
+        assert error is ValueError
+        assert message.endswith(f": row 1: field larger than field limit ({csv.field_size_limit()})")
+
+    def test_overlong_header_field_names_the_header(self, tmp_path):
+        path = make_csv(tmp_path, "score,label," + "x" * (csv.field_size_limit() + 1) + "\n0.5,1,a\n")
+        with pytest.raises(ValueError, match=r"data\.csv: header: field larger than field limit"):
+            read_scored_rows(path, label_column="label")
 
 
 def _render(cells) -> str:

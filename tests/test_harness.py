@@ -116,6 +116,19 @@ class TestVerifyMceBound:
         with pytest.raises(ValueError, match="trials"):
             verify_mce_bound(IDENTITY, trials=0)
 
+    def test_bound_of_at_least_one_is_noted_and_verdict_kept(self):
+        report = verify_mce_bound(IDENTITY, n_cal=100, n_bins=10, trials=2, n_test=500)
+        assert report.points[0].summary["mce_bound"] > 1
+        assert report.notes == [
+            "MCE bound 1.09467 is at least 1, so no MCE can exceed it; the check is vacuous"
+        ]
+        assert report.passed
+
+    def test_bound_below_one_has_no_note(self):
+        report = verify_mce_bound(IDENTITY, n_cal=1000, n_bins=10, trials=2, n_test=2000)
+        assert report.points[0].summary["mce_bound"] < 1
+        assert report.notes == []
+
     def test_generous_bound_holds_on_small_run(self):
         # with delta=0.5 the bound is loose enough that a short run passes
         report = verify_mce_bound(
@@ -371,6 +384,93 @@ class TestTrialStreamsAndAucWork:
             model = HistogramCalibrator(n_bins=5).fit(cal.scores, cal.labels)
             limits = true_theta(SQUARE, model.edges_)
             assert r.max_theta_error == float(np.abs(model.theta_ - limits).max())
+
+
+def _first_test_set_one_class(monkeypatch):
+    """Trial 0's test set holds negatives only, at every grid point."""
+
+    def generate(spec, n, stream):
+        data = generate_oracle(spec, n, stream)
+        if stream.spawn_key[-2:] == (0, 1):  # trial 0's second stream, its test set
+            return ScoredDataset(data.scores, np.zeros(n, dtype=np.int64))
+        return data
+
+    monkeypatch.setattr("probcal.harness.generate_oracle", generate)
+
+
+def _assert_spread(summary, reports, names, spread="std"):
+    for name in names:
+        values = [getattr(r, name) for r in reports]
+        std = np.std(values, ddof=1)
+        expected = std if spread == "std" else std / math.sqrt(len(values))
+        assert summary[f"mean_{name}"] == np.mean(values)
+        assert summary[f"{spread}_{name}"] == expected
+
+
+class TestSummaryContract:
+    """The summary keys of each check, in CSV/JSON column order, and each
+    mean and spread against numpy on the point's trial reports."""
+
+    def test_mce_bound(self):
+        report = verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=4, n_test=2000, seed=3)
+        point = report.points[0]
+        assert list(point.summary) == [
+            "n_cal", "n_bins", "delta", "mce_bound", "fraction_within_bound",
+            "mean_mce", "std_mce", "mean_ece", "std_ece",
+        ]
+        _assert_spread(point.summary, point.reports, ("mce", "ece"))
+
+    def test_one_trial_has_zero_spread(self):
+        report = verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=1, n_test=2000)
+        summary = report.points[0].summary
+        assert summary["mean_mce"] == report.points[0].reports[0].mce
+        assert (summary["std_mce"], summary["std_ece"]) == (0.0, 0.0)
+
+    def test_ece_rate(self):
+        report = verify_ece_rate(SQUARE, n_bins=5, n_grid=(100, 10_000), trials=3, seed=3)
+        for point in report.points:
+            assert list(point.summary) == ["n_cal", "mean_ece", "std_ece", "mean_mce", "std_mce"]
+            _assert_spread(point.summary, point.reports, ("ece", "mce"))
+        means = [p.summary["mean_ece"] for p in report.points]
+        assert report.slope == np.polyfit(np.log([100, 10_000]), np.log(means), 1)[0]
+
+    def test_auc_loss_over_the_trials_with_a_defined_loss(self, monkeypatch):
+        _first_test_set_one_class(monkeypatch)
+        report = verify_auc_loss(SQUARE, n_cal=2500, bin_grid=(5, 10), trials=3, seed=3)
+        for point in report.points:
+            assert list(point.summary) == [
+                "n_bins", "mean_auc_loss", "std_auc_loss", "stderr_auc_loss", "loss_limit",
+                "mean_auc_raw", "mean_auc_calibrated",
+            ]
+            assert point.reports[0].auc_loss is None
+            defined = point.reports[1:]
+            _assert_spread(point.summary, defined, ("auc_loss",))
+            _assert_spread(point.summary, defined, ("auc_loss",), spread="stderr")
+            for name in ("auc_raw", "auc_calibrated"):
+                values = [getattr(r, name) for r in defined]
+                assert point.summary[f"mean_{name}"] == np.mean(values)
+
+    def test_theta_concentration(self):
+        report = verify_theta_concentration(
+            SQUARE, n_cal=1000, n_bins=5, epsilon_grid=(0.1, 0.05), trials=3
+        )
+        for point in report.points:
+            assert list(point.summary) == ["epsilon", "exceedance_frequency", "hoeffding_bound"]
+        # the trials are reported once, on the smallest epsilon
+        assert [len(p.reports) for p in report.points] == [3, 0]
+        assert all(math.isnan(r.mce) and math.isnan(r.ece) for r in report.points[0].reports)
+
+    def test_size_sweep(self):
+        report = calibration_size_sweep(
+            oracle_generator(SQUARE), sizes=(100, 1000), trials=3, n_test=2000, seed=3
+        )
+        for point in report.points:
+            assert list(point.summary) == [
+                "n_cal", "mean_mce", "se_mce", "mean_ece", "se_ece", "mean_auc_calibrated",
+            ]
+            _assert_spread(point.summary, point.reports, ("mce", "ece"), spread="se")
+            auc_values = [r.auc_calibrated for r in point.reports]
+            assert point.summary["mean_auc_calibrated"] == np.mean(auc_values)
 
 
 def _point(mean, se):

@@ -201,12 +201,38 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match="feature_map"):
             fit_logistic(data, feature_map="cubic")
 
+    @pytest.mark.parametrize(
+        "kwargs, message", [({"max_iter": 0}, "max_iter"), ({"tol": float("nan")}, "tol")]
+    )
+    def test_rejects_bad_iteration_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fit_logistic(generate_xor(40, seed=0), **kwargs)
+
     def test_requires_both_classes(self):
         from probcal.data import FeatureDataset
 
         data = FeatureDataset(np.random.default_rng(0).normal(size=(10, 2)), np.ones(10, dtype=int))
         with pytest.raises(ValueError, match="both classes"):
             fit_logistic(data)
+
+    def test_budget_of_exactly_the_steps_taken_converges(self):
+        # the gradient is checked at the point returned, so a budget that runs
+        # out on the optimum neither warns nor changes the coefficients
+        data = generate_xor(400, seed=0)
+        full = fit_logistic(data)
+
+        def fit_within(budget):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return fit_logistic(data, max_iter=budget)
+
+        steps = next(k for k in range(1, 100) if np.array_equal(fit_within(k).coef, full.coef))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = fit_logistic(data, max_iter=steps)
+        assert np.array_equal(exact.coef, full.coef)
+        with pytest.warns(RuntimeWarning, match=f"logistic fit reached {steps - 1} iterations"):
+            fit_logistic(data, max_iter=steps - 1)
 
     def test_deterministic(self):
         data = generate_xor(300, seed=6)
