@@ -31,12 +31,9 @@ def as_labels(values, name: str = "labels") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
-    out = np.asarray(arr, dtype=np.int64)
-    if arr.size and not np.array_equal(out, np.asarray(arr, dtype=np.float64)):
+    if not np.all((arr == 0) | (arr == 1)):
         raise ValueError(f"{name} must contain only 0 and 1")
-    if out.size and not np.isin(out, (0, 1)).all():
-        raise ValueError(f"{name} must contain only 0 and 1")
-    return out
+    return arr.astype(np.int64, copy=False)
 
 
 def check_iteration(max_iter: int, tol: float) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._validation import as_labels, as_scores, check_same_length, class_counts, model_field
 from .base import BaseCalibrator
-from .metrics import SCHEME_FREQUENCY, SCHEME_WIDTH, SCHEMES
+from .metrics import SCHEME_FREQUENCY, SCHEME_WIDTH, SCHEMES, _bin_indices
 
 
 def default_bin_count(n_samples: int) -> int:
@@ -28,12 +28,6 @@ def default_bin_count(n_samples: int) -> int:
     if n_samples < 1:
         raise ValueError("need at least one sample")
     return int(min(max(round(n_samples ** (1.0 / 3.0)), 1), n_samples))
-
-
-def _bin_indices(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Right-open bin lookup; scores at 1 fall into the last bin."""
-    idx = np.searchsorted(edges, scores, side="right") - 1
-    return np.clip(idx, 0, len(edges) - 2)
 
 
 def _nearest_nonempty(counts: np.ndarray) -> np.ndarray:

@@ -52,6 +52,13 @@ def silverman_bandwidth(scores) -> float:
     return h if h > 0.0 else _SILVERMAN_FLOOR
 
 
+def _posterior_ratio(numerator: np.ndarray, other: np.ndarray, fallback: float) -> np.ndarray:
+    """numerator / (numerator + other), or ``fallback`` where that sum is 0."""
+    denominator = numerator + other
+    positive = denominator > 0.0
+    return np.where(positive, numerator / np.where(positive, denominator, 1.0), fallback)
+
+
 class KDECalibrator(BaseCalibrator):
     """Boxcar-kernel density-ratio calibrator.
 
@@ -111,9 +118,7 @@ class KDECalibrator(BaseCalibrator):
         queries, scalar = self._prepare_queries(scores)
         s_pos = self._kernel_sum(self.positives_, queries, self.bandwidth_pos_)
         s_neg = self._kernel_sum(self.negatives_, queries, self.bandwidth_neg_)
-        numerator = self.bandwidth_neg_ * s_pos
-        denominator = numerator + self.bandwidth_pos_ * s_neg
-        out = np.where(denominator > 0.0, numerator / np.where(denominator > 0.0, denominator, 1.0), self.prior_)
+        out = _posterior_ratio(self.bandwidth_neg_ * s_pos, self.bandwidth_pos_ * s_neg, self.prior_)
         return self._finish(out, scalar)
 
     def to_dict(self) -> dict:
@@ -168,16 +173,11 @@ class StickBreakingPosterior:
     converged: bool = False
 
     def expected_weights(self) -> np.ndarray:
-        t_count = self.components.shape[0]
-        weights = np.empty(t_count)
-        remaining = 1.0
-        for idx in range(t_count - 1):
-            g1, g2 = self.sticks[idx]
-            ev = g1 / (g1 + g2)
-            weights[idx] = remaining * ev
-            remaining *= 1.0 - ev
-        weights[t_count - 1] = remaining
-        return weights
+        g1, g2 = self.sticks.T
+        ev = g1 / (g1 + g2)
+        # the stick left before each break; cumprod multiplies in order
+        remaining = np.cumprod(np.r_[1.0, 1.0 - ev])
+        return remaining * np.r_[ev, 1.0]
 
     def density(self, x: np.ndarray) -> np.ndarray:
         mean = self.components[:, 0]
@@ -204,7 +204,6 @@ def _fit_class_mixture(
 ) -> StickBreakingPosterior:
     special = _special()
     n = x.size
-    t_count = truncation
     mu0 = float(np.mean(x))
     kappa0 = 0.1
     a0 = 1.0
@@ -212,10 +211,10 @@ def _fit_class_mixture(
     b0 = max(float(np.var(x, ddof=1)), 1e-6)
     log_2pi = np.log(2.0 * np.pi)
 
-    phi = rng.dirichlet(np.ones(t_count), size=n)
+    phi = rng.dirichlet(np.ones(truncation), size=n)
 
     x2 = x * x
-    gamma = np.empty((t_count - 1, 2)) if t_count > 1 else np.empty((0, 2))
+    gamma = np.empty((truncation - 1, 2))  # (0, 2) at truncation 1: every stick sum is 0
     elbo_history: list[float] = []
     previous = -np.inf
     converged = False
@@ -229,50 +228,38 @@ def _fit_class_mixture(
         xbar = np.where(counts > 0, sum_x / np.maximum(counts, 1e-300), 0.0)
         scatter = np.maximum(sum_x2 - counts * xbar * xbar, 0.0)
 
-        if t_count > 1:
-            tail = np.concatenate([np.cumsum(counts[::-1])[-2::-1], [0.0]])
-            gamma[:, 0] = 1.0 + counts[:-1]
-            gamma[:, 1] = alpha + tail[:-1]
+        tail = np.concatenate([np.cumsum(counts[::-1])[-2::-1], [0.0]])
+        gamma[:, 0] = 1.0 + counts[:-1]
+        gamma[:, 1] = alpha + tail[:-1]
         kq = kappa0 + counts
         mq = (kappa0 * mu0 + sum_x) / kq
         aq = a0 + 0.5 * counts
         bq = b0 + 0.5 * (scatter + kappa0 * counts * (xbar - mu0) ** 2 / kq)
 
         # responsibility update from the globals
-        if t_count > 1:
-            digamma_total = special.digamma(gamma[:, 0] + gamma[:, 1])
-            e_log_v = special.digamma(gamma[:, 0]) - digamma_total
-            e_log_1mv = special.digamma(gamma[:, 1]) - digamma_total
-            e_log_pi = np.concatenate([e_log_v, [0.0]])
-            e_log_pi[1:] += np.cumsum(e_log_1mv)
-        else:
-            e_log_pi = np.zeros(1)
+        digamma_total = special.digamma(gamma[:, 0] + gamma[:, 1])
+        e_log_v = special.digamma(gamma[:, 0]) - digamma_total
+        e_log_1mv = special.digamma(gamma[:, 1]) - digamma_total
+        e_log_pi = np.concatenate([e_log_v, [0.0]])
+        e_log_pi[1:] += np.cumsum(e_log_1mv)
         e_lambda = aq / bq
         e_log_lambda = special.digamma(aq) - np.log(bq)
         quad = e_lambda[None, :] * (x[:, None] - mq[None, :]) ** 2 + 1.0 / kq[None, :]
-        log_rho = e_log_pi[None, :] + 0.5 * e_log_lambda[None, :] - 0.5 * log_2pi - 0.5 * quad
-        log_rho -= log_rho.max(axis=1, keepdims=True)
-        phi = np.exp(log_rho)
+        log_lik = e_log_pi[None, :] + 0.5 * e_log_lambda[None, :] - 0.5 * log_2pi - 0.5 * quad
+        phi = np.exp(log_lik - log_lik.max(axis=1, keepdims=True))
         phi /= phi.sum(axis=1, keepdims=True)
 
         # evidence lower bound with all parameters current
-        data_term = float(
-            np.sum(phi * (e_log_pi[None, :] + 0.5 * e_log_lambda[None, :] - 0.5 * log_2pi - 0.5 * quad))
-        )
+        data_term = float(np.sum(phi * log_lik))
         entropy = -float(np.sum(phi * np.log(np.maximum(phi, 1e-300))))
-        if t_count > 1:
-            stick_prior = float(
-                np.sum(np.log(alpha) + (alpha - 1.0) * e_log_1mv)
+        stick_prior = float(np.sum(np.log(alpha) + (alpha - 1.0) * e_log_1mv))
+        stick_q = float(
+            np.sum(
+                -special.betaln(gamma[:, 0], gamma[:, 1])
+                + (gamma[:, 0] - 1.0) * e_log_v
+                + (gamma[:, 1] - 1.0) * e_log_1mv
             )
-            stick_q = float(
-                np.sum(
-                    -special.betaln(gamma[:, 0], gamma[:, 1])
-                    + (gamma[:, 0] - 1.0) * e_log_v
-                    + (gamma[:, 1] - 1.0) * e_log_1mv
-                )
-            )
-        else:
-            stick_prior = stick_q = 0.0
+        )
         e_lambda_dev0 = e_lambda * (mq - mu0) ** 2 + 1.0 / kq
         component_prior = float(
             np.sum(
@@ -323,7 +310,9 @@ class DPMCalibrator(BaseCalibrator):
     coordinate-ascent variational inference. Responsibilities start from a
     seeded random assignment, so fits are reproducible bit for bit given
     the seed. Fitting stops when the evidence lower bound improves by less
-    than ``tol`` or after ``max_iter`` sweeps.
+    than ``tol`` or after ``max_iter`` sweeps. The truncation may not exceed
+    the smaller class size: more components than samples add nothing, and
+    each class holds class size x truncation arrays.
 
     Prediction plugs the two posterior-predictive densities into the
     posterior ratio with the empirical positive prior; if both densities
@@ -361,6 +350,11 @@ class DPMCalibrator(BaseCalibrator):
             raise ValueError(
                 f"each class needs at least 2 samples, got {m} positive / {n_neg} negative"
             )
+        if self.truncation > min(m, n_neg):
+            raise ValueError(
+                f"truncation must not exceed the smaller class size, got {self.truncation} "
+                f"for {m} positive / {n_neg} negative"
+            )
         seed_pos, seed_neg = np.random.SeedSequence(self.seed).spawn(2)
         self.positive_ = _fit_class_mixture(
             y[z == 1], self.truncation, self.alpha, self.max_iter, self.tol,
@@ -388,9 +382,7 @@ class DPMCalibrator(BaseCalibrator):
         queries, scalar = self._prepare_queries(scores)
         q1 = self.positive_.density(queries)
         q0 = self.negative_.density(queries)
-        numerator = self.prior_ * q1
-        denominator = numerator + (1.0 - self.prior_) * q0
-        out = np.where(denominator > 0.0, numerator / np.where(denominator > 0.0, denominator, 1.0), self.prior_)
+        out = _posterior_ratio(self.prior_ * q1, (1.0 - self.prior_) * q0, self.prior_)
         return self._finish(out, scalar)
 
     @staticmethod

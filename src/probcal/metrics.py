@@ -23,6 +23,12 @@ SCHEMES = (SCHEME_FREQUENCY, SCHEME_WIDTH)
 DEFAULT_NUM_BINS = 10
 
 
+def _bin_indices(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Right-open bin lookup; scores at 1 fall into the last bin."""
+    idx = np.searchsorted(edges, scores, side="right") - 1
+    return np.clip(idx, 0, len(edges) - 2)
+
+
 @dataclass(frozen=True)
 class ReliabilityBin:
     """Per-bin summary; mean_prediction/positive_fraction are NaN when empty."""
@@ -76,8 +82,7 @@ def reliability(
         order = np.argsort(p, kind="stable")
         members = np.array_split(order, num_bins)
     else:
-        edges = np.linspace(0.0, 1.0, num_bins + 1)
-        idx = np.clip(np.searchsorted(edges, p, side="right") - 1, 0, num_bins - 1)
+        idx = _bin_indices(np.linspace(0.0, 1.0, num_bins + 1), p)
         members = [np.flatnonzero(idx == j) for j in range(num_bins)]
 
     bins = []
@@ -117,8 +122,9 @@ def auc(scores, labels) -> float:
     """Empirical AUC with the tie convention: ties count one half.
 
     Equals (1/(m*n)) * sum over positive-negative pairs of
-    I(score_pos > score_neg) + 0.5 * I(score_pos == score_neg),
-    computed via midranks in O(N log N).
+    I(score_pos > score_neg) + 0.5 * I(score_pos == score_neg). Twice that
+    pair count (the Mann-Whitney U) is counted exactly in int64 by binary
+    search of each positive in the sorted negatives, O(N log N).
     """
     y = as_scores(scores, "scores")
     z = as_labels(labels)
@@ -126,15 +132,11 @@ def auc(scores, labels) -> float:
     _, m, n_neg = class_counts(z)
     if m == 0 or n_neg == 0:
         raise ValueError("AUC is undefined without both classes present")
-    order = np.argsort(y, kind="stable")
-    ordered = y[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], y.size]
-    # a run of ties at sorted positions start..end-1 shares the midrank
-    ranks = np.empty(y.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    positive_rank_sum = float(ranks[z == 1].sum())
-    return (positive_rank_sum - m * (m + 1) / 2.0) / (m * n_neg)
+    neg = np.sort(y[z == 0])
+    pos = np.sort(y[z == 1])
+    # per positive: (#neg below) + (#neg at or below) = 2 * wins + ties
+    twice_u = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
+    return float(twice_u) / (2.0 * m * n_neg)
 
 
 def rmse(predictions, labels) -> float:

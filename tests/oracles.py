@@ -159,3 +159,38 @@ def plug_in_estimate(scores, labels, calibrator, query):
     if np.ndim(query) == 0:
         return estimate(query)
     return np.array([estimate(q) for q in np.asarray(query)], dtype=np.float64)
+
+
+def expected_weights_by_loop(sticks) -> np.ndarray:
+    """Expected stick-breaking weights, one stick at a time.
+
+    Weight k is E[v_k] times the stick left after the first k breaks; the
+    last component takes what remains. ``sticks`` holds the Beta(g1, g2)
+    rows of the first T-1 components.
+    """
+    sticks = np.asarray(sticks, dtype=np.float64).reshape(-1, 2)
+    t_count = sticks.shape[0] + 1
+    weights = np.empty(t_count)
+    remaining = 1.0
+    for idx in range(t_count - 1):
+        g1, g2 = sticks[idx]
+        ev = g1 / (g1 + g2)
+        weights[idx] = remaining * ev
+        remaining *= 1.0 - ev
+    weights[t_count - 1] = remaining
+    return weights
+
+
+def as_labels_three_pass(values, name: str = "labels") -> np.ndarray:
+    """0/1 label check by casting to int64, comparing with a float64 copy, then a set test."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
+    out = np.asarray(arr, dtype=np.int64)
+    if arr.size and not np.array_equal(out, np.asarray(arr, dtype=np.float64)):
+        raise ValueError(f"{name} must contain only 0 and 1")
+    if out.size and not np.isin(out, (0, 1)).all():
+        raise ValueError(f"{name} must contain only 0 and 1")
+    return out

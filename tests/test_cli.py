@@ -156,6 +156,17 @@ class TestFit:
         assert capsys.readouterr().err == f"fit error: alpha must be finite and > 0, got {float(alpha)}\n"
         assert not out.exists()
 
+    def test_dpm_truncation_above_the_smaller_class_is_a_fit_error(self, scored_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        # 300 rows, so no class holds 301 samples
+        code = main(["fit", "--method", "dpm", "--truncation", "301", "--max-iter", "1",
+                     "--in", str(scored_csv), "--out", str(out)])
+        assert code == EXIT_FIT
+        err = capsys.readouterr().err
+        assert err.startswith("fit error: truncation must not exceed the smaller class size, got 301")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_warning_is_one_line_and_display_is_restored(self, scored_csv, tmp_path, capsys):
         shown = warnings.showwarning
         code = main(
@@ -558,6 +569,26 @@ class TestPipeline:
         assert main(["apply", "--model", str(model), "--in", str(data), "--out", str(applied)]) == EXIT_OK
         assert main(["eval", "--in", str(applied), "--prediction-column", "calibrated"]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*args):
+        source = str(Path(probcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-m", "probcal.cli", *args], capture_output=True, text=True, env=env
+        )
+
+    def test_help_exits_zero_with_usage(self):
+        result = self.run_module("--help")
+        assert result.returncode == EXIT_OK
+        assert result.stdout.startswith("usage:")
+
+    def test_missing_required_flag_exits_two(self, tmp_path):
+        result = self.run_module("fit", "--method", "histogram", "--out", str(tmp_path / "m.json"))
+        assert result.returncode == EXIT_INPUT
+        assert "required: --in" in result.stderr
 
 
 class TestImportFootprint:

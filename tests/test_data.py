@@ -1,6 +1,7 @@
 import csv
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import as_labels_three_pass
 from probcal._validation import as_labels, as_scores
 from probcal.data import (
     FeatureDataset,
@@ -25,6 +27,63 @@ def make_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def label_outcome(check, values):
+    """(dtype, values) of the checked array, or the ValueError message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the float-to-int cast of NaN/inf
+            out = check(values)
+    except ValueError as exc:
+        return str(exc)
+    return out.dtype, out.tolist()
+
+
+LABEL_CASES = {
+    "bool": np.array([True, False, True]),
+    "uint8": np.array([0, 1, 1], dtype=np.uint8),
+    "uint8 two": np.array([0, 2], dtype=np.uint8),
+    "float32": np.array([0.0, 1.0], dtype=np.float32),
+    "float32 half": np.array([0.0, 0.5], dtype=np.float32),
+    "nan": np.array([0.0, np.nan]),
+    "+inf": np.array([1.0, np.inf]),
+    "-inf": np.array([0.0, -np.inf]),
+    "negative zero": np.array([-0.0, 1.0]),
+    "empty float": np.array([], dtype=np.float64),
+    "empty list": [],
+    "2-D": np.array([[0, 1], [1, 0]]),
+    "0-D": np.array(1),
+    "string": np.array(["0", "1"]),
+    "int64 max": np.array([0, 2**63 - 1], dtype=np.int64),
+    "uint64 max": np.array([1, 2**64 - 1], dtype=np.uint64),
+    "minus one": np.array([0, -1]),
+    "float one plus ulp": np.array([0.0, np.nextafter(1.0, 2.0)]),
+}
+
+
+class TestAsLabels:
+    @pytest.mark.parametrize("case", list(LABEL_CASES))
+    def test_matches_the_three_pass_check(self, case):
+        values = LABEL_CASES[case]
+        assert label_outcome(as_labels, values) == label_outcome(as_labels_three_pass, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, 1.0, -0.0, 0.5, 2.0, -1.0, np.nan, np.inf, -np.inf, 2.0**63]),
+            max_size=8,
+        ),
+        dtype=st.sampled_from([np.float64, np.float32, np.float16]),
+    )
+    def test_matches_the_three_pass_check_on_floats(self, values, dtype):
+        with np.errstate(over="ignore"):  # 2**63 is inf in float16
+            arr = np.array(values, dtype=dtype)
+        assert label_outcome(as_labels, arr) == label_outcome(as_labels_three_pass, arr)
+
+    def test_int64_labels_come_back_as_the_same_object(self):
+        labels = np.array([0, 1, 1], dtype=np.int64)
+        assert as_labels(labels) is labels
 
 
 class TestScoredDataset:

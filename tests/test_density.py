@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import t as student_t
 
-from oracles import nadaraya_watson_direct, student_t_density_direct
+from oracles import expected_weights_by_loop, nadaraya_watson_direct, student_t_density_direct
 from probcal.base import NotFittedError
 from probcal.density import (
     DPMCalibrator,
@@ -285,6 +285,35 @@ class TestDPM:
         weights = model.positive_.expected_weights()
         assert np.all(weights >= 0)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sticks=st.lists(
+            st.tuples(
+                st.floats(1e-3, 1e6, allow_subnormal=False),
+                st.floats(1e-3, 1e6, allow_subnormal=False),
+            ),
+            max_size=40,
+        )
+    )
+    def test_expected_weights_equal_the_stick_loop_bitwise(self, sticks):
+        # max_size=0 covers truncation 1: no sticks, one component
+        sticks = np.array(sticks, dtype=np.float64).reshape(-1, 2)
+        components = np.ones((sticks.shape[0] + 1, 4))
+        posterior = StickBreakingPosterior(sticks=sticks, components=components, elbo=0.0)
+        weights = posterior.expected_weights()
+        assert weights.tobytes() == expected_weights_by_loop(sticks).tobytes()
+
+    def test_truncation_may_not_exceed_the_smaller_class(self):
+        scores, labels = two_cluster_data(n=30)
+        scores, labels = scores[:50], labels[:50]  # 30 positive, 20 negative
+        with pytest.raises(ValueError, match="truncation must not exceed the smaller class size, "
+                                            "got 21 for 30 positive / 20 negative"):
+            DPMCalibrator(truncation=21, max_iter=2).fit(scores, labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = DPMCalibrator(truncation=20, max_iter=2).fit(scores, labels)
+        assert model.negative_.components.shape == (20, 4)
 
     def test_rejects_bad_hyperparameters(self):
         scores, labels = two_cluster_data()

@@ -191,6 +191,19 @@ class TestAuc:
         reference = (float(ranks[labels == 1].sum()) - m * (m + 1) / 2.0) / (m * n_neg)
         assert auc(scores, labels) == reference
 
+    @pytest.mark.parametrize("levels", [None, 20])
+    def test_equals_rankdata_reference_exactly_at_a_million_rows(self, levels):
+        rng = np.random.default_rng(2024)
+        scores = rng.random(10**6)
+        if levels is not None:  # 20 levels: every score sits in a tie run of ~50,000
+            scores = np.floor(scores * levels) / levels
+        labels = (rng.random(scores.size) < scores).astype(np.int64)
+        m = int(labels.sum())
+        n_neg = labels.size - m
+        ranks = rankdata(scores, method="average")
+        reference = (float(ranks[labels == 1].sum()) - m * (m + 1) / 2.0) / (m * n_neg)
+        assert auc(scores, labels) == reference
+
     @settings(max_examples=40, deadline=None)
     @given(
         grid=st.lists(st.integers(0, 10**6), min_size=2, max_size=80),
