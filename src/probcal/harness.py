@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binning import HistogramCalibrator
-from .metrics import SCHEME_FREQUENCY, auc, ece, mce, reliability
+from .metrics import _bin_indices, _level_auc, _summarize, auc, ece, mce
 from .serialize import dumps
 from .synth import OracleSpec, generate_oracle, true_theta
 
@@ -127,6 +127,17 @@ def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = 
     return summary
 
 
+def _calibrated_bins(model: HistogramCalibrator, test, num_bins: int, with_auc: bool) -> tuple:
+    """``reliability`` and, if asked, ``auc`` of ``model.predict(test.scores)``, bit for bit:
+    a stable argsort of each row's small-integer value rank is a radix sort with the
+    float order's permutation, and the AUC is counted per value."""
+    levels, rank = np.unique(model.theta_[model._fill], return_inverse=True)
+    codes = rank.astype(np.min_scalar_type(levels.size - 1))[_bin_indices(model.edges_, test.scores)]
+    members = np.array_split(np.argsort(codes, kind="stable"), num_bins)
+    bins = _summarize(levels[codes], test.labels, members)
+    return bins, _level_auc(codes, test.labels, levels.size) if with_auc else None
+
+
 def _run_trials(
     generate: Callable,
     n_cal: int,
@@ -152,12 +163,10 @@ def _run_trials(
         cal = generate(n_cal, cal_ss)
         test = generate(n_test, test_ss)
         model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
-        calibrated = model.predict(test.scores)
-        num_bins = model.n_bins_ if metric_bins is None else metric_bins
-        bins = reliability(calibrated, test.labels, num_bins=num_bins, scheme=SCHEME_FREQUENCY)
         two_class = 0 < test.n_pos < test.n_samples
+        num_bins = model.n_bins_ if metric_bins is None else metric_bins
+        bins, cal_auc = _calibrated_bins(model, test, num_bins, calibrated_auc and two_class)
         raw = auc(test.scores, test.labels) if raw_auc and two_class else None
-        cal_auc = auc(calibrated, test.labels) if calibrated_auc and two_class else None
         reports.append(
             TrialReport(
                 trial=t,
@@ -334,8 +343,8 @@ def verify_theta_concentration(
     """
     _require_trials(trials, 2)
     epsilons = sorted(float(e) for e in epsilon_grid)
-    if not epsilons or epsilons[0] <= 0:
-        raise ValueError("epsilon_grid must contain positive values")
+    if not epsilons or not all(0 < e < math.inf for e in epsilons):
+        raise ValueError("epsilon_grid needs values that are finite and > 0")
     deviations = np.empty((trials, n_bins))
     for t in range(trials):
         cal_ss, _ = _rng_pair(seed, t)
@@ -395,6 +404,8 @@ def calibration_size_sweep(
         raise ValueError("sizes must be ascending")
     if len(size_list) < 2:
         raise ValueError("need at least two sizes")
+    if metric_bins < 1:
+        raise ValueError(f"num_bins must be >= 1, got {metric_bins}")
     _require_trials(trials, 2)
     points = []
     for grid_index, n_cal in enumerate(size_list):

@@ -77,14 +77,15 @@ def reliability(
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
-    n = p.size
     if scheme == SCHEME_FREQUENCY:
-        order = np.argsort(p, kind="stable")
-        members = np.array_split(order, num_bins)
-    else:
-        idx = _bin_indices(np.linspace(0.0, 1.0, num_bins + 1), p)
-        members = [np.flatnonzero(idx == j) for j in range(num_bins)]
+        return _summarize(p, z, np.array_split(np.argsort(p, kind="stable"), num_bins))
+    idx = _bin_indices(np.linspace(0.0, 1.0, num_bins + 1), p)
+    return _summarize(p, z, [np.flatnonzero(idx == j) for j in range(num_bins)])
 
+
+def _summarize(p: np.ndarray, z: np.ndarray, members: list) -> list[ReliabilityBin]:
+    """One ReliabilityBin per array of member positions, in order."""
+    n = p.size
     bins = []
     for j, idx in enumerate(members):
         count = int(idx.size)
@@ -137,6 +138,15 @@ def auc(scores, labels) -> float:
     # per positive: (#neg below) + (#neg at or below) = 2 * wins + ties
     twice_u = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
     return float(twice_u) / (2.0 * m * n_neg)
+
+
+def _level_auc(codes: np.ndarray, z: np.ndarray, n_levels: int) -> float:
+    """``auc`` of scores coded by the rank of their value among ``n_levels``: the same
+    2U, from per-level positives times (2 * negatives below + negatives tied)."""
+    pos = np.bincount(codes[z == 1], minlength=n_levels)
+    neg = np.bincount(codes, minlength=n_levels) - pos
+    twice_u = int(pos @ (2 * np.cumsum(neg) - neg))
+    return float(twice_u) / (2.0 * int(pos.sum()) * int(neg.sum()))
 
 
 def rmse(predictions, labels) -> float:

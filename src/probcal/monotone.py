@@ -86,6 +86,14 @@ def pool_adjacent_violators(values, weights=None) -> np.ndarray:
     return out
 
 
+def _compact(breakpoints: np.ndarray, values: np.ndarray) -> tuple:
+    """Keep the first breakpoint and each where the value changes. The greatest kept
+    breakpoint at or below a query starts the run of equal values that holds the
+    greatest original one, so no lookup changes."""
+    keep = np.concatenate(([True], values[1:] != values[:-1]))
+    return breakpoints[keep], values[keep]
+
+
 class PlattCalibrator(BaseCalibrator):
     """Two-parameter sigmoid map p(f) = 1 / (1 + exp(slope * f + intercept)).
 
@@ -184,7 +192,7 @@ class IsotonicCalibrator(BaseCalibrator):
     point with the mean label before the monotone fit, so the result is a
     well-defined function of the score. Prediction looks up the value of
     the greatest breakpoint at or below the query (clamping at both ends,
-    no interpolation).
+    no interpolation). Only the breakpoints where the value rises are kept.
     """
 
     def __init__(self):
@@ -198,13 +206,10 @@ class IsotonicCalibrator(BaseCalibrator):
         if y.size == 0:
             raise ValueError("need at least one sample")
         order = np.argsort(y, kind="stable")
-        y_sorted = y[order]
-        z_sorted = z[order].astype(np.float64)
-        distinct, start = np.unique(y_sorted, return_index=True)
-        weights = np.diff(np.append(start, y_sorted.size)).astype(np.float64)
-        means = np.add.reduceat(z_sorted, start) / weights
-        self.breakpoints_ = distinct
-        self.values_ = pool_adjacent_violators(means, weights)
+        distinct, start = np.unique(y[order], return_index=True)
+        weights = np.diff(np.append(start, y.size)).astype(np.float64)
+        means = np.add.reduceat(z[order].astype(np.float64), start) / weights
+        self.breakpoints_, self.values_ = _compact(distinct, pool_adjacent_violators(means, weights))
         return self
 
     def predict(self, scores):
@@ -235,6 +240,5 @@ class IsotonicCalibrator(BaseCalibrator):
         if np.any(np.diff(breakpoints) <= 0) or np.any(np.diff(values) < 0):
             raise ValueError("isotonic breakpoints must increase and values must not decrease")
         model = cls()
-        model.breakpoints_ = breakpoints
-        model.values_ = values
+        model.breakpoints_, model.values_ = _compact(breakpoints, values)
         return model

@@ -67,6 +67,31 @@ def isotonic_by_exhaustion(values, weights=None) -> np.ndarray:
     return best_fit
 
 
+def isotonic_full_breakpoints(scores, labels) -> tuple:
+    """The isotonic fit with a breakpoint at every distinct training score.
+
+    Groups the labels by score, then pools adjacent violators over the mean
+    label of each distinct score, weighted by its count, with the library's
+    ``pool_adjacent_violators`` (itself checked against exhaustive search).
+    Returns (breakpoints, values), one entry per distinct score.
+    """
+    from probcal.monotone import pool_adjacent_violators
+
+    groups: dict[float, list[int]] = {}
+    for score, label in zip(scores, labels):
+        groups.setdefault(float(score), []).append(int(label))
+    breakpoints = sorted(groups)
+    means = [sum(groups[b]) / len(groups[b]) for b in breakpoints]
+    counts = [float(len(groups[b])) for b in breakpoints]
+    return np.array(breakpoints), pool_adjacent_violators(means, counts)
+
+
+def step_lookup(breakpoints, values, queries) -> np.ndarray:
+    """Value of the greatest breakpoint at or below each query, the first below them all."""
+    points = [float(b) for b in breakpoints]
+    return np.array([values[max(bisect.bisect_right(points, float(q)) - 1, 0)] for q in queries])
+
+
 def nadaraya_watson_direct(pos_scores, neg_scores, query, bandwidth) -> float:
     """Posterior from raw boxcar kernel sums over both classes together."""
 

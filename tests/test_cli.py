@@ -446,6 +446,8 @@ class TestVerifyCommand:
                 ["ece-rate", "--curve", "constant", "--level", "0", "--n-grid", "100,10000"],
                 "mean ECE is 0",
             ),
+            (["theta-conc", "--epsilon-grid", "nan"], "finite and > 0"),
+            (["theta-conc", "--epsilon-grid", "0.1,inf"], "finite and > 0"),
         ],
     )
     def test_degenerate_flags_are_input_errors(self, flags, message, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probcal.binning import HistogramCalibrator
 from probcal.data import ScoredDataset
@@ -10,6 +12,7 @@ from probcal.harness import (
     Assertion,
     SweepPoint,
     SweepReport,
+    _calibrated_bins,
     _monotone_assertion,
     calibration_size_sweep,
     default_test_size,
@@ -23,7 +26,7 @@ from probcal.harness import (
     write_sweep_csv,
     write_sweep_json,
 )
-from probcal.metrics import auc, ece, mce, reliability
+from probcal.metrics import _level_auc, auc, ece, mce, reliability
 from probcal.synth import OracleSpec, generate_oracle, true_theta
 
 IDENTITY = OracleSpec()
@@ -230,6 +233,12 @@ class TestVerifyThetaConcentration:
         with pytest.raises(ValueError, match="epsilon"):
             verify_theta_concentration(IDENTITY, epsilon_grid=(-0.1, 0.1), trials=2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_epsilon(self, bad):
+        # a NaN limit or a limit of 0 at infinity would be a verdict on nothing
+        with pytest.raises(ValueError, match="finite and > 0"):
+            verify_theta_concentration(IDENTITY, epsilon_grid=(0.1, bad), trials=2)
+
     def test_tied_scores_raise(self, monkeypatch):
         def tied(spec, n, seed):
             labels = np.arange(int(n)) % 2
@@ -276,6 +285,13 @@ class TestCalibrationSizeSweep:
         with pytest.raises(ValueError, match="trials"):
             calibration_size_sweep(oracle_generator(IDENTITY), sizes=(100, 1000), trials=1)
 
+    @pytest.mark.parametrize("metric_bins", [0, -1])
+    def test_rejects_nonpositive_metric_bins(self, metric_bins):
+        with pytest.raises(ValueError, match=f"num_bins must be >= 1, got {metric_bins}"):
+            calibration_size_sweep(
+                oracle_generator(IDENTITY), sizes=(100, 1000), trials=2, metric_bins=metric_bins
+            )
+
     def test_constant_oracle_calibrates_to_small_error(self):
         # truth is flat at 0.5, so per-bin noise is all that remains
         generator = oracle_generator(OracleSpec(curve="constant", level=0.5))
@@ -306,14 +322,20 @@ class TestCalibrationSizeSweep:
 
 @pytest.fixture()
 def harness_auc_calls(monkeypatch):
-    """Record the length of every score vector the harness computes an AUC on."""
+    """Record the length of every score vector the harness computes an AUC on,
+    raw (``auc``) or calibrated (``_level_auc`` over per-row level codes)."""
     calls = []
 
     def counting(scores, labels):
         calls.append(len(scores))
         return auc(scores, labels)
 
+    def counting_levels(codes, labels, n_levels):
+        calls.append(len(codes))
+        return _level_auc(codes, labels, n_levels)
+
     monkeypatch.setattr("probcal.harness.auc", counting)
+    monkeypatch.setattr("probcal.harness._level_auc", counting_levels)
     return calls
 
 
@@ -384,6 +406,51 @@ class TestTrialStreamsAndAucWork:
             model = HistogramCalibrator(n_bins=5).fit(cal.scores, cal.labels)
             limits = true_theta(SQUARE, model.edges_)
             assert r.max_theta_error == float(np.abs(model.theta_ - limits).max())
+
+
+def _assert_same_as_predict(model, test, num_bins):
+    """The harness's code path gives the bins and AUC of ``model.predict``, bit for bit."""
+    predicted = model.predict(test.scores)
+    two_class = 0 < test.n_pos < test.n_samples
+    bins, calibrated_auc = _calibrated_bins(model, test, num_bins, two_class)
+    # repr is exact for floats and shows NaN, which == would not match
+    assert repr(bins) == repr(reliability(predicted, test.labels, num_bins=num_bins))
+    assert calibrated_auc == (auc(predicted, test.labels) if two_class else None)
+
+
+class TestCalibratedBins:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_cal=st.integers(1, 60),
+        grid=st.integers(1, 12),
+        n_bins=st.integers(1, 15),
+        n_test=st.integers(1, 80),
+        metric_bins=st.one_of(st.none(), st.integers(1, 90)),
+        rate=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reliability_and_auc_of_predict(
+        self, n_cal, grid, n_bins, n_test, metric_bins, rate, seed
+    ):
+        # scores on a grid tie and collapse bins; a rate of 0 or 1 leaves one level;
+        # metric_bins may differ from the fitted bin count and exceed the test size
+        rng = np.random.default_rng(seed)
+        cal_scores = rng.integers(0, grid + 1, n_cal) / grid
+        cal_labels = (rng.random(n_cal) < rate).astype(int)
+        model = HistogramCalibrator(n_bins=min(n_bins, n_cal)).fit(cal_scores, cal_labels)
+        test_scores = rng.integers(0, 2 * grid + 1, n_test) / (2 * grid)
+        test = ScoredDataset(test_scores, (rng.random(n_test) < test_scores).astype(int))
+        _assert_same_as_predict(model, test, model.n_bins_ if metric_bins is None else metric_bins)
+
+    @pytest.mark.parametrize("n_bins, levels", [(200, range(129, 257)), (400, range(257, 65537))])
+    def test_many_levels(self, n_bins, levels):
+        # codes are uint8 up to 256 levels and uint16 above
+        cal = generate_oracle(IDENTITY, 200_000, 1)
+        model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
+        assert np.unique(model.theta_).size in levels
+        test = generate_oracle(IDENTITY, 50_000, 2)
+        for num_bins in (model.n_bins_, 10):
+            _assert_same_as_predict(model, test, num_bins)
 
 
 def _first_test_set_one_class(monkeypatch):

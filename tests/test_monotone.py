@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from oracles import isotonic_by_exhaustion
+from oracles import isotonic_by_exhaustion, isotonic_full_breakpoints, step_lookup
 from probcal.base import NotFittedError
 from probcal.metrics import auc
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator, pool_adjacent_violators
+from probcal.serialize import dumps, load_model, save_model
 
 
 class TestPoolAdjacentViolators:
@@ -247,9 +248,73 @@ class TestIsotonicCalibrator:
         labels = rng.integers(0, 2, n)
         model = IsotonicCalibrator().fit(scores, labels)
         fitted = model.predict(scores)
-        # any other monotone step function on the same breakpoints does no better
+        # any other monotone step function with a step at each distinct score does no better
+        distinct = np.unique(scores)
         base_err = np.sum((fitted - labels) ** 2)
         for _ in range(5):
-            jitter = np.sort(rng.uniform(0, 1, len(model.values_)))
-            alt = jitter[np.clip(np.searchsorted(model.breakpoints_, scores, side="right") - 1, 0, len(jitter) - 1)]
+            jitter = np.sort(rng.uniform(0, 1, len(distinct)))
+            alt = jitter[np.clip(np.searchsorted(distinct, scores, side="right") - 1, 0, len(jitter) - 1)]
             assert base_err <= np.sum((alt - labels) ** 2) + 1e-9
+
+
+def _tied_sample(grid, n, seed):
+    """Scores on a grid strictly inside (0, 1), so they tie and 0 lies below them all."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(1, grid + 1, n) / (grid + 1)
+    return scores, (rng.random(n) < scores).astype(int)
+
+
+def _queries(breakpoints):
+    """Every breakpoint, the midpoints between them, 0, 1 and two points below the first."""
+    midpoints = (breakpoints[:-1] + breakpoints[1:]) / 2
+    below = [breakpoints[0] / 2, np.nextafter(breakpoints[0], 0.0)]
+    return np.concatenate([breakpoints, midpoints, [0.0, 1.0], below])
+
+
+class TestCompactIsotonicModel:
+    def test_equal_adjacent_means_share_one_breakpoint(self):
+        # the groups at 0.2 and 0.4 both have mean 0.5; PAV leaves them as two blocks
+        model = IsotonicCalibrator().fit(
+            np.array([0.2, 0.2, 0.4, 0.4, 0.6]), np.array([1, 0, 0, 1, 1])
+        )
+        assert model.breakpoints_.tolist() == [0.2, 0.6]
+        assert model.values_.tolist() == [0.5, 1.0]
+        assert model.describe() == "breakpoints: 2"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grid=st.integers(1, 25),
+        n=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_predictions_equal_the_full_breakpoint_fit(self, grid, n, seed):
+        scores, labels = _tied_sample(grid, n, seed)
+        full_breakpoints, full_values = isotonic_full_breakpoints(scores, labels)
+        model = IsotonicCalibrator().fit(scores, labels)
+        queries = _queries(full_breakpoints)
+        expected = step_lookup(full_breakpoints, full_values, queries)
+        assert np.array_equal(model.predict(queries), expected)
+        # one breakpoint per distinct fitted value, each where the value changes
+        assert np.all(np.diff(model.values_) > 0)
+        assert model.values_.size == np.unique(full_values).size
+        assert np.isin(model.breakpoints_, full_breakpoints).all()
+
+    @settings(max_examples=50, deadline=None)
+    @given(grid=st.integers(1, 25), n=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+    def test_full_size_file_loads_alike_and_saves_compact(self, tmp_path_factory, grid, n, seed):
+        # a file written before compaction holds every distinct score
+        scores, labels = _tied_sample(grid, n, seed)
+        full_breakpoints, full_values = isotonic_full_breakpoints(scores, labels)
+        payload = {
+            "method": "isotonic", "breakpoints": list(full_breakpoints), "values": list(full_values)
+        }
+        path = tmp_path_factory.mktemp("isotonic") / "model.json"
+        path.write_text(dumps(payload) + "\n", encoding="utf-8")
+        loaded = load_model(path)
+        queries = _queries(full_breakpoints)
+        expected = step_lookup(full_breakpoints, full_values, queries)
+        assert np.array_equal(loaded.predict(queries), expected)
+        save_model(loaded, path)
+        fresh = tmp_path_factory.mktemp("isotonic") / "model.json"
+        save_model(IsotonicCalibrator().fit(scores, labels), fresh)
+        assert path.read_bytes() == fresh.read_bytes()
