@@ -61,6 +61,18 @@ METHODS = {
 }
 
 
+_BLOCK_ROWS = 1 << 14  # rows that simulate formats and writes at a time
+
+
+def _write_csv(path, header: list[str], blocks) -> None:
+    """Write a header line, then each block of rows, given as the list of its columns' cells."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        for columns in blocks:
+            line = ",".join(["{}"] * len(columns)) + "\r\n"
+            handle.write("".join(map(line.format, *columns)))
+
+
 def cmd_fit(args) -> int:
     data = load_scored_csv(args.infile, score_column=args.score_column, label_column=args.label_column)
     calibrator = METHODS[args.method](args)
@@ -81,11 +93,17 @@ def cmd_apply(args) -> int:
     fieldnames, scores, _, rows = read_scored_rows(args.infile, args.score_column, keep_rows=True)
     if args.column in fieldnames:
         raise ValueError(f"{args.infile}: column {args.column!r} already exists; refusing to replace it")
-    calibrated = format_floats(model.predict(scores).tolist()) if scores.size else []
-    with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(fieldnames + [args.column])
-        handle.write("".join(map("{},{}\r\n".format, rows, calibrated)))
-    print(f"{len(rows)} rows calibrated; written to {args.outfile}")
+    # predicted whole, so no bit depends on the blocks the rows are written in
+    calibrated = model.predict(scores) if scores.size else scores
+
+    def blocks():
+        start = 0
+        for block in rows:
+            yield block, format_floats(calibrated[start : start + len(block)].tolist())
+            start += len(block)
+
+    _write_csv(args.outfile, fieldnames + [args.column], blocks())
+    print(f"{scores.size} rows calibrated; written to {args.outfile}")
     return EXIT_OK
 
 
@@ -117,15 +135,16 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     if args.kind == "oracle":
         data = generate_oracle(OracleSpec(curve=args.curve, level=args.level), args.n, args.seed)
-        header, columns = ["score", "label"], [data.scores]
+        header, floats = ["score", "label"], [data.scores]
     else:
         data = generate_xor(args.n, noise_sd=args.noise_sd, seed=args.seed)
-        header, columns = ["x1", "x2", "label"], [data.features[:, 0], data.features[:, 1]]
-    cells = [format_floats(column.tolist()) for column in columns] + [data.labels.tolist()]
-    line = ",".join(["{}"] * len(cells)) + "\r\n"
-    with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(header)
-        handle.write("".join(map(line.format, *cells)))
+        header, floats = ["x1", "x2", "label"], [data.features[:, 0], data.features[:, 1]]
+    blocks = (
+        [format_floats(column[i : i + _BLOCK_ROWS].tolist()) for column in floats]
+        + [data.labels[i : i + _BLOCK_ROWS].tolist()]
+        for i in range(0, len(data), _BLOCK_ROWS)
+    )
+    _write_csv(args.outfile, header, blocks)
     print(f"{args.n} rows written to {args.outfile}")
     return EXIT_OK
 

@@ -103,53 +103,94 @@ def read_scored_rows(
     given, labels as 0/1; violations are reported with the 1-based data-row
     number (the header is not counted). Returns (fieldnames, scores, labels,
     rows): labels is None without a label column; rows, only with
-    ``keep_rows``, holds each data row as csv.writer writes its fields,
-    without the line ending. Plain files are parsed a column at a time; any
-    other file, or one with a bad cell, is read by the row loop that raises.
+    ``keep_rows``, is an iterable, to be read once, of blocks of data rows,
+    each block a list of its rows as csv.writer writes their fields, without
+    the line ending. Plain files are parsed a block of lines at a time and
+    keep each block's row text; any other file, or one with a bad cell, is
+    read whole by the row loop that raises.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {path}")
     wanted = [score_column] if label_column is None else [score_column, label_column]
-    try:
-        parsed = _read_plain(path.read_bytes().decode("utf-8"), wanted, keep_rows)
-    except UnicodeDecodeError:  # the row loop reports it
-        parsed = None
+    parsed = _read_plain(path, wanted, keep_rows)
     return parsed if parsed is not None else _read_row_by_row(path, wanted, keep_rows)
 
 
-def _read_plain(text: str, wanted: list[str], keep_rows: bool) -> tuple | None:
-    """``read_scored_rows`` of a plain CSV text; None if it is not plain or a cell is bad.
+_BLOCK_BYTES = 1 << 18  # bytes read at a time by the plain-file parser
 
-    Plain: no quote, NUL or CR outside a CRLF; a non-empty header of unique
-    names holding the wanted columns; every non-blank line with the header's
-    field count and within csv's field size limit. Each line then splits on
-    commas as csv reads it (csv breaks lines at LF only, unlike
-    str.splitlines) and is what csv.writer writes for its fields.
+
+def _blocks(path: Path):
+    """The bytes of a file in blocks of about ``_BLOCK_BYTES``, each cut just after a LF.
+
+    A block ends at its last LF (only the file's tail may not), so neither a
+    CRLF pair nor a UTF-8 character, which never holds a LF byte, is split.
     """
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-        return None
-    lines = text.replace("\r\n", "\n").split("\n")
-    header, body = lines[0].split(","), list(filter(None, lines[1:]))  # csv skips blank lines
-    width = len(header)
-    if not lines[0] or len(set(header)) != width or not set(wanted) <= set(header):
-        return None
-    if max(map(len, lines)) > csv.field_size_limit() or set(map(str.count, body, repeat(","))) - {width - 1}:
-        return None
-    cells = ",".join(body).split(",") if width > 1 and body else body
-    columns = [cells[header.index(name) :: width] for name in wanted]
-    try:
-        scores = np.fromiter(map(float, columns[0]), dtype=np.float64, count=len(body))
-    except ValueError:
-        return None
-    if not np.all((scores >= 0.0) & (scores <= 1.0)):
-        return None
-    labels = None
-    if len(columns) > 1:
-        if not set(columns[1]) <= {"0", "1"}:
+    pending: list[bytes] = []
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_BLOCK_BYTES):
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                pending.append(chunk[:cut])
+                yield b"".join(pending)
+                pending = [chunk[cut:]]
+            else:
+                pending.append(chunk)
+    if tail := b"".join(pending):
+        yield tail
+
+
+def _read_plain(path: Path, wanted: list[str], keep_rows: bool) -> tuple | None:
+    """``read_scored_rows`` of a plain CSV file; None if it is not plain or a cell is bad.
+
+    Plain: valid UTF-8; no quote, NUL or CR outside a CRLF; a non-empty
+    header of unique names holding the wanted columns; every non-blank line
+    with the header's field count and within csv's field size limit. Each
+    line then splits on commas as csv reads it (csv breaks lines at LF only,
+    unlike str.splitlines) and is what csv.writer writes for its fields. The
+    checks hold line by line, so they are made on each block of ``_blocks``.
+    """
+    header, width, scores, labels, texts = None, 0, [], [], []
+    for block in _blocks(path):
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:  # the row loop reports it
             return None
-        labels = (np.frombuffer("".join(columns[1]).encode(), dtype=np.uint8) == ord("1")).astype(np.int64)
-    return header, scores, labels, body if keep_rows else None
+        if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+            return None
+        lines = text.replace("\r\n", "\n").split("\n")
+        if max(map(len, lines)) > csv.field_size_limit():
+            return None
+        if header is None:
+            header = lines.pop(0).split(",")
+            width = len(header)
+            if header == [""] or len(set(header)) != width or not set(wanted) <= set(header):
+                return None
+        body = list(filter(None, lines))  # csv skips blank lines
+        if set(map(str.count, body, repeat(","))) - {width - 1}:
+            return None
+        cells = ",".join(body).split(",") if width > 1 and body else body
+        columns = [cells[header.index(name) :: width] for name in wanted]
+        try:
+            scores.append(np.fromiter(map(float, columns[0]), dtype=np.float64, count=len(body)))
+        except ValueError:
+            return None
+        if not np.all((scores[-1] >= 0.0) & (scores[-1] <= 1.0)):
+            return None
+        if len(columns) > 1:
+            if not set(columns[1]) <= {"0", "1"}:
+                return None
+            labels.append(np.frombuffer("".join(columns[1]).encode(), dtype=np.uint8) == ord("1"))
+        if keep_rows and body:  # "".split("\n") would give one empty row
+            texts.append("\n".join(body))  # split again on LF, which no plain row holds
+    if header is None:  # an empty file
+        return None
+    return (
+        header,
+        np.concatenate(scores),
+        np.concatenate(labels).astype(np.int64) if len(wanted) > 1 else None,
+        (text.split("\n") for text in texts) if keep_rows else None,
+    )
 
 
 def _read_row_by_row(path: Path, wanted: list[str], keep_rows: bool) -> tuple:
@@ -203,7 +244,7 @@ def _read_row_by_row(path: Path, wanted: list[str], keep_rows: bool) -> tuple:
         list(reader.fieldnames),
         np.asarray(scores, dtype=np.float64),
         None if label_column is None else np.asarray(labels, dtype=np.int64),
-        rows,
+        None if rows is None else [rows],
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .binning import HistogramCalibrator
 from .metrics import _bin_indices, _level_auc, _summarize, auc, ece, mce
-from .serialize import dumps
+from .serialize import write_json
 from .synth import OracleSpec, generate_oracle, true_theta
 
 DEFAULT_MIN_TEST = 100_000
@@ -470,5 +470,4 @@ def write_sweep_json(report: SweepReport, path) -> None:
         ],
         "notes": list(report.notes),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(payload) + "\n")
+    write_json(payload, path)

@@ -42,38 +42,62 @@ def format_floats(values) -> list[str]:
 
 def dumps(obj, indent: int = 0) -> str:
     """Render to JSON text with stable formatting."""
+    return "".join(iterdumps(obj, indent))
+
+
+_BLOCK_VALUES = 1 << 14  # floats of a float list formatted per piece of iterdumps
+
+
+def iterdumps(obj, indent: int = 0):
+    """The text of ``dumps(obj, indent)`` in pieces; a float list comes a block of floats at a time."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {float}:
-            return f"[\n{inner}" + f",\n{inner}".join(format_floats(obj)) + f"\n{pad}]"
-        rows = [f"{inner}{dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        opening = "{\n"
+        for k, v in obj.items():
+            yield f"{opening}{inner}{json.dumps(str(k))}: "
+            yield from iterdumps(v, indent + 1)
+            opening = ",\n"
+        yield f"\n{pad}}}" if obj else "{}"
+    elif isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) == {float}:
+            comma = f",\n{inner}"
+            for start in range(0, len(obj), _BLOCK_VALUES):
+                values = format_floats(obj[start : start + _BLOCK_VALUES])
+                yield (comma if start else f"[\n{inner}") + comma.join(values)
+        else:
+            opening = "[\n"
+            for v in obj:
+                yield opening + inner
+                yield from iterdumps(v, indent + 1)
+                opening = ",\n"
+        yield f"\n{pad}]" if obj else "[]"
+    elif obj is None:
+        yield "null"
+    elif isinstance(obj, bool):
+        yield "true" if obj else "false"
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, float):
+        yield format_float(obj)
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def write_json(obj, path) -> None:
+    """Write ``dumps(obj)`` and a newline to a file, a piece of ``iterdumps`` at a time."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(iterdumps(obj))
+        handle.write("\n")
 
 
 def save_model(calibrator, path) -> None:
     payload = calibrator.to_dict()
     if payload.get("method") not in MODEL_CLASSES:
         raise ValueError(f"unknown model method {payload.get('method')!r}")
-    Path(path).write_text(dumps(payload) + "\n", encoding="utf-8")
+    write_json(payload, path)
 
 
 def load_model(path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -219,3 +220,33 @@ def as_labels_three_pass(values, name: str = "labels") -> np.ndarray:
     if out.size and not np.isin(out, (0, 1)).all():
         raise ValueError(f"{name} must contain only 0 and 1")
     return out
+
+
+def dumps_whole(obj, indent: int = 0) -> str:
+    """serialize.dumps built recursively as one string, each float list formatted whole."""
+    from probcal.serialize import format_float, format_floats
+
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [f"{inner}{json.dumps(str(k))}: {dumps_whole(v, indent + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            return f"[\n{inner}" + f",\n{inner}".join(format_floats(obj)) + f"\n{pad}]"
+        rows = [f"{inner}{dumps_whole(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probcal
+import probcal.cli
+import probcal.data
 from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, main, run
 from probcal.serialize import format_float, load_model
 
@@ -322,6 +324,103 @@ class TestApplyOutputBytes:
             assert code == EXIT_OK
             assert out.read_bytes() == apply_by_rows(module_model, source)
 
+
+class TestApplyOutputBytesInBlocks(TestApplyOutputBytes):
+    """TestApplyOutputBytes with read blocks so small that each file straddles several."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 3, 64])
+    def block_bytes(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probcal.data, "_BLOCK_BYTES", request.param)
+            yield request.param
+
+
+class TestBlockedRowPath:
+    @pytest.mark.parametrize("block_bytes", [None, 64])
+    def test_in_place_apply_rewrites_the_input(self, block_bytes, scored_csv, histogram_model, monkeypatch):
+        if block_bytes:
+            monkeypatch.setattr(probcal.data, "_BLOCK_BYTES", block_bytes)
+        expected = apply_by_rows(histogram_model, scored_csv)
+        code = main(["apply", "--model", str(histogram_model), "--in", str(scored_csv), "--out", str(scored_csv)])
+        assert code == EXIT_OK
+        assert scored_csv.read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (b"abc,0", "row 101: cannot parse score 'abc'"),
+            (b"1.5,1", "row 101: score 1.5 outside [0, 1]"),
+            (b"nan,0", "row 101: score nan outside [0, 1]"),
+            (b'"x",1', "row 101: cannot parse score 'x'"),
+            (b"0.5\x00,1", "row 101: cannot parse score '0.5\\x00'"),
+            (b"0.5,1\xff", "can't decode byte 0xff"),
+        ],
+    )
+    def test_bad_cell_in_the_last_block_exits_2_without_output(
+        self, fault, message, histogram_model, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(probcal.data, "_BLOCK_BYTES", 64)
+        source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        source.write_bytes(b"score,label\n" + b"0.5,1\n" * 100 + fault + b"\n")
+        code = main(["apply", "--model", str(histogram_model), "--in", str(source), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["oracle", "xor"])
+    def test_simulate_bytes_do_not_depend_on_the_block_size(self, kind, tmp_path, monkeypatch, capsys):
+        args = ["simulate", "--kind", kind, "--n", "50", "--seed", "4", "--out"]
+        whole = tmp_path / "whole.csv"
+        assert main([*args, str(whole)]) == EXIT_OK
+        for rows in (1, 7, 50, 64):
+            monkeypatch.setattr(probcal.cli, "_BLOCK_ROWS", rows)
+            blocked = tmp_path / f"blocked-{rows}.csv"
+            assert main([*args, str(blocked)]) == EXIT_OK
+            assert blocked.read_bytes() == whole.read_bytes()
+        capsys.readouterr()
+
+
+# Runs a command and prints its exit code and peak RSS in KiB. A child's peak
+# RSS counts from its parent's RSS at the fork, so commands are started from
+# this small interpreter rather than from the test process.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+class TestPeakMemory:
+    """Peak RSS above a bare ``import probcal.cli`` at 2e5 rows, against the CSV's size.
+
+    Holding a whole file's text, its lines, its cells and every output row at
+    once grew ``simulate`` by about 11 times the CSV and ``apply`` by about 16.
+    """
+
+    @staticmethod
+    def peak_mb(*args) -> float:
+        source = str(Path(probcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", LAUNCHER, sys.executable, "-c", *args],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, kib = map(int, result.stdout.split())
+        assert code == EXIT_OK
+        return kib / 1024
+
+    def test_simulate_and_apply_grow_by_a_few_file_sizes(self, tmp_path):
+        run, data, model = "from probcal.cli import run; run()", tmp_path / "data.csv", tmp_path / "model.json"
+        bare = self.peak_mb("import probcal.cli")
+        simulate = self.peak_mb(run, "simulate", "--kind", "oracle", "--n", "200000", "--out", str(data))
+        self.peak_mb(run, "fit", "--method", "histogram", "--in", str(data), "--out", str(model))
+        apply = self.peak_mb(run, "apply", "--model", str(model), "--in", str(data), "--out", str(tmp_path / "out.csv"))
+        size_mb = data.stat().st_size / 2**20
+        assert simulate - bare < 5 * size_mb
+        assert apply - bare < 5 * size_mb
 
 class TestEval:
     def test_prints_metrics(self, scored_csv, capsys):

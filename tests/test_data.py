@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import probcal.data
 from oracles import as_labels_three_pass
 from probcal._validation import as_labels, as_scores
 from probcal.data import (
     FeatureDataset,
     ScoredDataset,
+    _blocks,
     _read_plain,
     _read_row_by_row,
     kfold_calibration_set,
@@ -246,12 +249,21 @@ def plain_csv(draw):
 
 
 def outcome(read):
-    """A reader's result with arrays as raw bytes, or its exception type and message."""
+    """A reader's result with arrays as raw bytes and row blocks joined, or its exception type and message."""
     try:
         fieldnames, scores, labels, rows = read()
     except (ValueError, csv.Error) as exc:
         return type(exc), str(exc)
+    rows = None if rows is None else [row for block in rows for row in block]
     return fieldnames, scores.dtype, scores.tobytes(), None if labels is None else labels.tobytes(), rows
+
+
+def plain_parse(content: bytes, wanted, keep_rows):
+    """``_read_plain`` of a file holding ``content``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(content)
+        return _read_plain(path, wanted, keep_rows)
 
 
 def reads_like_row_loop(content: bytes, label_column, keep_rows):
@@ -276,7 +288,7 @@ class TestColumnPath:
     @settings(max_examples=200, deadline=None)
     def test_plain_file_takes_the_column_path(self, content, label_column):
         wanted = ["score"] if label_column is None else ["score", label_column]
-        assert _read_plain(content.decode("utf-8"), wanted, True) is not None
+        assert plain_parse(content, wanted, True) is not None
         rows = reads_like_row_loop(content, label_column, True)[-1]
         # each kept row is what csv.writer writes for the row's fields
         cells = list(csv.reader(io.StringIO(content.decode("utf-8"), newline="")))
@@ -297,7 +309,7 @@ class TestColumnPath:
         ],
     )
     def test_non_plain_or_bad_cells_fall_back(self, text):
-        assert _read_plain(text, ["score", "label"], False) is None
+        assert plain_parse(text.encode("utf-8"), ["score", "label"], False) is None
 
     def test_blank_header_line_has_no_columns(self, tmp_path):
         path = make_csv(tmp_path, "\n0.5\n")
@@ -314,6 +326,78 @@ class TestColumnPath:
         path = make_csv(tmp_path, "score,label," + "x" * (csv.field_size_limit() + 1) + "\n0.5,1,a\n")
         with pytest.raises(ValueError, match=r"data\.csv: header: field larger than field limit"):
             read_scored_rows(path, label_column="label")
+
+
+class TestColumnPathInBlocks(TestColumnPath):
+    """TestColumnPath with blocks so small that the files straddle several."""
+
+    @pytest.fixture(autouse=True, scope="class", params=[1, 3, 64])
+    def block_bytes(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probcal.data, "_BLOCK_BYTES", request.param)
+            yield request.param
+
+
+# plain files; at some block size, each of their bytes starts a block read
+EDGE_FILES = {
+    "crlf": b"score,label\r\n0.5,1\r\n0.25,0\r\n",
+    "two-byte character": "id,score,label\n\u00e9,0.5,1\nx\u00e9,0.25,0\n".encode(),
+    "three-byte character": "id,score,label\n\u20ac,0.5,1\nx\u20ac,0.25,0\n\u20ac\u20ac,1,1\n".encode(),
+    "no trailing newline": b"score,label\n0.5,1\n0.25,0",
+    "header only": b"score,label\n",
+    "header only without a newline": b"score,label",
+    "blank lines": b"score,label\n\n0.5,1\n\n\n0.25,0\n\n",
+    "blank crlf lines": b"score,label\r\n\r\n0.5,1\r\n\r\n0.25,0\r\n\r\n",
+}
+
+# a fault that only the last of several 64-byte blocks holds
+GOOD_ROWS = b"score,label\n" + b"0.5,1\n0.25,0\n" * 50
+LAST_BLOCK_FAULTS = {
+    "quote": b'"x",1\n',
+    "NUL": b"0.5,1\x00\n",
+    "invalid UTF-8": b"0.5,1\xff\n",
+    "bad label": b"0.5,2\n",
+    "score out of range": b"1.5,1\n",
+}
+
+
+class TestBlockEdges:
+    @given(st.binary(max_size=40) | messy_csv() | plain_csv(), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_cut_just_after_a_lf(self, content, size):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(content)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(probcal.data, "_BLOCK_BYTES", size)
+                blocks = list(_blocks(path))
+        assert b"".join(blocks) == content
+        assert all(block.endswith(b"\n") for block in blocks[:-1])
+        assert not blocks or blocks[-1].endswith(b"\n") or b"\n" not in blocks[-1]  # a tail without a LF
+
+    @pytest.mark.parametrize("content", EDGE_FILES.values(), ids=EDGE_FILES)
+    def test_every_block_edge_reads_like_the_row_loop(self, content, monkeypatch):
+        for size in range(1, len(content) + 2):
+            monkeypatch.setattr(probcal.data, "_BLOCK_BYTES", size)
+            assert plain_parse(content, ["score", "label"], True) is not None
+            fieldnames, *_, rows = reads_like_row_loop(content, "label", True)
+            lines = list(filter(None, content.replace(b"\r\n", b"\n").split(b"\n")))
+            assert "label" in fieldnames and len(rows) == len(lines) - 1
+
+    @pytest.mark.parametrize("fault", LAST_BLOCK_FAULTS.values(), ids=LAST_BLOCK_FAULTS)
+    def test_fault_in_the_last_block_raises_the_row_loop_message(self, fault, tmp_path, monkeypatch):
+        monkeypatch.setattr(probcal.data, "_BLOCK_BYTES", 64)
+        path = tmp_path / "data.csv"
+        path.write_bytes(GOOD_ROWS + fault)
+        blocks = list(_blocks(path))
+        assert len(blocks) > 1 and blocks[-1].endswith(fault) and fault not in b"".join(blocks[:-1])
+        assert _read_plain(path, ["score", "label"], True) is None
+        with pytest.raises(ValueError) as expected:
+            _read_row_by_row(path, ["score", "label"], True)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            read_scored_rows(path, label_column="label", keep_rows=True)
+        if fault != LAST_BLOCK_FAULTS["invalid UTF-8"]:
+            assert "row 101: " in str(expected.value)
 
 
 def _render(cells) -> str:

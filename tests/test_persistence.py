@@ -1,14 +1,19 @@
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import probcal.serialize
+from oracles import dumps_whole
 from probcal.binning import HistogramCalibrator
 from probcal.density import DPMCalibrator, KDECalibrator
+from probcal.harness import Assertion, SweepPoint, SweepReport, write_sweep_json
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator
 from probcal.serialize import MODEL_CLASSES, dumps, format_float, format_floats, load_model, save_model
 from probcal.synth import OracleSpec, generate_oracle
@@ -107,6 +112,60 @@ class TestDumps:
     def test_deterministic_bytes(self):
         payload = {"a": [0.1, 0.2], "b": {"c": 1e-300}}
         assert dumps(payload) == dumps(payload)
+
+
+# nested dicts, empty and mixed lists, non-finite floats, and float lists that
+# span several blocks of a small _BLOCK_VALUES
+nested_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(st.floats(), max_size=12)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestWrittenPieces:
+    """save_model and write_sweep_json write, a piece at a time, exactly dumps(payload) and a newline."""
+
+    @given(nested_payloads, st.sampled_from([1, 3, 1 << 14]))
+    @settings(max_examples=200, deadline=None)
+    def test_pieces_join_to_dumps(self, value, block):
+        class Stub:
+            def to_dict(self):
+                return {"method": "histogram", "payload": value}
+
+        report = SweepReport(
+            axis_name="n_cal",
+            points=[SweepPoint(axis_value=0.5, reports=(), summary={"value": value, "x": [value, 1.5]})],
+            assertions=[Assertion("bound", True, 0.25, math.inf)],
+            notes=["note"],
+        )
+        sweep_payload = {
+            "axis": "n_cal",
+            "passed": True,
+            "slope": None,
+            "assertions": [{"name": "bound", "passed": True, "observed": 0.25, "limit": math.inf}],
+            "points": [{"axis_value": 0.5, "value": value, "x": [value, 1.5]}],
+            "notes": ["note"],
+        }
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probcal.serialize, "_BLOCK_VALUES", block)
+            model, sweep = Path(tmp) / "model.json", Path(tmp) / "sweep.json"
+            save_model(Stub(), model)
+            write_sweep_json(report, sweep)
+            model_payload = Stub().to_dict()
+            assert "".join(probcal.serialize.iterdumps(model_payload)) == dumps_whole(model_payload)
+            assert model.read_bytes() == (dumps(model_payload) + "\n").encode()
+            assert sweep.read_bytes() == (dumps(sweep_payload) + "\n").encode()
+            assert dumps(sweep_payload) == dumps_whole(sweep_payload)
+
+    def test_long_float_list_comes_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(probcal.serialize, "_BLOCK_VALUES", 4)
+        values = [i / 7 for i in range(10)] + [math.nan]
+        pieces = list(probcal.serialize.iterdumps({"v": values}))
+        assert "".join(pieces) == dumps_whole({"v": values})
+        assert max(piece.count(",") for piece in pieces) <= 4
 
 
 def _fitted_models():
