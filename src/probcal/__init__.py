@@ -3,8 +3,8 @@
 Calibrators map raw classifier scores in [0, 1] to calibrated probability
 estimates. All follow the same small estimator protocol: construct with
 hyperparameters, ``fit(scores, labels)``, then ``predict(scores)``;
-``get_params``/``set_params`` expose the constructor arguments and
 ``to_dict``/``from_dict`` round-trip fitted state through plain JSON.
+Constructor arguments are plain attributes (there is no ``get_params``).
 
 The harness submodule checks the finite-sample guarantees of histogram
 binning (MCE bound, ECE decay rate, AUC loss, per-bin concentration) by

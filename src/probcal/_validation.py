@@ -44,9 +44,16 @@ def check_iteration(max_iter: int, tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
-def check_same_length(a: np.ndarray, b: np.ndarray, what: str = "scores and labels") -> None:
+def check_same_length(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if len(a) != len(b):
         raise ValueError(f"{what} must have equal length, got {len(a)} and {len(b)}")
+
+
+def scored_pair(scores, labels, name: str = "scores") -> tuple[np.ndarray, np.ndarray]:
+    """``as_scores(scores, name)`` and ``as_labels(labels)``, checked to have equal length."""
+    y, z = as_scores(scores, name), as_labels(labels)
+    check_same_length(y, z, f"{name} and labels")
+    return y, z
 
 
 def class_counts(labels: np.ndarray) -> tuple[int, int, int]:

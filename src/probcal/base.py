@@ -7,8 +7,6 @@ applies it. Fitted state lives in attributes with a trailing underscore.
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from ._validation import as_scores
@@ -19,23 +17,6 @@ class NotFittedError(ValueError):
 
 
 class BaseCalibrator:
-    def get_params(self) -> dict:
-        """Constructor parameters as a dict, by introspection of __init__."""
-        sig = inspect.signature(type(self).__init__)
-        return {
-            name: getattr(self, name)
-            for name in sig.parameters
-            if name != "self"
-        }
-
-    def set_params(self, **params) -> "BaseCalibrator":
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
-
     def _require_fitted(self, *attributes: str) -> None:
         for attr in attributes:
             if getattr(self, attr, None) is None:
@@ -55,6 +36,3 @@ class BaseCalibrator:
     def _finish(result: np.ndarray, scalar: bool):
         return float(result[0]) if scalar else result
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"

@@ -11,12 +11,11 @@ warnings print as one line each. Every command that uses randomness takes --seed
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import warnings
 
 from .binning import HistogramCalibrator
-from .data import load_scored_csv, read_scored_rows
+from .data import format_cells, load_scored_csv, read_scored_rows, write_csv
 from .density import DPMCalibrator, KDECalibrator
 from .harness import (
     calibration_size_sweep,
@@ -30,7 +29,7 @@ from .harness import (
 )
 from .metrics import SCHEMES, auc, evaluate, write_reliability_csv
 from .monotone import IsotonicCalibrator, PlattCalibrator
-from .serialize import format_floats, load_model, save_model
+from .serialize import load_model, save_model
 from .synth import CURVES, OracleSpec, generate_oracle, generate_xor
 
 EXIT_OK = 0
@@ -64,15 +63,6 @@ METHODS = {
 _BLOCK_ROWS = 1 << 14  # rows that simulate formats and writes at a time
 
 
-def _write_csv(path, header: list[str], blocks) -> None:
-    """Write a header line, then each block of rows, given as the list of its columns' cells."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow(header)
-        for columns in blocks:
-            line = ",".join(["{}"] * len(columns)) + "\r\n"
-            handle.write("".join(map(line.format, *columns)))
-
-
 def cmd_fit(args) -> int:
     data = load_scored_csv(args.infile, score_column=args.score_column, label_column=args.label_column)
     calibrator = METHODS[args.method](args)
@@ -99,10 +89,10 @@ def cmd_apply(args) -> int:
     def blocks():
         start = 0
         for block in rows:
-            yield block, format_floats(calibrated[start : start + len(block)].tolist())
+            yield block, calibrated[start : start + len(block)]
             start += len(block)
 
-    _write_csv(args.outfile, fieldnames + [args.column], blocks())
+    write_csv(args.outfile, fieldnames + [args.column], blocks())
     print(f"{scores.size} rows calibrated; written to {args.outfile}")
     return EXIT_OK
 
@@ -125,8 +115,7 @@ def cmd_eval(args) -> int:
     if args.outfile is not None:
         values = {"rmse": report.rmse, "auc": report.auc, "accuracy": report.accuracy, "mce": report.mce,
                   "ece": report.ece, **({} if auc_loss is None else {"auc_loss": auc_loss})}
-        with open(args.outfile, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows([list(values), format_floats(values.values())])
+        write_csv(args.outfile, list(values), [[[cell] for cell in format_cells(values.values())]])
     if args.reliability_out is not None:
         write_reliability_csv(report.bins, args.reliability_out)
     return EXIT_OK
@@ -135,16 +124,12 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     if args.kind == "oracle":
         data = generate_oracle(OracleSpec(curve=args.curve, level=args.level), args.n, args.seed)
-        header, floats = ["score", "label"], [data.scores]
+        header, columns = ["score", "label"], [data.scores, data.labels]
     else:
         data = generate_xor(args.n, noise_sd=args.noise_sd, seed=args.seed)
-        header, floats = ["x1", "x2", "label"], [data.features[:, 0], data.features[:, 1]]
-    blocks = (
-        [format_floats(column[i : i + _BLOCK_ROWS].tolist()) for column in floats]
-        + [data.labels[i : i + _BLOCK_ROWS].tolist()]
-        for i in range(0, len(data), _BLOCK_ROWS)
-    )
-    _write_csv(args.outfile, header, blocks)
+        header, columns = ["x1", "x2", "label"], [data.features[:, 0], data.features[:, 1], data.labels]
+    blocks = ([column[i : i + _BLOCK_ROWS] for column in columns] for i in range(0, len(data), _BLOCK_ROWS))
+    write_csv(args.outfile, header, blocks)
     print(f"{args.n} rows written to {args.outfile}")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Score/label containers, CSV ingestion, and calibration-set construction."""
+"""Score/label containers, CSV reading and writing, and calibration-set construction."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._validation import as_labels, as_scores, check_same_length
+from ._validation import as_labels, as_scores, check_same_length, scored_pair
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -31,9 +31,7 @@ class ScoredDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        scores = as_scores(self.scores)
-        labels = as_labels(self.labels)
-        check_same_length(scores, labels)
+        scores, labels = scored_pair(self.scores, self.labels)
         object.__setattr__(self, "scores", _freeze(scores))
         object.__setattr__(self, "labels", _freeze(labels))
 
@@ -240,12 +238,42 @@ def _read_row_by_row(path: Path, wanted: list[str], keep_rows: bool) -> tuple:
     except csv.Error as exc:  # say, a cell longer than csv.field_size_limit()
         where = "header" if row_number < 0 else f"row {row_number + 1}"
         raise ValueError(f"{path}: {where}: {exc}") from None
+    except UnicodeDecodeError:  # its position is in a read buffer: find the byte in the whole file
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+        raise
     return (
         list(reader.fieldnames),
         np.asarray(scores, dtype=np.float64),
         None if label_column is None else np.asarray(labels, dtype=np.int64),
         None if rows is None else [rows],
     )
+
+
+def format_cells(values) -> list[str]:
+    """Each float of a sequence as ``%.17g`` text (exact; nan, inf, -inf if not finite), in one pass."""
+    values = tuple(values)
+    return ("%.17g," * len(values) % values).split(",")[:-1]
+
+
+def _cells(column) -> list:
+    """A column's CSV cells: a float array's by ``format_cells``, any other's as str formats them."""
+    if not isinstance(column, np.ndarray):
+        return column
+    return format_cells(column.tolist()) if column.dtype.kind == "f" else column.tolist()
+
+
+def write_csv(path, header: list[str], blocks) -> None:
+    """Write a header line, then each block of rows, given as the list of its columns."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerow(header)
+        for columns in blocks:
+            line = ",".join(["{}"] * len(columns)) + "\r\n"
+            handle.write("".join(map(line.format, *map(_cells, columns))))
 
 
 def load_scored_csv(

@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validation import (
-    as_labels, as_scores, check_iteration, check_same_length, class_counts, model_field,
-)
+from ._validation import check_iteration, class_counts, model_field, scored_pair
 from .base import BaseCalibrator
 
 _SILVERMAN_FLOOR = 1e-3
@@ -83,9 +81,7 @@ class KDECalibrator(BaseCalibrator):
         self.prior_ = None
 
     def fit(self, scores, labels) -> "KDECalibrator":
-        y = as_scores(scores)
-        z = as_labels(labels)
-        check_same_length(y, z)
+        y, z = scored_pair(scores, labels)
         total, m, n_neg = class_counts(z)
         if m < 2 or n_neg < 2:
             raise ValueError(
@@ -342,9 +338,7 @@ class DPMCalibrator(BaseCalibrator):
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         check_iteration(self.max_iter, self.tol)
-        y = as_scores(scores)
-        z = as_labels(labels)
-        check_same_length(y, z)
+        y, z = scored_pair(scores, labels)
         total, m, n_neg = class_counts(z)
         if m < 2 or n_neg < 2:
             raise ValueError(

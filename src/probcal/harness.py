@@ -22,7 +22,6 @@ same data however many trials run and in whatever order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -31,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binning import HistogramCalibrator
+from .data import write_csv
 from .metrics import _bin_indices, _level_auc, _summarize, auc, ece, mce
 from .serialize import write_json
 from .synth import OracleSpec, generate_oracle, true_theta
@@ -451,11 +451,8 @@ def write_sweep_csv(report: SweepReport, path) -> None:
     if not report.points:
         raise ValueError("report has no points")
     columns = list(report.points[0].summary)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for point in report.points:
-            writer.writerow([format(point.summary[c], ".17g") for c in columns])
+    values = [np.array([point.summary[c] for point in report.points], dtype=np.float64) for c in columns]
+    write_csv(path, columns, [values])
 
 
 def write_sweep_json(report: SweepReport, path) -> None:

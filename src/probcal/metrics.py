@@ -8,13 +8,13 @@ gap |observed - predicted|, MCE the maximum gap over nonempty bins.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_labels, as_scores, check_same_length, class_counts
+from ._validation import class_counts, scored_pair
+from .data import write_csv
 
 SCHEME_FREQUENCY = "frequency"
 SCHEME_WIDTH = "width"
@@ -67,9 +67,7 @@ def reliability(
     one. Equal-width bins cut [0, 1] at i/num_bins; they are right-open with
     the last closed at 1 and may be empty.
     """
-    p = as_scores(predictions, "predictions")
-    z = as_labels(labels)
-    check_same_length(p, z, "predictions and labels")
+    p, z = scored_pair(predictions, labels, "predictions")
     if p.size == 0:
         raise ValueError("cannot bin an empty prediction list")
     if num_bins < 1:
@@ -127,9 +125,7 @@ def auc(scores, labels) -> float:
     pair count (the Mann-Whitney U) is counted exactly in int64 by binary
     search of each positive in the sorted negatives, O(N log N).
     """
-    y = as_scores(scores, "scores")
-    z = as_labels(labels)
-    check_same_length(y, z)
+    y, z = scored_pair(scores, labels)
     _, m, n_neg = class_counts(z)
     if m == 0 or n_neg == 0:
         raise ValueError("AUC is undefined without both classes present")
@@ -151,9 +147,7 @@ def _level_auc(codes: np.ndarray, z: np.ndarray, n_levels: int) -> float:
 
 def rmse(predictions, labels) -> float:
     """Root mean squared error between predictions and 0/1 labels."""
-    p = as_scores(predictions, "predictions")
-    z = as_labels(labels)
-    check_same_length(p, z, "predictions and labels")
+    p, z = scored_pair(predictions, labels, "predictions")
     if p.size == 0:
         raise ValueError("rmse of an empty list is undefined")
     return float(np.sqrt(np.mean((p - z) ** 2)))
@@ -161,9 +155,7 @@ def rmse(predictions, labels) -> float:
 
 def accuracy(predictions, labels, threshold: float = 0.5) -> float:
     """Fraction of samples where (prediction >= threshold) matches the label."""
-    p = as_scores(predictions, "predictions")
-    z = as_labels(labels)
-    check_same_length(p, z, "predictions and labels")
+    p, z = scored_pair(predictions, labels, "predictions")
     if p.size == 0:
         raise ValueError("accuracy of an empty list is undefined")
     return float(np.mean((p >= threshold).astype(np.int64) == z))
@@ -190,16 +182,6 @@ def evaluate(
 
 def write_reliability_csv(bins: list[ReliabilityBin], path) -> None:
     """Export bins for external plotting of the reliability curve."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_index", "mean_prediction", "positive_fraction", "weight", "count"])
-        for b in bins:
-            writer.writerow(
-                [
-                    b.index,
-                    format(b.mean_prediction, ".17g"),
-                    format(b.positive_fraction, ".17g"),
-                    format(b.weight, ".17g"),
-                    b.count,
-                ]
-            )
+    fields = ["index", "mean_prediction", "positive_fraction", "weight", "count"]
+    columns = [np.array([getattr(b, name) for b in bins]) for name in fields]
+    write_csv(path, ["bin_index", *fields[1:]], [columns])

@@ -8,9 +8,7 @@ import warnings
 
 import numpy as np
 
-from ._validation import (
-    as_labels, as_scores, check_iteration, check_same_length, class_counts, model_field,
-)
+from ._validation import check_iteration, class_counts, model_field, scored_pair
 from .base import BaseCalibrator
 
 
@@ -115,9 +113,7 @@ class PlattCalibrator(BaseCalibrator):
 
     def fit(self, scores, labels) -> "PlattCalibrator":
         check_iteration(self.max_iter, self.tol)
-        f = as_scores(scores)
-        z = as_labels(labels)
-        check_same_length(f, z)
+        f, z = scored_pair(scores, labels)
         _, m, n_neg = class_counts(z)
         if m == 0 or n_neg == 0:
             raise ValueError("sigmoid fitting needs both classes present")
@@ -200,9 +196,7 @@ class IsotonicCalibrator(BaseCalibrator):
         self.values_ = None
 
     def fit(self, scores, labels) -> "IsotonicCalibrator":
-        y = as_scores(scores)
-        z = as_labels(labels)
-        check_same_length(y, z)
+        y, z = scored_pair(scores, labels)
         if y.size == 0:
             raise ValueError("need at least one sample")
         order = np.argsort(y, kind="stable")

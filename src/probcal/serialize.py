@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 
 from .binning import HistogramCalibrator
+from .data import format_cells
 from .density import DPMCalibrator, KDECalibrator
 from .monotone import IsotonicCalibrator, PlattCalibrator
 
@@ -29,15 +30,6 @@ def format_float(value: float) -> str:
     if not math.isfinite(value):
         return "null"
     return format(value, ".17g")
-
-
-def format_floats(values) -> list[str]:
-    """``format_float`` of each value of a sequence of floats, formatted in one pass."""
-    values = tuple(values)
-    text = "%.17g," * len(values) % values
-    if "n" in text:  # only "nan" and "inf" contain an n: format each value
-        return [format_float(v) for v in values]
-    return text.split(",")[:-1]
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -63,8 +55,11 @@ def iterdumps(obj, indent: int = 0):
         if obj and set(map(type, obj)) == {float}:
             comma = f",\n{inner}"
             for start in range(0, len(obj), _BLOCK_VALUES):
-                values = format_floats(obj[start : start + _BLOCK_VALUES])
-                yield (comma if start else f"[\n{inner}") + comma.join(values)
+                block = obj[start : start + _BLOCK_VALUES]
+                text = comma.join(format_cells(block))
+                if "n" in text:  # only "nan" and "inf" contain an n: null them one by one
+                    text = comma.join(map(format_float, block))
+                yield (comma if start else f"[\n{inner}") + text
         else:
             opening = "[\n"
             for v in obj:

@@ -207,6 +207,48 @@ def expected_weights_by_loop(sticks) -> np.ndarray:
     return weights
 
 
+def frequency_edges_by_loop(scores, n_bins: int) -> np.ndarray:
+    """Equal-frequency histogram edges, one group boundary at a time.
+
+    Sort the scores stably and cut the order as np.array_split does; each
+    boundary whose two adjacent scores differ gets an edge at their midpoint
+    unless it would not increase the edges so far; 1 closes the last bin.
+    """
+    ordered = np.asarray(scores, dtype=np.float64)[np.argsort(scores, kind="stable")]
+    groups = np.array_split(np.arange(ordered.size), n_bins)
+    cuts = [0.0]
+    for j in range(1, n_bins):
+        lo = ordered[groups[j - 1][-1]]
+        hi = ordered[groups[j][0]]
+        if hi <= lo:
+            continue  # tie spans the boundary: an edge here separates nothing
+        midpoint = 0.5 * (lo + hi)
+        if midpoint > cuts[-1]:
+            cuts.append(float(midpoint))
+    if cuts[-1] < 1.0:
+        cuts.append(1.0)
+    else:
+        cuts[-1] = 1.0  # a midpoint landed exactly on 1; the final edge replaces it
+    return np.asarray(cuts, dtype=np.float64)
+
+
+def nearest_nonempty_by_loop(counts) -> np.ndarray:
+    """For every bin, the index of the nearest bin with a positive count (ties -> lower)."""
+    nonempty = np.flatnonzero(np.asarray(counts) > 0)
+    fill = np.empty(len(counts), dtype=np.intp)
+    for j in range(len(counts)):
+        pos = np.searchsorted(nonempty, j)
+        left = nonempty[pos - 1] if pos > 0 else None
+        right = nonempty[pos] if pos < nonempty.size else None
+        if left is None:
+            fill[j] = right
+        elif right is None:
+            fill[j] = left
+        else:
+            fill[j] = left if (j - left) <= (right - j) else right
+    return fill
+
+
 def as_labels_three_pass(values, name: str = "labels") -> np.ndarray:
     """0/1 label check by casting to int64, comparing with a float64 copy, then a set test."""
     arr = np.asarray(values)
@@ -224,7 +266,7 @@ def as_labels_three_pass(values, name: str = "labels") -> np.ndarray:
 
 def dumps_whole(obj, indent: int = 0) -> str:
     """serialize.dumps built recursively as one string, each float list formatted whole."""
-    from probcal.serialize import format_float, format_floats
+    from probcal.serialize import format_float
 
     pad, inner = "  " * indent, "  " * (indent + 1)
     if obj is None:
@@ -246,7 +288,7 @@ def dumps_whole(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) == {float}:
-            return f"[\n{inner}" + f",\n{inner}".join(format_floats(obj)) + f"\n{pad}]"
+            return f"[\n{inner}" + f",\n{inner}".join(map(format_float, obj)) + f"\n{pad}]"
         rows = [f"{inner}{dumps_whole(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import plug_in_estimate
+from oracles import frequency_edges_by_loop, nearest_nonempty_by_loop, plug_in_estimate
 from probcal.base import NotFittedError
-from probcal.binning import HistogramCalibrator, default_bin_count
+from probcal.binning import HistogramCalibrator, _nearest_nonempty, default_bin_count
 
 
 def fit_hist(scores, labels, **kwargs):
@@ -117,6 +117,56 @@ class TestEqualFrequencyFit:
         assert not np.any(np.isnan(out))
 
 
+# scores at the ends of [0, 1] and next to them, where a midpoint can round onto an end
+EXTREME_SCORES = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+@st.composite
+def tied_scores_and_bin_count(draw):
+    """Scores drawn from a few values, so ties span group boundaries, and a B in [1, N]."""
+    values = st.sampled_from(EXTREME_SCORES) | st.floats(0.0, 1.0)
+    pool = draw(st.lists(values, min_size=1, max_size=6))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    return np.array(scores), draw(st.integers(1, len(scores)))
+
+
+class TestAgainstLoopReferences:
+    """The array-op edges and empty-bin redirects equal the loops they replaced, bit for bit."""
+
+    @given(tied_scores_and_bin_count())
+    @settings(max_examples=400, deadline=None)
+    def test_frequency_edges_and_fill(self, case):
+        scores, n_bins = case
+        model = fit_hist(scores, np.arange(scores.size) % 2, n_bins=n_bins)
+        assert model.edges_.tobytes() == frequency_edges_by_loop(scores, n_bins).tobytes()
+        assert model._fill.tobytes() == nearest_nonempty_by_loop(model.counts_).tobytes()
+
+    @given(tied_scores_and_bin_count())
+    @settings(max_examples=200, deadline=None)
+    def test_width_fill_with_bins_left_empty(self, case):
+        scores, n_bins = case
+        model = fit_hist(scores, np.arange(scores.size) % 2, n_bins=n_bins, scheme="width")
+        assert model._fill.tobytes() == nearest_nonempty_by_loop(model.counts_).tobytes()
+
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, 5]), min_size=1, max_size=40).filter(any))
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_nonempty(self, counts):
+        counts = np.array(counts)
+        assert _nearest_nonempty(counts).tobytes() == nearest_nonempty_by_loop(counts).tobytes()
+
+    def test_midpoints_at_the_ends(self):
+        # 0.5 * (0 + 5e-324) rounds to 0 and 0.5 * ((1 - 2**-53) + 1) to 1: neither adds an edge
+        for scores in ([0.0, 5e-324], [1.0 - 2.0**-53, 1.0], [0.0, 5e-324, 1.0 - 2.0**-53, 1.0]):
+            scores = np.array(scores)
+            model = fit_hist(scores, np.arange(scores.size) % 2, n_bins=scores.size)
+            assert model.edges_.tolist() == frequency_edges_by_loop(scores, scores.size).tolist()
+        assert model.edges_.size == 3  # only the middle boundary of the last case adds an edge
+
+    def test_all_empty_is_rejected(self):
+        with pytest.raises(ValueError, match="all bins are empty"):
+            _nearest_nonempty(np.zeros(3, dtype=np.int64))
+
+
 class TestEqualWidthFit:
     def test_edges_are_uniform(self):
         model = fit_hist([0.1, 0.3, 0.6, 0.9], [0, 0, 1, 1], n_bins=4, scheme="width")
@@ -164,12 +214,6 @@ class TestValidationAndState:
         model = fit_hist([0.1, 0.9], [0, 1], n_bins=1)
         with pytest.raises(ValueError):
             model.predict(1.5)
-
-    def test_get_params_round_trip(self):
-        model = HistogramCalibrator(n_bins=7, scheme="width")
-        assert model.get_params() == {"n_bins": 7, "scheme": "width"}
-        model.set_params(n_bins=3)
-        assert model.n_bins == 3
 
     def test_fit_returns_self(self):
         model = HistogramCalibrator(n_bins=1)

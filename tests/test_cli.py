@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -381,6 +382,32 @@ class TestBlockedRowPath:
         capsys.readouterr()
 
 
+class TestUndecodableByte:
+    """An invalid UTF-8 byte is reported with the file, its 1-based line and its offset in the file."""
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            (b"sco\xffre,label\n0.5,1\n", 1),
+            (b"score,label\n0.5,1\xff\n0.25,0\n", 2),
+            (b"score,label\n" + b"0.5,1\n" * 100 + b"0.5,1\xff\n", 102),
+        ],
+        ids=["header", "data row 1", "last block"],
+    )
+    def test_exits_2_naming_path_and_line(self, content, line, histogram_model, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(probcal.data, "_BLOCK_BYTES", 64)  # the last case's byte is in the last block
+        source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        source.write_bytes(content)
+        code = main(["apply", "--model", str(histogram_model), "--in", str(source), "--out", str(out)])
+        assert code == EXIT_INPUT
+        offset = content.index(b"\xff")
+        assert capsys.readouterr().err == (
+            f"error: {source}: line {line}: 'utf-8' codec can't decode byte 0xff"
+            f" in position {offset}: invalid start byte\n"
+        )
+        assert not out.exists()
+
+
 # Runs a command and prints its exit code and peak RSS in KiB. A child's peak
 # RSS counts from its parent's RSS at the fork, so commands are started from
 # this small interpreter rather than from the test process.
@@ -429,6 +456,17 @@ class TestEval:
         out = capsys.readouterr().out
         for name in ("RMSE", "AUC", "ACC", "MCE", "ECE"):
             assert name in out
+
+    def test_empty_reliability_bins_are_nan_cells(self, tmp_path, capsys):
+        # 20 equal-frequency bins over 8 rows leave bins 8..19 empty
+        source, bins = tmp_path / "eight.csv", tmp_path / "bins.csv"
+        assert main(["simulate", "--kind", "oracle", "--n", "8", "--seed", "3", "--out", str(source)]) == EXIT_OK
+        assert main(["eval", "--in", str(source), "--bins", "20", "--reliability-out", str(bins)]) == EXIT_OK
+        capsys.readouterr()
+        lines = bins.read_bytes().decode().split("\r\n")
+        assert lines[0] == "bin_index,mean_prediction,positive_fraction,weight,count"
+        assert all(line.endswith(",0.125,1") and "nan" not in line for line in lines[1:9])
+        assert lines[9:] == [f"{j},nan,nan,0,0" for j in range(8, 20)] + [""]
 
     def test_model_adds_auc_loss_line(self, scored_csv, histogram_model, capsys):
         code = main(["eval", "--in", str(scored_csv), "--model", str(histogram_model)])
@@ -570,6 +608,20 @@ class TestVerifyCommand:
         ]
         assert json.loads(json_path.read_text())["notes"][0] == note
 
+    def test_undefined_mean_auc_is_nan_in_csv_and_null_in_json(self, tmp_path, capsys):
+        # a constant level of 0 gives one-class test sets, so no calibrated AUC is defined
+        csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        argv = ["verify", "size-sweep", "--curve", "constant", "--level", "0", "--sizes", "100,1000",
+                "--trials", "2", "--test-size", "500", "--csv-out", str(csv_path), "--json-out", str(json_path)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert csv_path.read_bytes() == (
+            b"n_cal,mean_mce,se_mce,mean_ece,se_ece,mean_auc_calibrated\r\n"
+            b"100,0,0,0,0,nan\r\n1000,0,0,0,0,nan\r\n"
+        )
+        text = json_path.read_text()
+        assert text.count('"mean_auc_calibrated": null') == 2 and "nan" not in text.lower()
+
     def test_report_files_are_deterministic(self, tmp_path):
         outputs = []
         for name in ("a", "b"):
@@ -693,6 +745,21 @@ class TestModuleEntryPoint:
 
 
 class TestImportFootprint:
+    def test_only_the_data_module_imports_csv(self):
+        # one CSV reader and one writer, both in probcal.data
+        importers = []
+        for path in sorted(Path(probcal.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                else:
+                    continue
+                if "csv" in names:
+                    importers.append(path.stem)
+        assert importers == ["data"]
+
     def test_cli_import_loads_neither_scipy_stats_nor_integrate(self):
         source = str(Path(probcal.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import probcal.data
 from oracles import as_labels_three_pass
+from probcal import DPMCalibrator, HistogramCalibrator, IsotonicCalibrator, KDECalibrator, PlattCalibrator
 from probcal._validation import as_labels, as_scores
 from probcal.data import (
     FeatureDataset,
@@ -24,6 +25,7 @@ from probcal.data import (
     read_scored_rows,
     split,
 )
+from probcal.metrics import accuracy, auc, reliability, rmse
 
 
 def make_csv(tmp_path, text, name="data.csv"):
@@ -140,6 +142,40 @@ class TestScoredDataset:
         sub = data.subset([2, 0])
         assert sub.scores.tolist() == [0.3, 0.1]
         assert sub.labels.tolist() == [0, 0]
+
+
+# every entry point that takes a (scores, labels) pair, and the name it gives the scores
+PAIR_ENTRY_POINTS = {
+    "HistogramCalibrator.fit": (lambda y, z: HistogramCalibrator().fit(y, z), "scores"),
+    "PlattCalibrator.fit": (lambda y, z: PlattCalibrator().fit(y, z), "scores"),
+    "IsotonicCalibrator.fit": (lambda y, z: IsotonicCalibrator().fit(y, z), "scores"),
+    "KDECalibrator.fit": (lambda y, z: KDECalibrator().fit(y, z), "scores"),
+    "DPMCalibrator.fit": (lambda y, z: DPMCalibrator().fit(y, z), "scores"),
+    "reliability": (reliability, "predictions"),
+    "auc": (auc, "scores"),
+    "rmse": (rmse, "predictions"),
+    "accuracy": (accuracy, "predictions"),
+    "ScoredDataset": (ScoredDataset, "scores"),
+}
+# (scores, labels, message) with {name} for the scores' name
+BAD_PAIRS = {
+    "2-D": ([[0.1, 0.2], [0.3, 0.4]], [0, 1], "{name} must be one-dimensional, got shape (2, 2)"),
+    "string dtype": (["0.1", "0.2"], [0, 1], "{name} must be numeric, got dtype <U3"),
+    "NaN": ([np.nan, 0.5], [0, 1], "{name} must be finite"),
+    "outside [0, 1]": ([1.5, 0.5], [0, 1], "{name} must lie in [0, 1]"),
+    "label 2": ([0.1, 0.5], [0, 2], "labels must contain only 0 and 1"),
+    "length mismatch": ([0.1, 0.2, 0.3], [0, 1], "{name} and labels must have equal length, got 3 and 2"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS.values(), ids=BAD_PAIRS)
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS.values(), ids=PAIR_ENTRY_POINTS)
+def test_every_pair_entry_point_gives_the_same_message(entry, bad):
+    call, name = entry
+    scores, labels, message = bad
+    with pytest.raises(ValueError) as raised:
+        call(scores, labels)
+    assert type(raised.value) is ValueError and str(raised.value) == message.format(name=name)
 
 
 class TestFeatureDataset:
@@ -396,8 +432,8 @@ class TestBlockEdges:
             _read_row_by_row(path, ["score", "label"], True)
         with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
             read_scored_rows(path, label_column="label", keep_rows=True)
-        if fault != LAST_BLOCK_FAULTS["invalid UTF-8"]:
-            assert "row 101: " in str(expected.value)
+        where = "line 102: " if fault == LAST_BLOCK_FAULTS["invalid UTF-8"] else "row 101: "
+        assert where in str(expected.value)
 
 
 def _render(cells) -> str:

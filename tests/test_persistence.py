@@ -15,7 +15,8 @@ from probcal.binning import HistogramCalibrator
 from probcal.density import DPMCalibrator, KDECalibrator
 from probcal.harness import Assertion, SweepPoint, SweepReport, write_sweep_json
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator
-from probcal.serialize import MODEL_CLASSES, dumps, format_float, format_floats, load_model, save_model
+from probcal.data import format_cells
+from probcal.serialize import MODEL_CLASSES, dumps, format_float, load_model, save_model
 from probcal.synth import OracleSpec, generate_oracle
 
 
@@ -49,12 +50,13 @@ class TestFormatFloats:
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 5e-324])))
     @settings(max_examples=200, deadline=None)
     def test_equals_format_float_elementwise(self, values):
-        assert format_floats(values) == [format_float(v) for v in values]
+        assert format_cells(values) == [format(v, ".17g") for v in values]
 
     def test_numpy_array_and_empty_input(self):
         values = np.array([0.1, np.nan, -np.inf, 1e-310, 2.0 / 3.0])
-        assert format_floats(values) == [format_float(v) for v in values.tolist()]
-        assert format_floats([]) == []
+        assert format_cells(values) == [format(v, ".17g") for v in values.tolist()]
+        assert format_cells(values)[1:3] == ["nan", "-inf"]
+        assert format_cells([]) == []
 
 
 def recursive_float_list(values, indent):
@@ -159,6 +161,11 @@ class TestWrittenPieces:
             assert model.read_bytes() == (dumps(model_payload) + "\n").encode()
             assert sweep.read_bytes() == (dumps(sweep_payload) + "\n").encode()
             assert dumps(sweep_payload) == dumps_whole(sweep_payload)
+
+    def test_non_finite_floats_of_a_float_list_are_null(self, monkeypatch):
+        monkeypatch.setattr(probcal.serialize, "_BLOCK_VALUES", 2)
+        values = [0.5, 0.25, math.nan, math.inf, -math.inf]
+        assert dumps(values) == "[\n  0.5,\n  0.25,\n  null,\n  null,\n  null\n]"
 
     def test_long_float_list_comes_in_blocks(self, monkeypatch):
         monkeypatch.setattr(probcal.serialize, "_BLOCK_VALUES", 4)
