@@ -3,8 +3,10 @@
 Calibrators map raw classifier scores in [0, 1] to calibrated probability
 estimates. All follow the same small estimator protocol: construct with
 hyperparameters, ``fit(scores, labels)``, then ``predict(scores)``;
-``to_dict``/``from_dict`` round-trip fitted state through plain JSON.
+``to_dict``/``from_dict`` round-trip fitted state through plain JSON; the
+KDE and isotonic payloads hold float64 arrays, written as float lists.
 Constructor arguments are plain attributes (there is no ``get_params``).
+``pool_adjacent_violators(positives, counts)`` takes integer group counts.
 
 The harness submodule checks the finite-sample guarantees of histogram
 binning (MCE bound, ECE decay rate, AUC loss, per-bin concentration) by

@@ -22,6 +22,7 @@ from ._validation import check_iteration, class_counts, model_field, scored_pair
 from .base import BaseCalibrator
 
 _SILVERMAN_FLOOR = 1e-3
+_BLOCK_QUERIES = 1 << 14  # queries per block of KDECalibrator.predict
 
 
 def _special():
@@ -112,9 +113,14 @@ class KDECalibrator(BaseCalibrator):
     def predict(self, scores):
         self._require_fitted("positives_")
         queries, scalar = self._prepare_queries(scores)
-        s_pos = self._kernel_sum(self.positives_, queries, self.bandwidth_pos_)
-        s_neg = self._kernel_sum(self.negatives_, queries, self.bandwidth_neg_)
-        out = _posterior_ratio(self.bandwidth_neg_ * s_pos, self.bandwidth_pos_ * s_neg, self.prior_)
+        out = np.empty_like(queries)
+        for start in range(0, queries.size, _BLOCK_QUERIES):
+            block = queries[start : start + _BLOCK_QUERIES]
+            s_pos = self._kernel_sum(self.positives_, block, self.bandwidth_pos_)
+            s_neg = self._kernel_sum(self.negatives_, block, self.bandwidth_neg_)
+            out[start : start + block.size] = _posterior_ratio(
+                self.bandwidth_neg_ * s_pos, self.bandwidth_pos_ * s_neg, self.prior_
+            )
         return self._finish(out, scalar)
 
     def to_dict(self) -> dict:
@@ -123,8 +129,8 @@ class KDECalibrator(BaseCalibrator):
             "method": "kde",
             "form": "bayes",
             "shared_bandwidth": bool(self.shared_bandwidth),
-            "positives": [float(x) for x in self.positives_],
-            "negatives": [float(x) for x in self.negatives_],
+            "positives": self.positives_.copy(),
+            "negatives": self.negatives_.copy(),
             "h0": float(self.bandwidth_neg_),
             "h1": float(self.bandwidth_pos_),
             "prior": float(self.prior_),
@@ -349,14 +355,10 @@ class DPMCalibrator(BaseCalibrator):
                 f"truncation must not exceed the smaller class size, got {self.truncation} "
                 f"for {m} positive / {n_neg} negative"
             )
-        seed_pos, seed_neg = np.random.SeedSequence(self.seed).spawn(2)
-        self.positive_ = _fit_class_mixture(
-            y[z == 1], self.truncation, self.alpha, self.max_iter, self.tol,
-            np.random.default_rng(seed_pos),
-        )
-        self.negative_ = _fit_class_mixture(
-            y[z == 0], self.truncation, self.alpha, self.max_iter, self.tol,
-            np.random.default_rng(seed_neg),
+        streams = map(np.random.default_rng, np.random.SeedSequence(self.seed).spawn(2))
+        self.positive_, self.negative_ = (
+            _fit_class_mixture(y[z == label], self.truncation, self.alpha, self.max_iter, self.tol, rng)
+            for label, rng in zip((1, 0), streams)
         )
         for name, posterior in (("positive", self.positive_), ("negative", self.negative_)):
             if not posterior.converged:

@@ -110,9 +110,11 @@ def _rng_pair(seed: int, *path: int):
     return root.spawn(2)
 
 
-def _require_trials(trials: int, least: int, why: str = "") -> None:
-    if trials < least:
-        raise ValueError(f"trials must be >= {least}{why}")
+def _require(least: int, why: str = "", **values) -> None:
+    """Each value given, other than None (a default), must be >= ``least``; the message names it."""
+    for name, value in values.items():
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}{why}, got {value}")
 
 
 def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = "std") -> dict:
@@ -199,9 +201,9 @@ def verify_mce_bound(
     of trials within the bound, which must reach 1 - delta. At least ~50
     trials are needed for that fraction to be meaningful.
     """
-    _require_trials(trials, 1)
-    n_test = default_test_size(n_cal) if n_test is None else n_test
+    _require(1, trials=trials, n_test=n_test)
     bound = mce_bound(n_cal, n_bins, delta)
+    n_test = default_test_size(n_cal) if n_test is None else n_test
     reports = _run_trials(
         oracle_generator(spec), n_cal, n_test, n_bins, trials, seed,
         raw_auc=True, calibrated_auc=True,
@@ -247,12 +249,12 @@ def verify_ece_rate(
     wide enough for Monte-Carlo noise. The size grid must span at least
     two decades for the slope to mean anything.
     """
+    _require(1, n_bins=n_bins, trials=trials)
     sizes = sorted(int(n) for n in n_grid)
     if len(sizes) < 2 or sizes[0] < 1:
         raise ValueError("n_grid needs at least two positive sizes")
     if sizes[-1] < 100 * sizes[0]:
         raise ValueError("n_grid must span at least two decades")
-    _require_trials(trials, 1)
     points = []
     for grid_index, n_cal in enumerate(sizes):
         reports = _run_trials(
@@ -286,6 +288,7 @@ def verify_auc_loss(
     the average-loss guarantee does not cover. Negative losses (AUC
     gained) are possible and simply reported.
     """
+    _require(1, n_cal=n_cal)
     bins_sorted = sorted(int(b) for b in bin_grid)
     if not bins_sorted or bins_sorted[0] < 1:
         raise ValueError("bin counts must be >= 1")
@@ -294,7 +297,7 @@ def verify_auc_loss(
             f"bin count {bins_sorted[-1]} exceeds sqrt(n_cal) = {math.isqrt(n_cal)}; "
             "per-bin noise would swamp the average-loss guarantee"
         )
-    _require_trials(trials, 2, " for a standard error")
+    _require(2, " for a standard error", trials=trials)
     n_test = default_test_size(n_cal)
     points = []
     assertions = []
@@ -341,7 +344,8 @@ def verify_theta_concentration(
     checks the estimates are centered: per-bin mean deviation within
     three standard errors of zero.
     """
-    _require_trials(trials, 2)
+    _require(1, n_cal=n_cal, n_bins=n_bins)
+    _require(2, trials=trials)
     epsilons = sorted(float(e) for e in epsilon_grid)
     if not epsilons or not all(0 < e < math.inf for e in epsilons):
         raise ValueError("epsilon_grid needs values that are finite and > 0")
@@ -404,9 +408,8 @@ def calibration_size_sweep(
         raise ValueError("sizes must be ascending")
     if len(size_list) < 2:
         raise ValueError("need at least two sizes")
-    if metric_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {metric_bins}")
-    _require_trials(trials, 2)
+    _require(1, sizes=size_list[0], n_test=n_test, n_bins=n_bins, num_bins=metric_bins)
+    _require(2, trials=trials)
     points = []
     for grid_index, n_cal in enumerate(size_list):
         reports = _run_trials(

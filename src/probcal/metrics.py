@@ -86,19 +86,10 @@ def _summarize(p: np.ndarray, z: np.ndarray, members: list) -> list[ReliabilityB
     n = p.size
     bins = []
     for j, idx in enumerate(members):
-        count = int(idx.size)
-        if count == 0:
+        if idx.size == 0:
             bins.append(ReliabilityBin(j, 0, math.nan, math.nan, 0.0))
-            continue
-        bins.append(
-            ReliabilityBin(
-                index=j,
-                count=count,
-                mean_prediction=float(p[idx].mean()),
-                positive_fraction=float(z[idx].mean()),
-                weight=count / n,
-            )
-        )
+        else:
+            bins.append(ReliabilityBin(j, idx.size, float(p[idx].mean()), float(z[idx].mean()), idx.size / n))
     return bins
 
 

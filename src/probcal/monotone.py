@@ -1,5 +1,5 @@
 """Monotone baseline calibrators: sigmoid (Platt) fitting and isotonic
-regression by pooling adjacent violators.
+regression as the greatest convex minorant of cumulative label counts.
 """
 
 from __future__ import annotations
@@ -46,42 +46,60 @@ def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float) ->
     return w, min(iteration + 1, max_iter), gradient_norm, gradient_norm < tol
 
 
-def pool_adjacent_violators(values, weights=None) -> np.ndarray:
-    """Weighted least-squares non-decreasing fit of a real sequence.
+_CHUNK_GROUPS = 1 << 14  # groups per chunk of the first pass of pool_adjacent_violators
+_MAX_ROUNDS = 64  # vectorised rounds of _convex_minorant before its exact stack loop
 
-    Scans left to right keeping a stack of blocks; whenever the last block's
-    mean drops below its predecessor's, the two merge into their weighted
-    mean. Returns the fitted value at every input position. O(N).
+
+def _convex_minorant(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Positions of the corners of the greatest convex minorant of the int64 points (w[i], k[i]),
+    w increasing, the first and last included. Each round drops every interior point whose left
+    slope, as an exact cross product, is at least its right slope: it lies on or above the chord
+    of its neighbours, so it is no corner. After ``_MAX_ROUNDS`` rounds a stack scan ends the job.
     """
-    y = np.asarray(values, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != y.shape:
-            raise ValueError("weights must match values in length")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-
-    # each block: [weighted sum, total weight, number of members]
-    blocks: list[list[float]] = []
-    for value, weight in zip(y, w):
-        blocks.append([value * weight, weight, 1])
-        while len(blocks) > 1:
-            s1, w1, c1 = blocks[-2]
-            s2, w2, c2 = blocks[-1]
-            if s1 / w1 <= s2 / w2:
+    corners = np.arange(w.size)
+    for _ in range(_MAX_ROUNDS):
+        dw, dk = np.diff(w[corners]), np.diff(k[corners])
+        drop = dk[:-1] * dw[1:] >= dk[1:] * dw[:-1]
+        if not drop.any():
+            return corners
+        corners = corners[np.concatenate(([True], ~drop, [True]))]
+    hull = []  # positions of the corners so far
+    for i in corners.tolist():
+        while len(hull) > 1:
+            a, b = hull[-2:]
+            if (k[b] - k[a]) * (w[i] - w[b]) < (k[i] - k[b]) * (w[b] - w[a]):
                 break
-            blocks.pop()
-            blocks[-1] = [s1 + s2, w1 + w2, c1 + c2]
-    out = np.empty_like(y)
-    position = 0
-    for s, w_total, count in blocks:
-        out[position : position + count] = s / w_total
-        position += count
-    return out
+            hull.pop()
+        hull.append(i)
+    return np.array(hull, dtype=np.int64)
+
+
+def pool_adjacent_violators(positives, counts) -> np.ndarray:
+    """Least-squares non-decreasing fit of the rates positives / counts, weighted by counts.
+
+    Group j holds counts[j] >= 1 labels, positives[j] of them 1, in score order. The fit is
+    the slopes of the greatest convex minorant of the cumulative (count, positives) diagram
+    (Barlow et al. 1972), found exactly: in chunks of ``_CHUNK_GROUPS`` groups, then over all
+    chunks' corners (no corner of a chunk is one of the whole). Returns each group's value,
+    its pooled block's positives / counts, correctly rounded.
+    """
+    k, w = np.asarray(positives), np.asarray(counts)
+    integers = k.size == 0 or k.dtype.kind in "iu" and w.dtype.kind in "iu"
+    if not (k.ndim == 1 and k.shape == w.shape and integers) or np.any(w < 1) or np.any((k < 0) | (k > w)):
+        raise ValueError("need 1-D integer positives and counts of one length, 0 <= positives <= counts >= 1")
+    if np.sum(w, dtype=np.float64) ** 2 >= 2.0**62:  # cross products of cumulative counts stay exact
+        raise ValueError("total count is too large for exact int64 cross products")
+    # corners as (cumulative count, cumulative positives, group index), starting at the origin
+    corners = [(np.zeros(1, dtype=np.int64),) * 3]
+    for lo in range(0, w.size, _CHUNK_GROUPS):
+        w0, k0 = corners[-1][0][-1], corners[-1][1][-1]
+        cw = np.concatenate(([w0], w0 + np.cumsum(w[lo : lo + _CHUNK_GROUPS], dtype=np.int64)))
+        ck = np.concatenate(([k0], k0 + np.cumsum(k[lo : lo + _CHUNK_GROUPS], dtype=np.int64)))
+        kept = _convex_minorant(cw, ck)[1:]
+        corners.append((cw[kept], ck[kept], lo + kept))
+    cw, ck, group = (np.concatenate(column) for column in zip(*corners))
+    kept = _convex_minorant(cw, ck)
+    return np.repeat(np.diff(ck[kept]) / np.diff(cw[kept]), np.diff(group[kept]))
 
 
 def _compact(breakpoints: np.ndarray, values: np.ndarray) -> tuple:
@@ -200,10 +218,13 @@ class IsotonicCalibrator(BaseCalibrator):
         if y.size == 0:
             raise ValueError("need at least one sample")
         order = np.argsort(y, kind="stable")
-        distinct, start = np.unique(y[order], return_index=True)
-        weights = np.diff(np.append(start, y.size)).astype(np.float64)
-        means = np.add.reduceat(z[order].astype(np.float64), start) / weights
-        self.breakpoints_, self.values_ = _compact(distinct, pool_adjacent_violators(means, weights))
+        y, z = y[order], z[order]
+        del order  # each temporary goes as soon as it is used: this fit sets `fit`'s peak memory
+        start = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+        positives = np.add.reduceat(z, start)
+        del z
+        first, self.values_ = _compact(start, pool_adjacent_violators(positives, np.diff(start, append=y.size)))
+        self.breakpoints_ = y[first]
         return self
 
     def predict(self, scores):
@@ -215,11 +236,7 @@ class IsotonicCalibrator(BaseCalibrator):
 
     def to_dict(self) -> dict:
         self._require_fitted("breakpoints_")
-        return {
-            "method": "isotonic",
-            "breakpoints": [float(x) for x in self.breakpoints_],
-            "values": [float(v) for v in self.values_],
-        }
+        return {"method": "isotonic", "breakpoints": self.breakpoints_.copy(), "values": self.values_.copy()}
 
     def describe(self) -> str:
         self._require_fitted("breakpoints_")

@@ -12,6 +12,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .binning import HistogramCalibrator
 from .data import format_cells
 from .density import DPMCalibrator, KDECalibrator
@@ -37,11 +39,11 @@ def dumps(obj, indent: int = 0) -> str:
     return "".join(iterdumps(obj, indent))
 
 
-_BLOCK_VALUES = 1 << 14  # floats of a float list formatted per piece of iterdumps
+_BLOCK_VALUES = 1 << 14  # floats of a float list or array formatted per piece of iterdumps
 
 
 def iterdumps(obj, indent: int = 0):
-    """The text of ``dumps(obj, indent)`` in pieces; a float list comes a block of floats at a time."""
+    """The text of ``dumps(obj, indent)`` in pieces; a float list or 1-D float64 array comes in blocks."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -51,11 +53,14 @@ def iterdumps(obj, indent: int = 0):
             yield from iterdumps(v, indent + 1)
             opening = ",\n"
         yield f"\n{pad}}}" if obj else "{}"
-    elif isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) == {float}:
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if isinstance(obj, np.ndarray) and (obj.ndim != 1 or obj.dtype != np.float64):
+            raise TypeError(f"cannot serialize a {obj.ndim}-D {obj.dtype} array")
+        if len(obj) and (isinstance(obj, np.ndarray) or set(map(type, obj)) == {float}):
             comma = f",\n{inner}"
             for start in range(0, len(obj), _BLOCK_VALUES):
                 block = obj[start : start + _BLOCK_VALUES]
+                block = block.tolist() if isinstance(block, np.ndarray) else block
                 text = comma.join(format_cells(block))
                 if "n" in text:  # only "nan" and "inf" contain an n: null them one by one
                     text = comma.join(map(format_float, block))
@@ -66,7 +71,7 @@ def iterdumps(obj, indent: int = 0):
                 yield opening + inner
                 yield from iterdumps(v, indent + 1)
                 opening = ",\n"
-        yield f"\n{pad}]" if obj else "[]"
+        yield f"\n{pad}]" if len(obj) else "[]"
     elif obj is None:
         yield "null"
     elif isinstance(obj, bool):

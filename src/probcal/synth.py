@@ -90,8 +90,8 @@ def generate_xor(n: int, noise_sd: float = 0.3, seed=0) -> FeatureDataset:
     are balanced within one sample; row order is shuffled (seeded)."""
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
     per_corner = np.full(4, n // 4, dtype=np.int64)
     # leftover rows go to corners 0, 1, 2 in turn, alternating the classes

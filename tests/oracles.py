@@ -68,13 +68,66 @@ def isotonic_by_exhaustion(values, weights=None) -> np.ndarray:
     return best_fit
 
 
+def pool_adjacent_violators_float(values, weights=None) -> np.ndarray:
+    """Weighted least-squares non-decreasing fit of a real sequence, in float arithmetic.
+
+    Scans left to right keeping a stack of blocks; whenever the last block's
+    mean drops below its predecessor's, the two merge into their weighted
+    mean. Returns the fitted value at every input position. O(N). This was the
+    library's ``pool_adjacent_violators`` before it took integer counts; a
+    pooled mean can be an ulp off the exact one.
+    """
+    y = np.asarray(values, dtype=np.float64)
+    if y.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if weights is None:
+        w = np.ones_like(y)
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != y.shape:
+            raise ValueError("weights must match values in length")
+        if np.any(w <= 0):
+            raise ValueError("weights must be positive")
+
+    # each block: [weighted sum, total weight, number of members]
+    blocks: list[list[float]] = []
+    for value, weight in zip(y, w):
+        blocks.append([value * weight, weight, 1])
+        while len(blocks) > 1:
+            s1, w1, c1 = blocks[-2]
+            s2, w2, c2 = blocks[-1]
+            if s1 / w1 <= s2 / w2:
+                break
+            blocks.pop()
+            blocks[-1] = [s1 + s2, w1 + w2, c1 + c2]
+    out = np.empty_like(y)
+    position = 0
+    for s, w_total, count in blocks:
+        out[position : position + count] = s / w_total
+        position += count
+    return out
+
+
+def isotonic_by_fractions(positives, counts) -> list:
+    """The isotonic fit of the rates positives / counts, weighted by counts, as exact
+    ``Fraction`` values, one per group: pool adjacent violators in rational arithmetic."""
+    blocks: list[list] = []  # [positives, count, number of groups]
+    for k, w in zip(positives, counts):
+        blocks.append([int(k), int(w), 1])
+        while len(blocks) > 1 and Fraction(blocks[-2][0], blocks[-2][1]) > Fraction(blocks[-1][0], blocks[-1][1]):
+            k2, w2, c2 = blocks.pop()
+            blocks[-1] = [blocks[-1][0] + k2, blocks[-1][1] + w2, blocks[-1][2] + c2]
+    return [Fraction(k, w) for k, w, c in blocks for _ in range(c)]
+
+
 def isotonic_full_breakpoints(scores, labels) -> tuple:
     """The isotonic fit with a breakpoint at every distinct training score.
 
-    Groups the labels by score, then pools adjacent violators over the mean
-    label of each distinct score, weighted by its count, with the library's
-    ``pool_adjacent_violators`` (itself checked against exhaustive search).
-    Returns (breakpoints, values), one entry per distinct score.
+    Groups the labels by score, then pools adjacent violators over the
+    positives and count of each distinct score with the library's
+    ``pool_adjacent_violators`` (itself checked against exhaustive search and
+    exact rational pooling). Returns (breakpoints, values), one entry per
+    distinct score.
     """
     from probcal.monotone import pool_adjacent_violators
 
@@ -82,9 +135,9 @@ def isotonic_full_breakpoints(scores, labels) -> tuple:
     for score, label in zip(scores, labels):
         groups.setdefault(float(score), []).append(int(label))
     breakpoints = sorted(groups)
-    means = [sum(groups[b]) / len(groups[b]) for b in breakpoints]
-    counts = [float(len(groups[b])) for b in breakpoints]
-    return np.array(breakpoints), pool_adjacent_violators(means, counts)
+    positives = [sum(groups[b]) for b in breakpoints]
+    counts = [len(groups[b]) for b in breakpoints]
+    return np.array(breakpoints), pool_adjacent_violators(positives, counts)
 
 
 def step_lookup(breakpoints, values, queries) -> np.ndarray:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import t as student_t
 
 from oracles import expected_weights_by_loop, nadaraya_watson_direct, student_t_density_direct
+import probcal.density
 from probcal.base import NotFittedError
 from probcal.density import (
     DPMCalibrator,
@@ -179,6 +180,43 @@ def two_cluster_data(seed=0, n=150, pos_center=0.8, neg_center=0.2, sd=0.05):
     scores = np.concatenate([pos, neg])
     labels = np.concatenate([np.ones(n, dtype=int), np.zeros(n, dtype=int)])
     return scores, labels
+
+
+class TestBlockedKDEPredict:
+    """``predict`` works through the queries a block at a time; the bits are those of one pass."""
+
+    @staticmethod
+    def whole_array(model, queries):
+        s_pos = KDECalibrator._kernel_sum(model.positives_, queries, model.bandwidth_pos_)
+        s_neg = KDECalibrator._kernel_sum(model.negatives_, queries, model.bandwidth_neg_)
+        return probcal.density._posterior_ratio(
+            model.bandwidth_neg_ * s_pos, model.bandwidth_pos_ * s_neg, model.prior_
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_queries=st.sampled_from([0, 1, 2, 63, 64, 65, 200]),
+        shared=st.booleans(),
+        block=st.sampled_from([1, 3, 64]),
+    )
+    def test_equals_the_whole_array_kernel_sums(self, seed, n_queries, shared, block):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 40, 120) / 39  # ties and queries on window edges
+        labels = (rng.random(120) < scores).astype(int)
+        labels[:2], labels[-2:] = 0, 1
+        model = KDECalibrator(shared_bandwidth=shared).fit(scores, labels)
+        queries = np.concatenate([rng.integers(0, 40, n_queries) / 39, rng.random(n_queries)])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probcal.density, "_BLOCK_QUERIES", block)
+            blocked = model.predict(queries)
+        assert np.array_equal(blocked, self.whole_array(model, queries))
+        assert np.array_equal(model.predict(queries), blocked)
+
+    def test_scalar_query_through_one_block(self, monkeypatch):
+        model = kde_from_parts([0.2, 0.3], [0.7, 0.8], 0.2, 0.5)
+        monkeypatch.setattr(probcal.density, "_BLOCK_QUERIES", 1)
+        assert model.predict(0.25) == 1.0
 
 
 class TestDPM:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,42 @@ class TestBounds:
         assert default_test_size(100) == 100_000
         assert default_test_size(10_000) == 100_000
         assert default_test_size(50_000) == 500_000
+
+
+class TestArgumentsAreCheckedFirst:
+    """Each routine names its own bad argument before drawing any data."""
+
+    @pytest.mark.parametrize(
+        "routine, kwargs, message",
+        [
+            (verify_mce_bound, {"n_test": 0}, "n_test must be >= 1, got 0"),
+            (verify_mce_bound, {"trials": 0}, "trials must be >= 1"),
+            (verify_ece_rate, {"n_bins": 0}, "n_bins must be >= 1, got 0"),
+            (verify_auc_loss, {"n_cal": 0}, "n_cal must be >= 1, got 0"),
+            (verify_auc_loss, {"n_cal": -4}, "n_cal must be >= 1, got -4"),
+            (verify_theta_concentration, {"n_cal": 0}, "n_cal must be >= 1, got 0"),
+            (verify_theta_concentration, {"n_bins": 0}, "n_bins must be >= 1, got 0"),
+        ],
+    )
+    def test_verify_routines(self, routine, kwargs, message, monkeypatch):
+        monkeypatch.setattr("probcal.harness.generate_oracle", None)  # no trial may start
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            routine(IDENTITY, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_test": 0}, "n_test must be >= 1, got 0"),
+            ({"sizes": (0, 100)}, "sizes must be >= 1, got 0"),
+            ({"n_bins": 0}, "n_bins must be >= 1, got 0"),
+        ],
+    )
+    def test_size_sweep(self, kwargs, message):
+        def generate(n, seed):
+            raise AssertionError("no trial may start")
+
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibration_size_sweep(generate, **{"trials": 2, **kwargs})
 
 
 class TestVerifyMceBound:

@@ -8,44 +8,53 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from oracles import isotonic_by_exhaustion, isotonic_full_breakpoints, step_lookup
+from oracles import (
+    isotonic_by_exhaustion,
+    isotonic_by_fractions,
+    isotonic_full_breakpoints,
+    pool_adjacent_violators_float,
+    step_lookup,
+)
 from probcal.base import NotFittedError
+import probcal.monotone
 from probcal.metrics import auc
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator, pool_adjacent_violators
 from probcal.serialize import dumps, load_model, save_model
 
 
 class TestPoolAdjacentViolators:
+    """The float-weights PAV, now the reference in ``oracles``: every case it had in the library."""
+
     def test_alternating_binary_sequence(self):
-        out = pool_adjacent_violators([0, 1, 0, 1])
+        out = pool_adjacent_violators_float([0, 1, 0, 1])
         assert out.tolist() == [0.0, 0.5, 0.5, 1.0]
 
     def test_three_point_violation(self):
-        out = pool_adjacent_violators([1, 3, 2])
+        out = pool_adjacent_violators_float([1, 3, 2])
         assert out.tolist() == [1.0, 2.5, 2.5]
 
     def test_already_monotone_is_unchanged(self):
         values = [0.1, 0.2, 0.2, 0.9]
-        assert pool_adjacent_violators(values).tolist() == values
+        assert pool_adjacent_violators_float(values).tolist() == values
 
     def test_fully_decreasing_collapses_to_mean(self):
-        out = pool_adjacent_violators([3, 2, 1])
+        out = pool_adjacent_violators_float([3, 2, 1])
         assert np.allclose(out, 2.0)
 
     def test_weights_shift_the_pooled_mean(self):
-        out = pool_adjacent_violators([1.0, 0.0], weights=[3.0, 1.0])
+        out = pool_adjacent_violators_float([1.0, 0.0], weights=[3.0, 1.0])
         assert np.allclose(out, 0.75)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
-            pool_adjacent_violators([1.0, 2.0], weights=[1.0, 0.0])
+            pool_adjacent_violators_float([1.0, 2.0], weights=[1.0, 0.0])
 
     def test_rejects_mismatched_weights(self):
         with pytest.raises(ValueError, match="length"):
-            pool_adjacent_violators([1.0, 2.0], weights=[1.0])
+            pool_adjacent_violators_float([1.0, 2.0], weights=[1.0])
 
     def test_empty_input(self):
-        assert pool_adjacent_violators([]).size == 0
+        assert pool_adjacent_violators_float([]).size == 0
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -59,7 +68,7 @@ class TestPoolAdjacentViolators:
         values = np.array(grid) / 8.0
         rng = np.random.default_rng(seed)
         weights = rng.integers(1, 8, len(values)) / 4.0 if use_weights else None
-        fast = pool_adjacent_violators(values, weights)
+        fast = pool_adjacent_violators_float(values, weights)
         slow = isotonic_by_exhaustion(values, weights)
         assert np.allclose(fast, slow, atol=1e-9)
         assert np.all(np.diff(fast) >= -1e-12)
@@ -68,8 +77,136 @@ class TestPoolAdjacentViolators:
     @given(values=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=40))
     def test_preserves_total_mass(self, values):
         # merging into weighted means never changes the (weighted) sum
-        out = pool_adjacent_violators(values)
+        out = pool_adjacent_violators_float(values)
         assert np.sum(out) == pytest.approx(np.sum(values), abs=1e-9)
+
+
+def _exact(positives, counts) -> np.ndarray:
+    """The exact fit of each group, correctly rounded to float64."""
+    return np.array([float(v) for v in isotonic_by_fractions(positives, counts)])
+
+
+def _groups(draw_counts, draw_rates, seed):
+    """Integer (positives, counts) of groups: ``draw_counts`` sizes, rates near ``draw_rates``."""
+    rng = np.random.default_rng(seed)
+    counts = np.asarray(draw_counts, dtype=np.int64)
+    rates = np.clip(np.asarray(draw_rates, dtype=np.float64), 0.0, 1.0)
+    return rng.binomial(counts, rates).astype(np.int64), counts
+
+
+group_lists = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(1, 6), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=n, max_size=n),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+class TestExactPoolAdjacentViolators:
+    """The exact fit of integer (positives, counts) by the convex minorant of their running sums."""
+
+    def test_alternating_labels(self):
+        out = pool_adjacent_violators([0, 1, 0, 1], [1, 1, 1, 1])
+        assert out.tolist() == [0.0, 0.5, 0.5, 1.0]
+
+    def test_counts_weight_the_pooled_rate(self):
+        # rates 1, 0 with counts 3, 1 pool to 3/4
+        assert pool_adjacent_violators([3, 0], [3, 1]).tolist() == [0.75, 0.75]
+
+    def test_already_monotone_is_unchanged(self):
+        assert pool_adjacent_violators([0, 1, 1, 3], [2, 4, 2, 3]).tolist() == [0.0, 0.25, 0.5, 1.0]
+
+    def test_fully_decreasing_collapses_to_the_overall_rate(self):
+        assert pool_adjacent_violators([3, 1, 0], [3, 3, 3]).tolist() == [4 / 9] * 3
+
+    def test_each_value_is_one_correctly_rounded_quotient(self):
+        # one positive among 49, then a negative: the float PAV sums (1/49)*49 = 0.9999999999999999
+        positives, counts = [1, 0], [49, 1]
+        assert pool_adjacent_violators(positives, counts).tolist() == [1 / 50, 1 / 50]
+        assert pool_adjacent_violators_float([1 / 49, 0.0], [49.0, 1.0]).tolist() == [0.019999999999999997] * 2
+
+    def test_empty_input(self):
+        assert pool_adjacent_violators([], []).size == 0
+
+    def test_one_group(self):
+        assert pool_adjacent_violators([2], [7]).tolist() == [2 / 7]
+
+    @pytest.mark.parametrize(
+        "positives, counts",
+        [
+            ([0, 0], [1, 0]),  # an empty group
+            ([1, -1], [1, 1]),  # negative positives
+            ([2, 0], [1, 1]),  # more positives than labels
+            ([1, 2], [1]),  # lengths differ
+            ([[1]], [[1]]),  # not one-dimensional
+            ([0.5, 1.0], [1, 1]),  # not integers
+            ([0, 1], [1.0, 1.0]),
+        ],
+    )
+    def test_rejects_bad_groups(self, positives, counts):
+        with pytest.raises(ValueError, match=r"^need 1-D integer positives and counts of one length, 0 <= pos"):
+            pool_adjacent_violators(positives, counts)
+
+    def test_rejects_counts_whose_cross_products_overflow(self):
+        with pytest.raises(ValueError, match="too large"):
+            pool_adjacent_violators([0, 0], [2**31, 2**31])
+
+    @settings(max_examples=80, deadline=None)
+    @given(groups=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 5)), min_size=1, max_size=9))
+    def test_matches_exhaustive_search(self, groups):
+        counts = np.array([w for w, _ in groups])
+        positives = np.array([min(k, w) for w, k in groups])
+        fast = pool_adjacent_violators(positives, counts)
+        slow = isotonic_by_exhaustion(positives / counts, counts)
+        assert np.allclose(fast, slow, atol=1e-9)
+        assert np.all(np.diff(fast) >= 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(groups=group_lists, chunk=st.sampled_from([1, 2, 3, 1 << 14]))
+    def test_is_the_exact_fit_at_every_chunk_size(self, groups, chunk):
+        positives, counts = _groups(*groups)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probcal.monotone, "_CHUNK_GROUPS", chunk)
+            fast = pool_adjacent_violators(positives, counts)
+        # the exact rational fit, rounded, so it sides with this fit wherever the float PAV differs
+        assert np.array_equal(fast, _exact(positives, counts))
+        reference = pool_adjacent_violators_float(positives / counts, counts)
+        assert np.allclose(reference, fast, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_one_class_and_one_label(self, label, chunk, monkeypatch):
+        monkeypatch.setattr(probcal.monotone, "_CHUNK_GROUPS", chunk)
+        counts = np.array([1, 3, 2, 5, 1])
+        assert pool_adjacent_violators(label * counts, counts).tolist() == [float(label)] * 5
+        assert pool_adjacent_violators([label], [1]).tolist() == [float(label)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(groups=group_lists, chunk=st.sampled_from([1, 2, 3, 1 << 14]))
+    def test_round_cap_fallback_gives_the_same_fit(self, groups, chunk):
+        positives, counts = _groups(*groups)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probcal.monotone, "_CHUNK_GROUPS", chunk)
+            rounds = pool_adjacent_violators(positives, counts)
+            patch.setattr(probcal.monotone, "_MAX_ROUNDS", 0)
+            stack = pool_adjacent_violators(positives, counts)
+        assert np.array_equal(rounds, stack)
+
+    def test_adversarial_input_falls_back_to_the_stack_loop(self):
+        # rising rates j/300, then one large all-negative group: each round pools one more group
+        counts = np.append(np.full(300, 300), 10**6)
+        positives = np.append(np.arange(300), 0)
+        rounds, w, k = 0, np.cumsum(np.append(0, counts)), np.cumsum(np.append(0, positives))
+        while True:
+            dw, dk = np.diff(w), np.diff(k)
+            drop = dk[:-1] * dw[1:] >= dk[1:] * dw[:-1]
+            if not drop.any():
+                break
+            keep = np.concatenate(([True], ~drop, [True]))
+            rounds, w, k = rounds + 1, w[keep], k[keep]
+        assert rounds > probcal.monotone._MAX_ROUNDS
+        assert np.array_equal(pool_adjacent_violators(positives, counts), _exact(positives, counts))
 
 
 class TestPlattCalibrator:
@@ -298,6 +435,20 @@ class TestCompactIsotonicModel:
         assert np.all(np.diff(model.values_) > 0)
         assert model.values_.size == np.unique(full_values).size
         assert np.isin(model.breakpoints_, full_breakpoints).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid=st.integers(1, 60), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_fit_is_the_float_pav_fit_up_to_its_rounding(self, grid, n, seed):
+        # the fit as it was: float PAV over each distinct score's mean label, then compacted
+        scores, labels = _tied_sample(grid, n, seed)
+        distinct, inverse = np.unique(scores, return_inverse=True)
+        counts, positives = np.bincount(inverse), np.bincount(inverse, weights=labels).astype(np.int64)
+        before = pool_adjacent_violators_float(positives / counts, counts.astype(np.float64))
+        model = IsotonicCalibrator().fit(scores, labels)
+        fitted, old = model.predict(distinct), step_lookup(distinct, before, distinct)
+        differ = fitted != old
+        assert np.allclose(fitted, old, rtol=1e-12, atol=0)
+        assert np.array_equal(fitted[differ], _exact(positives, counts)[differ])
 
     @settings(max_examples=50, deadline=None)
     @given(grid=st.integers(1, 25), n=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))

@@ -175,6 +175,81 @@ class TestWrittenPieces:
         assert max(piece.count(",") for piece in pieces) <= 4
 
 
+class TestArrayPayloads:
+    """A 1-D float64 array is written as the float list of its ``tolist()``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]), max_size=40
+        ),
+        indent=st.integers(0, 3),
+        block=st.sampled_from([1, 3, 1 << 14]),
+    )
+    def test_array_text_equals_the_text_of_its_list(self, values, indent, block):
+        array = np.array(values, dtype=np.float64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probcal.serialize, "_BLOCK_VALUES", block)
+            text = "".join(probcal.serialize.iterdumps(array, indent))
+            nested = dumps({"a": array, "b": [array, 1]})
+        assert text == dumps(array.tolist(), indent) == dumps_whole(array.tolist(), indent)
+        assert nested == dumps({"a": array.tolist(), "b": [array.tolist(), 1]})
+
+    def test_long_array_comes_in_blocks_of_the_list_text(self, monkeypatch):
+        array = np.append(np.arange(40) / 7, [math.nan, -0.0, math.inf])
+        monkeypatch.setattr(probcal.serialize, "_BLOCK_VALUES", 16)
+        pieces = list(probcal.serialize.iterdumps({"v": array}))
+        assert pieces == list(probcal.serialize.iterdumps({"v": array.tolist()}))
+        assert len(pieces) == 6  # key, three blocks, the closing bracket and brace
+
+    def test_empty_array_is_an_empty_list(self):
+        assert dumps(np.array([])) == dumps([]) == "[]"
+
+    @pytest.mark.parametrize("array", [np.zeros((2, 2)), np.arange(3), np.ones(2, dtype=np.float32)])
+    def test_rejects_other_arrays(self, array):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps({"a": array})
+
+    def test_editing_a_payload_leaves_every_model_unchanged(self):
+        grid = np.linspace(0, 1, 41)
+        for model in _fitted_models():
+            before, predictions = dumps(model.to_dict()), model.predict(grid)
+            payload = model.to_dict()
+            for value in payload.values():
+                if isinstance(value, (list, np.ndarray)) and len(value):
+                    value[0] = 0.123
+            assert dumps(model.to_dict()) == before
+            assert np.array_equal(model.predict(grid), predictions)
+
+    def test_kde_and_isotonic_payload_arrays_are_copies(self):
+        isotonic, kde = _fitted_models()[2:4]
+        pairs = [
+            (isotonic, "breakpoints", isotonic.breakpoints_),
+            (isotonic, "values", isotonic.values_),
+            (kde, "positives", kde.positives_),
+            (kde, "negatives", kde.negatives_),
+        ]
+        for model, key, fitted in pairs:
+            array = model.to_dict()[key]
+            assert array.dtype == np.float64 and np.array_equal(array, fitted)
+            assert not np.shares_memory(array, fitted)
+
+    @pytest.mark.parametrize("method", ["isotonic", "kde", "kde-shared"])
+    def test_model_file_is_dumps_of_the_payload_and_of_its_float_lists(self, tmp_path, method):
+        from probcal.cli import main
+
+        data, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+        assert main(["simulate", "--kind", "oracle", "--n", "500", "--seed", "4", "--out", str(data)]) == 0
+        assert main(["fit", "--method", method, "--in", str(data), "--out", str(model_path)]) == 0
+        scores = generate_oracle(OracleSpec(), 500, seed=4)
+        model = (
+            IsotonicCalibrator() if method == "isotonic" else KDECalibrator(shared_bandwidth=method == "kde-shared")
+        ).fit(scores.scores, scores.labels)
+        payload = model.to_dict()
+        as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+        assert model_path.read_bytes() == (dumps(payload) + "\n").encode() == (dumps(as_lists) + "\n").encode()
+
+
 def _fitted_models():
     data = generate_oracle(OracleSpec(), 200, seed=3)
     scores, labels = data.scores, data.labels

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -149,6 +150,11 @@ class TestGenerateXor:
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
             generate_xor(3)
+
+    @pytest.mark.parametrize("noise_sd", [math.nan, math.inf, -0.5])
+    def test_rejects_noise_that_is_not_finite_and_nonnegative(self, noise_sd):
+        with pytest.raises(ValueError, match=rf"^noise_sd must be finite and >= 0, got {noise_sd}$"):
+            generate_xor(40, noise_sd=noise_sd)
 
 
 class TestFitLogistic:
