@@ -1,11 +1,12 @@
 """Command-line interface, a thin layer over the library.
 
-Subcommands: fit, apply, eval, simulate, verify. ``METHODS`` maps each fit
-method to a calibrator constructor; verify flags are stored under the keyword
-names of the harness routine they feed. Exit codes, all set in ``main``: 0
-success, 1 verification assertion failed, 2 input error (bad flag, unreadable
-or malformed input, unwritable output), 3 fit error. Errors and calibrator
-warnings print as one line each. Every command that uses randomness takes --seed.
+Subcommands: fit, apply, eval, simulate, verify. A flag that feeds a library
+keyword has no default here: left unset, it is not passed, so the library's
+default applies; a flag the chosen fit method or simulate kind does not use is
+an input error. Only simulate, verify and ``fit --method dpm`` take --seed.
+Exit codes, all set in ``main``: 0 success, 1 verification assertion failed,
+2 input error (bad or unused flag, unreadable or malformed input, unwritable
+output), 3 fit error. Errors and calibrator warnings print as one line each.
 """
 
 from __future__ import annotations
@@ -42,30 +43,93 @@ class FitError(Exception):
     """Calibrator could not be fitted (exit 3)."""
 
 
-def _iteration(args) -> dict:
-    """--max-iter and --tol where given, so the calibrator's defaults apply otherwise."""
-    return {k: v for k, v in (("max_iter", args.max_iter), ("tol", args.tol)) if v is not None}
+def _list_of(kind, name: str):
+    """A parser of comma-separated ``kind`` values, as taken by --n-grid."""
+
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {name}, got {text!r}")
+
+    return parse
 
 
+_INTS, _REALS = _list_of(int, "integers"), _list_of(float, "reals")
+
+# flags as (option, library keyword, type or choices[, help])
+_SEED = ("--seed", "seed", int)
+_BINS = ("--bins", "n_bins", int)
+_N_CAL = ("--n", "n_cal", int, "calibration-set size")
+_TRIALS = ("--trials", "trials", int)
+_TEST_SIZE = ("--test-size", "n_test", int)
+_CURVE = ("--curve", "curve", CURVES)
+
+FIT_FLAGS = (
+    ("--bins", "n_bins", int, "histogram bin count (default: cube-root rule)"),
+    ("--truncation", "truncation", int, "mixture truncation level for dpm"),
+    ("--alpha", "alpha", float, "stick-breaking concentration for dpm"),
+    ("--max-iter", "max_iter", int),
+    ("--tol", "tol", float),
+    _SEED,
+)
+EVAL_FLAGS = (("--bins", "num_bins", int), ("--scheme", "scheme", SCHEMES))
+SIMULATE_FLAGS = (
+    _CURVE, ("--level", "level", float, "constant-curve positive rate"), ("--noise-sd", "noise_sd", float)
+)
+VERIFY_FLAGS = (_CURVE, ("--level", "level", float), _SEED)  # every check's, after its own
+
+# method: (calibrator class, fixed keywords, keywords its flags may set)
 METHODS = {
-    "histogram": lambda args: HistogramCalibrator(n_bins=args.bins, scheme="frequency"),
-    "histogram-width": lambda args: HistogramCalibrator(n_bins=args.bins, scheme="width"),
-    "platt": lambda args: PlattCalibrator(**_iteration(args)),
-    "isotonic": lambda args: IsotonicCalibrator(),
-    "kde": lambda args: KDECalibrator(shared_bandwidth=False),
-    "kde-shared": lambda args: KDECalibrator(shared_bandwidth=True),
-    "dpm": lambda args: DPMCalibrator(
-        truncation=args.truncation, alpha=args.alpha, seed=args.seed, **_iteration(args)
-    ),
+    "histogram": (HistogramCalibrator, {"scheme": "frequency"}, ("n_bins",)),
+    "histogram-width": (HistogramCalibrator, {"scheme": "width"}, ("n_bins",)),
+    "platt": (PlattCalibrator, {}, ("max_iter", "tol")),
+    "isotonic": (IsotonicCalibrator, {}, ()),
+    "kde": (KDECalibrator, {"shared_bandwidth": False}, ()),
+    "kde-shared": (KDECalibrator, {"shared_bandwidth": True}, ()),
+    "dpm": (DPMCalibrator, {}, ("truncation", "alpha", "max_iter", "tol", "seed")),
 }
+# simulate kind: the keywords its flags may set
+KINDS = {"oracle": ("curve", "level"), "xor": ("noise_sd",)}
+# verify check: (help, its own flags)
+CHECKS = {
+    "mce-bound": ("high-probability MCE bound",
+                  (_N_CAL, _BINS, ("--delta", "delta", float), _TRIALS, _TEST_SIZE)),
+    "ece-rate": ("ECE decay rate in the calibration size", (_BINS, ("--n-grid", "n_grid", _INTS), _TRIALS)),
+    "auc-loss": ("average AUC loss against 1/(2B)", (_N_CAL, ("--bin-grid", "bin_grid", _INTS), _TRIALS)),
+    "theta-conc": ("per-bin rate concentration vs Hoeffding",
+                   (_N_CAL, _BINS, ("--epsilon-grid", "epsilon_grid", _REALS), _TRIALS)),
+    "size-sweep": ("MCE/ECE against calibration-set size",
+                   (("--sizes", "sizes", _INTS), _TRIALS, _TEST_SIZE,
+                    ("--bins", "n_bins", int, "fixed bin count (default: cube-root rule)"))),
+}
+
+
+def _add_flags(parser, flags) -> None:
+    """Each flag stores its keyword only when given, under the metavar argparse derives from the option."""
+    for option, keyword, kind, *text in flags:
+        metavar = option[2:].upper().replace("-", "_")
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind, "metavar": metavar}
+        help_text = text[0] if text else None
+        parser.add_argument(option, dest=keyword, default=argparse.SUPPRESS, help=help_text, **typed)
+
+
+def _options(args, flags, used=None, mode: str = "") -> dict:
+    """The keywords of the flags set; one not in ``used`` (when given) is an input error."""
+    options = {keyword: getattr(args, keyword) for _, keyword, *_ in flags if hasattr(args, keyword)}
+    for option, keyword, *_ in flags:
+        if keyword in options and used is not None and keyword not in used:
+            raise ValueError(f"{option} is not used by {mode}")
+    return options
 
 
 _BLOCK_ROWS = 1 << 14  # rows that simulate formats and writes at a time
 
 
 def cmd_fit(args) -> int:
+    cls, fixed, used = METHODS[args.method]
+    calibrator = cls(**fixed, **_options(args, FIT_FLAGS, used, f"--method {args.method}"))
     data = load_scored_csv(args.infile, score_column=args.score_column, label_column=args.label_column)
-    calibrator = METHODS[args.method](args)
     try:
         calibrator.fit(data.scores, data.labels)
     except ValueError as exc:
@@ -103,7 +167,7 @@ def cmd_eval(args) -> int:
     column = args.prediction_column or args.score_column
     data = load_scored_csv(args.infile, score_column=column, label_column=args.label_column)
     predictions = data.scores if args.model is None else load_model(args.model).predict(data.scores)
-    report = evaluate(predictions, data.labels, num_bins=args.bins, scheme=args.scheme)
+    report = evaluate(predictions, data.labels, **_options(args, EVAL_FLAGS))
     auc_loss = None if args.model is None else auc(data.scores, data.labels) - report.auc
     print(f"RMSE {report.rmse:.6f}")
     print(f"AUC  {report.auc:.6f}")
@@ -122,11 +186,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    options = _options(args, SIMULATE_FLAGS, KINDS[args.kind], f"--kind {args.kind}")
     if args.kind == "oracle":
-        data = generate_oracle(OracleSpec(curve=args.curve, level=args.level), args.n, args.seed)
+        data = generate_oracle(OracleSpec(**options), args.n, args.seed)
         header, columns = ["score", "label"], [data.scores, data.labels]
     else:
-        data = generate_xor(args.n, noise_sd=args.noise_sd, seed=args.seed)
+        data = generate_xor(args.n, seed=args.seed, **options)
         header, columns = ["x1", "x2", "label"], [data.features[:, 0], data.features[:, 1], data.labels]
     blocks = ([column[i : i + _BLOCK_ROWS] for column in columns] for i in range(0, len(data), _BLOCK_ROWS))
     write_csv(args.outfile, header, blocks)
@@ -143,20 +208,16 @@ def cmd_verify(args) -> int:
         "theta-conc": verify_theta_concentration,
         "size-sweep": lambda spec, **kw: calibration_size_sweep(oracle_generator(spec), **kw),
     }
-    own = ("command", "check", "handler", "curve", "level", "csv_out", "json_out")
-    options = {k: v for k, v in vars(args).items() if k not in own}
-    report = routines[args.check](OracleSpec(curve=args.curve, level=args.level), **options)
+    options = _options(args, CHECKS[args.check][1] + VERIFY_FLAGS)
+    spec = OracleSpec(**{k: options.pop(k) for k in ("curve", "level") if k in options})
+    report = routines[args.check](spec, **options)
     if report.slope is not None:
         print(f"slope: {report.slope:.4f}")
     for point in report.points:
-        parts = "  ".join(f"{k}={format(v, '.6g')}" for k, v in point.summary.items())
-        print(parts)
+        print("  ".join(f"{k}={format(v, '.6g')}" for k, v in point.summary.items()))
     for assertion in report.assertions:
         status = "PASS" if assertion.passed else "FAIL"
-        print(
-            f"[{status}] {assertion.name}: observed {assertion.observed:.6g}, "
-            f"limit {assertion.limit:.6g}"
-        )
+        print(f"[{status}] {assertion.name}: observed {assertion.observed:.6g}, limit {assertion.limit:.6g}")
     for note in report.notes:
         print(f"note: {note}")
     if args.csv_out is not None:
@@ -166,24 +227,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_ASSERTION
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="probcal",
-        description="Probability calibration for binary classifier scores.",
+        prog="probcal", description="Probability calibration for binary classifier scores."
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -193,12 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", dest="outfile", required=True, help="model JSON path")
     fit.add_argument("--score-column", default="score")
     fit.add_argument("--label-column", default="label")
-    fit.add_argument("--bins", type=int, default=None, help="histogram bin count (default: cube-root rule)")
-    fit.add_argument("--truncation", type=int, default=20, help="mixture truncation level for dpm")
-    fit.add_argument("--alpha", type=float, default=1.0, help="stick-breaking concentration for dpm")
-    fit.add_argument("--max-iter", type=int, default=None)
-    fit.add_argument("--tol", type=float, default=None)
-    fit.add_argument("--seed", type=int, default=0)
+    _add_flags(fit, FIT_FLAGS)
     fit.set_defaults(handler=cmd_fit)
 
     apply_cmd = commands.add_parser("apply", help="append a calibrated column to a CSV")
@@ -215,70 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--score-column", default="score")
     eval_cmd.add_argument("--label-column", default="label")
     eval_cmd.add_argument("--prediction-column", default=None, help="evaluate this column as-is (no model)")
-    eval_cmd.add_argument("--bins", type=int, default=10)
-    eval_cmd.add_argument("--scheme", choices=SCHEMES, default="frequency")
+    _add_flags(eval_cmd, EVAL_FLAGS)
     eval_cmd.add_argument("--out", dest="outfile", default=None, help="metrics CSV path")
     eval_cmd.add_argument("--reliability-out", default=None, help="per-bin CSV path")
     eval_cmd.set_defaults(handler=cmd_eval)
 
     simulate = commands.add_parser("simulate", help="generate synthetic datasets")
-    simulate.add_argument("--kind", required=True, choices=("oracle", "xor"))
+    simulate.add_argument("--kind", required=True, choices=KINDS)
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--out", dest="outfile", required=True)
-    simulate.add_argument("--curve", choices=CURVES, default="identity")
-    simulate.add_argument("--level", type=float, default=0.5, help="constant-curve positive rate")
-    simulate.add_argument("--noise-sd", type=float, default=0.3)
-    simulate.add_argument("--seed", type=int, default=0)
+    _add_flags(simulate, SIMULATE_FLAGS)
+    simulate.add_argument("--seed", type=int, default=0)  # generate_oracle takes no default seed
     simulate.set_defaults(handler=cmd_simulate)
 
     verify = commands.add_parser("verify", help="run a Monte-Carlo bound verification")
     checks = verify.add_subparsers(dest="check", required=True)
-
-    def common(sub):
-        sub.add_argument("--curve", choices=CURVES, default="identity")
-        sub.add_argument("--level", type=float, default=0.5)
-        sub.add_argument("--seed", type=int, default=0)
+    for check, (text, flags) in CHECKS.items():
+        sub = checks.add_parser(check, help=text)
+        _add_flags(sub, flags + VERIFY_FLAGS)
         sub.add_argument("--csv-out", default=None)
         sub.add_argument("--json-out", default=None)
         sub.set_defaults(handler=cmd_verify)
-
-    # dest names are the keyword arguments of the harness routine each check calls
-    mce_p = checks.add_parser("mce-bound", help="high-probability MCE bound")
-    mce_p.add_argument("--n", dest="n_cal", metavar="N", type=int, default=1000, help="calibration-set size")
-    mce_p.add_argument("--bins", dest="n_bins", metavar="BINS", type=int, default=10)
-    mce_p.add_argument("--delta", type=float, default=0.05)
-    mce_p.add_argument("--trials", type=int, default=200)
-    mce_p.add_argument("--test-size", dest="n_test", metavar="TEST_SIZE", type=int, default=None)
-    common(mce_p)
-
-    ece_p = checks.add_parser("ece-rate", help="ECE decay rate in the calibration size")
-    ece_p.add_argument("--bins", dest="n_bins", metavar="BINS", type=int, default=10)
-    ece_p.add_argument("--n-grid", type=_int_list, default=[1_000, 10_000, 100_000])
-    ece_p.add_argument("--trials", type=int, default=50)
-    common(ece_p)
-
-    auc_p = checks.add_parser("auc-loss", help="average AUC loss against 1/(2B)")
-    auc_p.add_argument("--n", dest="n_cal", metavar="N", type=int, default=100_000, help="calibration-set size")
-    auc_p.add_argument("--bin-grid", type=_int_list, default=[5, 10, 20, 50])
-    auc_p.add_argument("--trials", type=int, default=20)
-    common(auc_p)
-
-    theta_p = checks.add_parser("theta-conc", help="per-bin rate concentration vs Hoeffding")
-    theta_p.add_argument("--n", dest="n_cal", metavar="N", type=int, default=10_000, help="calibration-set size")
-    theta_p.add_argument("--bins", dest="n_bins", metavar="BINS", type=int, default=10)
-    theta_p.add_argument("--epsilon-grid", type=_float_list, default=[0.01, 0.02, 0.05, 0.1])
-    theta_p.add_argument("--trials", type=int, default=500)
-    common(theta_p)
-
-    sweep_p = checks.add_parser("size-sweep", help="MCE/ECE against calibration-set size")
-    sweep_p.add_argument("--sizes", type=_int_list, default=[100, 1_000, 10_000])
-    sweep_p.add_argument("--trials", type=int, default=10)
-    sweep_p.add_argument("--test-size", dest="n_test", metavar="TEST_SIZE", type=int, default=100_000)
-    sweep_p.add_argument(
-        "--bins", dest="n_bins", metavar="BINS", type=int, default=None,
-        help="fixed bin count (default: cube-root rule)",
-    )
-    common(sweep_p)
 
     return parser
 

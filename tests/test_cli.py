@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -803,3 +804,239 @@ class TestImportFootprint:
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
         assert result.stdout.strip() == "[]"
+
+
+def _pinned_help() -> dict:
+    """The help texts in cli_help.txt, keyed by argv; each starts after a '### probcal ... --help' line."""
+    texts, argv = {}, None
+    for line in (Path(__file__).parent / "cli_help.txt").read_text().splitlines(keepends=True):
+        if line.startswith("### probcal "):
+            argv = tuple(line.split()[2:-1])
+            texts[argv] = ""
+        else:
+            texts[argv] += line
+    return texts
+
+
+PINNED_HELP = _pinned_help()
+
+
+class TestHelpTexts:
+    """Every --help text is pinned, so moving a default into the library changes none of them."""
+
+    def test_every_command_and_check_is_pinned(self):
+        commands = [("fit",), ("apply",), ("eval",), ("simulate",), ("verify",)]
+        checks = [("verify", c) for c in ("mce-bound", "ece-rate", "auc-loss", "theta-conc", "size-sweep")]
+        assert sorted(PINNED_HELP) == sorted([(), *commands, *checks])
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_HELP), ids=lambda argv: " ".join(argv) or "top")
+    def test_is_byte_identical(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+        assert main([*argv, "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        # Python 3.10 names the section "optional arguments:"; later versions say "options:"
+        assert out.replace("\noptional arguments:\n", "\noptions:\n") == PINNED_HELP[argv]
+
+
+# fit flag: (value, keyword, parsed value)
+FIT_FLAG_CASES = {
+    "--bins": ("4", "n_bins", 4),
+    "--truncation": ("3", "truncation", 3),
+    "--alpha": ("2", "alpha", 2.0),
+    "--max-iter": ("5", "max_iter", 5),
+    "--tol": ("0.001", "tol", 0.001),
+    "--seed": ("7", "seed", 7),
+}
+FIXED_KEYWORDS = {"histogram": {"scheme": "frequency"}, "histogram-width": {"scheme": "width"},
+                  "kde": {"shared_bandwidth": False}, "kde-shared": {"shared_bandwidth": True}}
+# the fit flags each method uses; every other one is an input error for it
+FIT_FLAGS_USED = {
+    "histogram": {"--bins"},
+    "histogram-width": {"--bins"},
+    "platt": {"--max-iter", "--tol"},
+    "isotonic": set(),
+    "kde": set(),
+    "kde-shared": set(),
+    "dpm": {"--truncation", "--alpha", "--max-iter", "--tol", "--seed"},
+}
+
+
+class TestUnusedFlags:
+    """A flag the chosen fit method or simulate kind does not use exits 2 with one line naming both."""
+
+    @staticmethod
+    def exits_2(argv, out, message, capsys):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bins_with_platt(self, scored_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["fit", "--method", "platt", "--bins", "5", "--in", str(scored_csv), "--out", str(out)]
+        self.exits_2(argv, out, "--bins is not used by --method platt", capsys)
+
+    def test_level_with_xor(self, tmp_path, capsys):
+        out = tmp_path / "xor.csv"
+        argv = ["simulate", "--kind", "xor", "--n", "40", "--level", "7", "--out", str(out)]
+        self.exits_2(argv, out, "--level is not used by --kind xor", capsys)
+
+    def test_curve_with_xor(self, tmp_path, capsys):
+        out = tmp_path / "xor.csv"
+        argv = ["simulate", "--kind", "xor", "--n", "40", "--curve", "square", "--out", str(out)]
+        self.exits_2(argv, out, "--curve is not used by --kind xor", capsys)
+
+    def test_noise_with_oracle(self, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        argv = ["simulate", "--kind", "oracle", "--n", "40", "--noise-sd", "-5", "--out", str(out)]
+        self.exits_2(argv, out, "--noise-sd is not used by --kind oracle", capsys)
+
+    @pytest.mark.parametrize(
+        "method, flag",
+        [(m, f) for m, used in FIT_FLAGS_USED.items() for f in FIT_FLAG_CASES if f not in used],
+    )
+    def test_every_fit_flag_a_method_does_not_use(self, method, flag, scored_csv, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        value = FIT_FLAG_CASES[flag][0]
+        argv = ["fit", "--method", method, flag, value, "--in", str(scored_csv), "--out", str(out)]
+        self.exits_2(argv, out, f"{flag} is not used by --method {method}", capsys)
+
+    def test_is_reported_before_the_input_is_read(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["fit", "--method", "kde", "--seed", "1", "--in", str(tmp_path / "missing.csv"), "--out", str(out)]
+        self.exits_2(argv, out, "--seed is not used by --method kde", capsys)
+
+
+class Recorder:
+    """Stands in for a library routine or class bound in probcal.cli and records each call."""
+
+    def __init__(self, target=None, result=None):
+        self.target, self.result, self.calls = target, result, []
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return self.result if self.target is None else self.target(*args, **kwargs)
+
+
+def _empty_report():
+    return SimpleNamespace(slope=None, points=[], assertions=[], notes=[], passed=True)
+
+
+# (flag, value, keyword, parsed value) of each verify check, besides --curve, --level and --seed
+N_CAL = ("--n", "7", "n_cal", 7)
+BINS = ("--bins", "3", "n_bins", 3)
+TRIALS = ("--trials", "4", "trials", 4)
+TEST_SIZE = ("--test-size", "9", "n_test", 9)
+CHECK_FLAG_CASES = {
+    "mce-bound": [N_CAL, BINS, ("--delta", "0.2", "delta", 0.2), TRIALS, TEST_SIZE],
+    "ece-rate": [BINS, ("--n-grid", "10,1000", "n_grid", [10, 1000]), TRIALS],
+    "auc-loss": [N_CAL, ("--bin-grid", "2, 3", "bin_grid", [2, 3]), TRIALS],
+    "theta-conc": [N_CAL, BINS, ("--epsilon-grid", "0.1,0.25", "epsilon_grid", [0.1, 0.25]), TRIALS],
+    "size-sweep": [("--sizes", "10,100", "sizes", [10, 100]), TRIALS, TEST_SIZE, BINS],
+}
+VERIFY_ROUTINES = {
+    "mce-bound": "verify_mce_bound",
+    "ece-rate": "verify_ece_rate",
+    "auc-loss": "verify_auc_loss",
+    "theta-conc": "verify_theta_concentration",
+    "size-sweep": "calibration_size_sweep",
+}
+
+
+class TestLibraryDefaults:
+    """A flag left unset reaches no library routine, so the routine's own default applies;
+    a flag that is set arrives as exactly its keyword."""
+
+    @staticmethod
+    def verify(check, flags, monkeypatch, capsys):
+        recorder = Recorder(result=_empty_report())
+        monkeypatch.setattr(probcal.cli, VERIFY_ROUTINES[check], recorder)
+        assert main(["verify", check, *flags]) == EXIT_OK
+        capsys.readouterr()
+        [((first,), kwargs)] = recorder.calls
+        if check == "size-sweep":  # its routine takes a generator drawing from the spec
+            assert first.func is probcal.synth.generate_oracle and not first.keywords
+            [first] = first.args
+        return first, kwargs
+
+    @pytest.mark.parametrize("check", VERIFY_ROUTINES)
+    def test_verify_without_flags_passes_only_the_spec(self, check, monkeypatch, capsys):
+        assert self.verify(check, [], monkeypatch, capsys) == (probcal.OracleSpec(), {})
+
+    @pytest.mark.parametrize(
+        "check, flag",
+        [(c, f) for c, flags in CHECK_FLAG_CASES.items() for f in flags + [("--seed", "5", "seed", 5)]],
+        ids=lambda x: x if isinstance(x, str) else x[0],
+    )
+    def test_each_verify_flag_arrives_as_its_keyword(self, check, flag, monkeypatch, capsys):
+        option, text, keyword, value = flag
+        spec, kwargs = self.verify(check, [option, text], monkeypatch, capsys)
+        assert spec == probcal.OracleSpec() and kwargs == {keyword: value}
+        assert type(kwargs[keyword]) is type(value)
+
+    @pytest.mark.parametrize("check", VERIFY_ROUTINES)
+    @pytest.mark.parametrize(
+        "flags, spec", [(["--curve", "square"], {"curve": "square"}), (["--level", "0.25"], {"level": 0.25})]
+    )
+    def test_oracle_flags_arrive_in_the_spec(self, check, flags, spec, monkeypatch, capsys):
+        assert self.verify(check, flags, monkeypatch, capsys) == (probcal.OracleSpec(**spec), {})
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["ece-rate", "--n-grid", "1000,ten"], "expected comma-separated integers, got '1000,ten'"),
+            (["theta-conc", "--epsilon-grid", "0.1,x"], "expected comma-separated reals, got '0.1,x'"),
+        ],
+    )
+    def test_a_non_number_in_a_grid_exits_2(self, flags, message, monkeypatch, capsys):
+        recorder = Recorder(result=_empty_report())
+        monkeypatch.setattr(probcal.cli, VERIFY_ROUTINES[flags[0]], recorder)
+        assert main(["verify", *flags]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument {flags[1]}: {message}\n")
+        assert recorder.calls == []
+
+    @pytest.mark.parametrize(
+        "method, flag", [(m, f) for m, used in FIT_FLAGS_USED.items() for f in [None, *sorted(used)]]
+    )
+    def test_fit_passes_the_fixed_keywords_and_each_flag_set(self, method, flag, scored_csv, tmp_path,
+                                                             monkeypatch, capsys):
+        cls, fixed, used = probcal.cli.METHODS[method]
+        recorder = Recorder(target=cls)  # fits for real, so the real class accepts every keyword
+        monkeypatch.setitem(probcal.cli.METHODS, method, (recorder, fixed, used))
+        flags = [] if flag is None else [flag, FIT_FLAG_CASES[flag][0]]
+        argv = ["fit", "--method", method, "--in", str(scored_csv), "--out", str(tmp_path / "m.json"), *flags]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        expected = dict(FIXED_KEYWORDS.get(method, {}))
+        if flag is not None:
+            _, keyword, value = FIT_FLAG_CASES[flag]
+            expected[keyword] = value
+        assert recorder.calls == [((), expected)]
+        assert all(type(recorder.calls[0][1][k]) is type(v) for k, v in expected.items())
+
+    @pytest.mark.parametrize("flags, expected", [([], {}), (["--bins", "5"], {"num_bins": 5}),
+                                                 (["--scheme", "width"], {"scheme": "width"})])
+    def test_eval_passes_each_flag_set(self, flags, expected, scored_csv, monkeypatch, capsys):
+        recorder = Recorder(target=probcal.cli.evaluate)
+        monkeypatch.setattr(probcal.cli, "evaluate", recorder)
+        assert main(["eval", "--in", str(scored_csv), *flags]) == EXIT_OK
+        capsys.readouterr()
+        [(args, kwargs)] = recorder.calls
+        assert len(args) == 2 and kwargs == expected
+
+    @pytest.mark.parametrize(
+        "kind, routine, flags, expected",
+        [
+            ("oracle", "OracleSpec", [], {}),
+            ("oracle", "OracleSpec", ["--curve", "square"], {"curve": "square"}),
+            ("oracle", "OracleSpec", ["--level", "0.25"], {"level": 0.25}),
+            ("xor", "generate_xor", [], {"seed": 0}),  # simulate keeps its own seed default
+            ("xor", "generate_xor", ["--noise-sd", "0.5", "--seed", "3"], {"seed": 3, "noise_sd": 0.5}),
+        ],
+    )
+    def test_simulate_passes_each_flag_set(self, kind, routine, flags, expected, tmp_path, monkeypatch, capsys):
+        recorder = Recorder(target=getattr(probcal.cli, routine))
+        monkeypatch.setattr(probcal.cli, routine, recorder)
+        assert main(["simulate", "--kind", kind, "--n", "40", "--out", str(tmp_path / "d.csv"), *flags]) == EXIT_OK
+        capsys.readouterr()
+        assert [kwargs for _, kwargs in recorder.calls] == [expected]
