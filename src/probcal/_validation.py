@@ -1,8 +1,9 @@
-"""Shared input checks for score and label arrays and for model files."""
+"""Shared input checks for score and label arrays and for model files; the iterative fits' warning."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -42,6 +43,14 @@ def check_iteration(max_iter: int, tol: float) -> None:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
+def warn_unconverged(what: str, n_iter: int, measure: str, value, tol: float, stacklevel: int) -> None:
+    """Warn that an iterative fit stopped at its budget; ``value`` None means no ``measure``
+    exists yet. ``stacklevel`` counts as in ``warnings.warn``, from the function calling this."""
+    change = f"no {measure} measured" if value is None else f"{measure} {value:.3e}"
+    message = f"{what} stopped after {n_iter} iterations with {change} (tol {tol:.1e})"
+    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel + 1)
 
 
 def check_same_length(a: np.ndarray, b: np.ndarray, what: str) -> None:

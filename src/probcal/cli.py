@@ -2,8 +2,9 @@
 
 Subcommands: fit, apply, eval, simulate, verify. A flag that feeds a library
 keyword has no default here: left unset, it is not passed, so the library's
-default applies; a flag the chosen fit method or simulate kind does not use is
-an input error. Only simulate, verify and ``fit --method dpm`` take --seed.
+default applies; a flag the chosen fit method, simulate kind or oracle curve
+does not use is an input error. Only simulate, verify and ``fit --method dpm``
+take --seed.
 Exit codes, all set in ``main``: 0 success, 1 verification assertion failed,
 2 input error (bad or unused flag, unreadable or malformed input, unwritable
 output), 3 fit error. Errors and calibrator warnings print as one line each.
@@ -168,27 +169,34 @@ def cmd_eval(args) -> int:
     data = load_scored_csv(args.infile, score_column=column, label_column=args.label_column)
     predictions = data.scores if args.model is None else load_model(args.model).predict(data.scores)
     report = evaluate(predictions, data.labels, **_options(args, EVAL_FLAGS))
-    auc_loss = None if args.model is None else auc(data.scores, data.labels) - report.auc
-    print(f"RMSE {report.rmse:.6f}")
-    print(f"AUC  {report.auc:.6f}")
-    print(f"ACC  {report.accuracy:.6f}")
-    print(f"MCE  {report.mce:.6f}")
-    print(f"ECE  {report.ece:.6f}")
-    if auc_loss is not None:
-        print(f"AUC loss vs raw scores {auc_loss:.6f}")
+    # (--out column, stdout label, value), in the order of both
+    table = [("rmse", "RMSE", report.rmse), ("auc", "AUC ", report.auc),
+             ("accuracy", "ACC ", report.accuracy), ("mce", "MCE ", report.mce), ("ece", "ECE ", report.ece)]
+    if args.model is not None:
+        table.append(("auc_loss", "AUC loss vs raw scores", auc(data.scores, data.labels) - report.auc))
+    columns, labels, values = zip(*table)
+    for label, value in zip(labels, values):
+        print(f"{label} {value:.6f}")
     if args.outfile is not None:
-        values = {"rmse": report.rmse, "auc": report.auc, "accuracy": report.accuracy, "mce": report.mce,
-                  "ece": report.ece, **({} if auc_loss is None else {"auc_loss": auc_loss})}
-        write_csv(args.outfile, list(values), [[[cell] for cell in format_cells(values.values())]])
+        write_csv(args.outfile, list(columns), [[[cell] for cell in format_cells(values)]])
     if args.reliability_out is not None:
         write_reliability_csv(report.bins, args.reliability_out)
     return EXIT_OK
 
 
+def _oracle_spec(options: dict) -> OracleSpec:
+    """The oracle of the curve and level popped from ``options``; only the constant curve uses a level."""
+    given = {keyword: options.pop(keyword) for keyword in ("curve", "level") if keyword in options}
+    spec = OracleSpec(**given)
+    if "level" in given and spec.curve != "constant":
+        raise ValueError(f"--level is not used by --curve {spec.curve}")
+    return spec
+
+
 def cmd_simulate(args) -> int:
     options = _options(args, SIMULATE_FLAGS, KINDS[args.kind], f"--kind {args.kind}")
     if args.kind == "oracle":
-        data = generate_oracle(OracleSpec(**options), args.n, args.seed)
+        data = generate_oracle(_oracle_spec(options), args.n, args.seed)
         header, columns = ["score", "label"], [data.scores, data.labels]
     else:
         data = generate_xor(args.n, seed=args.seed, **options)
@@ -209,8 +217,7 @@ def cmd_verify(args) -> int:
         "size-sweep": lambda spec, **kw: calibration_size_sweep(oracle_generator(spec), **kw),
     }
     options = _options(args, CHECKS[args.check][1] + VERIFY_FLAGS)
-    spec = OracleSpec(**{k: options.pop(k) for k in ("curve", "level") if k in options})
-    report = routines[args.check](spec, **options)
+    report = routines[args.check](_oracle_spec(options), **options)
     if report.slope is not None:
         print(f"slope: {report.slope:.4f}")
     for point in report.points:

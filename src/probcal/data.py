@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
@@ -14,30 +14,38 @@ import numpy as np
 from ._validation import as_labels, as_scores, check_same_length, scored_pair
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+class _Rows:
+    """The row protocol of both datasets: each dataclass field is an array with one entry (or
+    row) per sample. ``_checked`` returns the fields validated, in order; they are then made
+    read-only, so instances are safe to share across threads."""
+
+    def __post_init__(self):
+        for column, arr in zip(fields(self), self._checked()):
+            arr.setflags(write=False)
+            object.__setattr__(self, column.name, arr)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.labels.shape[0])
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+    def subset(self, indices):
+        """Copies of the rows at ``indices``, as the caller's own type."""
+        idx = np.asarray(indices, dtype=np.intp)
+        return type(self)(*(getattr(self, column.name)[idx].copy() for column in fields(self)))
 
 
 @dataclass(frozen=True)
-class ScoredDataset:
-    """An ordered collection of (score, label) pairs.
-
-    Arrays are validated and made read-only at construction, so instances
-    are safe to share across threads.
-    """
+class ScoredDataset(_Rows):
+    """An ordered collection of (score, label) pairs, validated and read-only from construction."""
 
     scores: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self):
-        scores, labels = scored_pair(self.scores, self.labels)
-        object.__setattr__(self, "scores", _freeze(scores))
-        object.__setattr__(self, "labels", _freeze(labels))
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.scores.size)
+    def _checked(self) -> tuple:
+        return scored_pair(self.scores, self.labels)
 
     @property
     def n_pos(self) -> int:
@@ -47,22 +55,15 @@ class ScoredDataset:
     def n_neg(self) -> int:
         return self.n_samples - self.n_pos
 
-    def __len__(self) -> int:
-        return self.n_samples
-
-    def subset(self, indices) -> "ScoredDataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        return ScoredDataset(self.scores[idx].copy(), self.labels[idx].copy())
-
 
 @dataclass(frozen=True)
-class FeatureDataset:
+class FeatureDataset(_Rows):
     """Feature vectors of fixed dimension with binary labels."""
 
     features: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self):
+    def _checked(self) -> tuple:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
@@ -70,23 +71,11 @@ class FeatureDataset:
             raise ValueError("features must be finite")
         labels = as_labels(self.labels)
         check_same_length(feats, labels, "features and labels")
-        object.__setattr__(self, "features", _freeze(feats))
-        object.__setattr__(self, "labels", _freeze(labels))
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.features.shape[0])
+        return feats, labels
 
     @property
     def dim(self) -> int:
         return int(self.features.shape[1])
-
-    def __len__(self) -> int:
-        return self.n_samples
-
-    def subset(self, indices) -> "FeatureDataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        return FeatureDataset(self.features[idx].copy(), self.labels[idx].copy())
 
 
 def read_scored_rows(

@@ -13,12 +13,11 @@ variational inference and uses its posterior-predictive density.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validation import check_iteration, class_counts, model_field, scored_pair
+from ._validation import check_iteration, class_counts, model_field, scored_pair, warn_unconverged
 from .base import BaseCalibrator
 
 _SILVERMAN_FLOOR = 1e-3
@@ -49,6 +48,14 @@ def silverman_bandwidth(scores) -> float:
     sd = float(np.std(x, ddof=1))
     h = 1.06 * sd * x.size ** (-0.2)
     return h if h > 0.0 else _SILVERMAN_FLOOR
+
+
+def _two_per_class(labels: np.ndarray) -> tuple[int, int, int]:
+    """``class_counts(labels)``, checked to hold at least 2 samples of each class."""
+    total, m, n_neg = class_counts(labels)
+    if m < 2 or n_neg < 2:
+        raise ValueError(f"each class needs at least 2 samples, got {m} positive / {n_neg} negative")
+    return total, m, n_neg
 
 
 def _posterior_ratio(numerator: np.ndarray, other: np.ndarray, fallback: float) -> np.ndarray:
@@ -83,16 +90,11 @@ class KDECalibrator(BaseCalibrator):
 
     def fit(self, scores, labels) -> "KDECalibrator":
         y, z = scored_pair(scores, labels)
-        total, m, n_neg = class_counts(z)
-        if m < 2 or n_neg < 2:
-            raise ValueError(
-                f"each class needs at least 2 samples, got {m} positive / {n_neg} negative"
-            )
+        total, m, n_neg = _two_per_class(z)
         positives = np.sort(y[z == 1])
         negatives = np.sort(y[z == 0])
         if self.shared_bandwidth:
-            h = silverman_bandwidth(y)
-            h1 = h0 = h
+            h1 = h0 = silverman_bandwidth(y)
         else:
             h1 = silverman_bandwidth(positives)
             h0 = silverman_bandwidth(negatives)
@@ -345,11 +347,7 @@ class DPMCalibrator(BaseCalibrator):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         check_iteration(self.max_iter, self.tol)
         y, z = scored_pair(scores, labels)
-        total, m, n_neg = class_counts(z)
-        if m < 2 or n_neg < 2:
-            raise ValueError(
-                f"each class needs at least 2 samples, got {m} positive / {n_neg} negative"
-            )
+        total, m, n_neg = _two_per_class(z)
         if self.truncation > min(m, n_neg):
             raise ValueError(
                 f"truncation must not exceed the smaller class size, got {self.truncation} "
@@ -362,14 +360,10 @@ class DPMCalibrator(BaseCalibrator):
         )
         for name, posterior in (("positive", self.positive_), ("negative", self.negative_)):
             if not posterior.converged:
-                history = posterior.elbo_history
-                change = history[-1] - history[-2] if len(history) > 1 else np.inf
-                warnings.warn(
-                    f"dpm fit of the {name} class stopped after {posterior.n_iter} iterations "
-                    f"with ELBO change {change:.3e} (tol {self.tol:.1e})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                history = posterior.elbo_history  # one sweep measures no change
+                change = history[-1] - history[-2] if len(history) > 1 else None
+                what = f"dpm fit of the {name} class"
+                warn_unconverged(what, posterior.n_iter, "ELBO change", change, self.tol, stacklevel=2)
         self.prior_ = m / total
         return self
 

@@ -36,6 +36,7 @@ from .serialize import write_json
 from .synth import OracleSpec, generate_oracle, true_theta
 
 DEFAULT_MIN_TEST = 100_000
+_SLOPE_WINDOW = (-0.65, -0.35)  # verify_ece_rate's acceptance window for the log-log slope
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,7 @@ class SweepReport:
 
 def mce_bound(n_cal: int, n_bins: int, delta: float) -> float:
     """Closed-form high-probability MCE bound sqrt(2B log(2B/delta) / N)."""
-    if n_cal < 1 or n_bins < 1:
-        raise ValueError(f"n_cal and n_bins must be >= 1, got {n_cal} and {n_bins}")
+    _require(1, n_cal=n_cal, n_bins=n_bins)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(2.0 * n_bins * math.log(2.0 * n_bins / delta) / n_cal)
@@ -241,13 +241,12 @@ def verify_ece_rate(
     n_grid: Sequence[int] = (1_000, 10_000, 100_000),
     trials: int = 50,
     seed: int = 0,
-    slope_window: tuple = (-0.65, -0.35),
 ) -> SweepReport:
     """Fit the log-log slope of mean ECE against calibration size.
 
-    A sqrt(B/N) decay shows up as slope -1/2; the acceptance window is
-    wide enough for Monte-Carlo noise. The size grid must span at least
-    two decades for the slope to mean anything.
+    A sqrt(B/N) decay shows up as slope -1/2; the acceptance window
+    [-0.65, -0.35] is wide enough for Monte-Carlo noise. The size grid must
+    span at least two decades for the slope to mean anything.
     """
     _require(1, n_bins=n_bins, trials=trials)
     sizes = sorted(int(n) for n in n_grid)
@@ -267,7 +266,7 @@ def verify_ece_rate(
     if min(mean_ece) <= 0:
         raise ValueError("mean ECE is 0, so its log-log slope is undefined; oracle is degenerate")
     slope = float(np.polyfit(np.log(sizes), np.log(mean_ece), 1)[0])
-    low, high = slope_window
+    low, high = _SLOPE_WINDOW
     assertion = Assertion(
         f"log-log ECE slope within [{low:g}, {high:g}]", low <= slope <= high, slope, high
     )

@@ -157,16 +157,15 @@ def evaluate(
     labels,
     num_bins: int = DEFAULT_NUM_BINS,
     scheme: str = SCHEME_FREQUENCY,
-    threshold: float = 0.5,
 ) -> ReliabilityReport:
-    """All five measures (RMSE, AUC, accuracy, MCE, ECE) plus the bins."""
+    """All five measures (RMSE, AUC, accuracy at threshold 0.5, MCE, ECE) plus the bins."""
     bins = reliability(predictions, labels, num_bins=num_bins, scheme=scheme)
     return ReliabilityReport(
         bins=bins,
         ece=ece(bins),
         mce=mce(bins),
         rmse=rmse(predictions, labels),
-        accuracy=accuracy(predictions, labels, threshold=threshold),
+        accuracy=accuracy(predictions, labels),
         auc=auc(predictions, labels),
     )
 

@@ -4,11 +4,9 @@ regression as the greatest convex minorant of cumulative label counts.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from ._validation import check_iteration, class_counts, model_field, scored_pair
+from ._validation import check_iteration, class_counts, model_field, scored_pair, warn_unconverged
 from .base import BaseCalibrator
 
 
@@ -18,7 +16,7 @@ def _expit(x):
     return expit(x)
 
 
-def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float) -> tuple:
+def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float, what: str) -> tuple:
     """Minimize ``objective`` by damped Newton steps from ``w``.
 
     ``derivatives(w)`` returns the gradient and the Hessian. Each step is
@@ -26,7 +24,9 @@ def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float) ->
     fit stops once the gradient's max-norm is below ``tol`` or after
     ``max_iter`` steps, and the gradient is always checked at the point
     returned. Returns (w, iterations, gradient norm, converged), where
-    iterations counts gradient evaluations, capped at ``max_iter``.
+    iterations counts gradient evaluations, capped at ``max_iter``. A fit
+    that does not converge warns as ``what``, at the line that called the
+    function calling this one.
     """
     value = objective(w)
     for iteration in range(max_iter + 1):
@@ -43,7 +43,10 @@ def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float) ->
             stepsize *= 0.5
         w = w - stepsize * step
         value = objective(w)
-    return w, min(iteration + 1, max_iter), gradient_norm, gradient_norm < tol
+    n_iter, converged = min(iteration + 1, max_iter), gradient_norm < tol
+    if not converged:
+        warn_unconverged(what, n_iter, "gradient norm", gradient_norm, tol, stacklevel=3)
+    return w, n_iter, gradient_norm, converged
 
 
 _CHUNK_GROUPS = 1 << 14  # groups per chunk of the first pass of pool_adjacent_violators
@@ -155,22 +158,10 @@ class PlattCalibrator(BaseCalibrator):
             return np.array([np.dot(d, f), d.sum()]), hessian
 
         start = np.array([0.0, np.log((n_neg + 1.0) / (m + 1.0))])
-        w, iteration, gradient_norm, converged = _newton(
-            objective, derivatives, start, self.max_iter, self.tol
+        w, self.n_iter_, self.gradient_norm_, self.converged_ = _newton(
+            objective, derivatives, start, self.max_iter, self.tol, "sigmoid fit"
         )
-        if not converged:
-            warnings.warn(
-                f"sigmoid fit stopped after {iteration} iterations with "
-                f"gradient norm {gradient_norm:.3e} (tol {self.tol:.1e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-        self.slope_ = float(w[0])
-        self.intercept_ = float(w[1])
-        self.converged_ = converged
-        self.n_iter_ = iteration
-        self.gradient_norm_ = gradient_norm
+        self.slope_, self.intercept_ = float(w[0]), float(w[1])
         return self
 
     def predict(self, scores):

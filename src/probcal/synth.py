@@ -8,7 +8,6 @@ problem that a linear model cannot separate but a quadratic one can.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,12 +166,5 @@ def fit_logistic(
         hessian = (x * curvature[:, None]).T @ x + np.diag(penalty + 1e-12)
         return x.T @ (probabilities - z) + penalty * weights, hessian
 
-    w, _, gradient_norm, converged = _newton(objective, derivatives, np.zeros(p), max_iter, tol)
-    if not converged:
-        warnings.warn(
-            f"logistic fit reached {max_iter} iterations with gradient norm "
-            f"{gradient_norm:.3e} (tol {tol:.1e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    w = _newton(objective, derivatives, np.zeros(p), max_iter, tol, "logistic fit")[0]
     return LogisticScorer(coef=w, feature_map=feature_map)

@@ -584,6 +584,13 @@ class TestVerifyCommand:
         assert code == EXIT_ASSERTION
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_ece_rate_prints_the_library_slope_first(self, capsys):
+        code = main(["verify", "ece-rate", "--n-grid", "100,10000", "--trials", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        report = probcal.verify_ece_rate(probcal.OracleSpec(), n_grid=(100, 10000), trials=2)
+        assert code == (EXIT_OK if report.passed else EXIT_ASSERTION)
+        assert lines[0] == f"slope: {report.slope:.4f}"
+
     def test_narrow_grid_is_input_error(self, capsys):
         code = main(["verify", "ece-rate", "--n-grid", "100,1000", "--trials", "2"])
         assert code == EXIT_INPUT
@@ -596,8 +603,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["mce-bound", "--n", "0"], "n_cal and n_bins must be >= 1"),
-            (["mce-bound", "--bins", "0"], "n_cal and n_bins must be >= 1"),
+            (["mce-bound", "--n", "0"], "n_cal must be >= 1, got 0"),
+            (["mce-bound", "--bins", "0"], "n_bins must be >= 1, got 0"),
             (["mce-bound", "--curve", "constant", "--level", "1.5"], "level must lie in [0, 1]"),
             (["auc-loss", "--bin-grid", ","], "bin counts must be >= 1"),
             (
@@ -862,7 +869,8 @@ FIT_FLAGS_USED = {
 
 
 class TestUnusedFlags:
-    """A flag the chosen fit method or simulate kind does not use exits 2 with one line naming both."""
+    """A flag the chosen fit method, simulate kind or oracle curve does not use exits 2 with one
+    line naming both."""
 
     @staticmethod
     def exits_2(argv, out, message, capsys):
@@ -884,6 +892,24 @@ class TestUnusedFlags:
         out = tmp_path / "xor.csv"
         argv = ["simulate", "--kind", "xor", "--n", "40", "--curve", "square", "--out", str(out)]
         self.exits_2(argv, out, "--curve is not used by --kind xor", capsys)
+
+    @pytest.mark.parametrize("curve", [None, "identity", "square", "logistic"])
+    def test_level_without_the_constant_curve(self, curve, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        curve_flags = [] if curve is None else ["--curve", curve]
+        argv = ["simulate", "--kind", "oracle", "--n", "40", *curve_flags, "--level", "0.9", "--out", str(out)]
+        self.exits_2(argv, out, f"--level is not used by --curve {curve or 'identity'}", capsys)
+
+    @pytest.mark.parametrize("check", probcal.cli.CHECKS)
+    @pytest.mark.parametrize("curve", [None, "square"])
+    def test_verify_level_without_the_constant_curve(self, check, curve, tmp_path, monkeypatch, capsys):
+        recorder = Recorder(result=_empty_report())
+        monkeypatch.setattr(probcal.cli, VERIFY_ROUTINES[check], recorder)
+        out = tmp_path / "report.json"
+        curve_flags = [] if curve is None else ["--curve", curve]
+        argv = ["verify", check, *curve_flags, "--level", "0.9", "--json-out", str(out)]
+        self.exits_2(argv, out, f"--level is not used by --curve {curve or 'identity'}", capsys)
+        assert recorder.calls == []
 
     def test_noise_with_oracle(self, tmp_path, capsys):
         out = tmp_path / "oracle.csv"
@@ -975,7 +1001,11 @@ class TestLibraryDefaults:
 
     @pytest.mark.parametrize("check", VERIFY_ROUTINES)
     @pytest.mark.parametrize(
-        "flags, spec", [(["--curve", "square"], {"curve": "square"}), (["--level", "0.25"], {"level": 0.25})]
+        "flags, spec",
+        [
+            (["--curve", "square"], {"curve": "square"}),
+            (["--curve", "constant", "--level", "0.25"], {"curve": "constant", "level": 0.25}),
+        ],
     )
     def test_oracle_flags_arrive_in_the_spec(self, check, flags, spec, monkeypatch, capsys):
         assert self.verify(check, flags, monkeypatch, capsys) == (probcal.OracleSpec(**spec), {})
@@ -1029,7 +1059,7 @@ class TestLibraryDefaults:
         [
             ("oracle", "OracleSpec", [], {}),
             ("oracle", "OracleSpec", ["--curve", "square"], {"curve": "square"}),
-            ("oracle", "OracleSpec", ["--level", "0.25"], {"level": 0.25}),
+            ("oracle", "OracleSpec", ["--curve", "constant", "--level", "0.25"], {"curve": "constant", "level": 0.25}),
             ("xor", "generate_xor", [], {"seed": 0}),  # simulate keeps its own seed default
             ("xor", "generate_xor", ["--noise-sd", "0.5", "--seed", "3"], {"seed": 3, "noise_sd": 0.5}),
         ],

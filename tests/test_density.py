@@ -381,6 +381,15 @@ class TestDPM:
             assert message.startswith(f"dpm fit of the {name} class stopped after 2 iterations")
             assert "ELBO change" in message and "(tol 1.0e-06)" in message
 
+    def test_one_sweep_measures_no_elbo_change(self):
+        scores, labels = two_cluster_data()
+        with pytest.warns(RuntimeWarning) as record:
+            DPMCalibrator(max_iter=1).fit(scores, labels)
+        assert [str(w.message) for w in record] == [
+            f"dpm fit of the {name} class stopped after 1 iterations with no ELBO change measured (tol 1.0e-06)"
+            for name in ("positive", "negative")
+        ]
+
     def test_converged_fit_does_not_warn(self):
         scores, labels = two_cluster_data()
         with warnings.catch_warnings():

@@ -54,9 +54,17 @@ class TestBounds:
         with pytest.raises(ValueError, match="delta"):
             mce_bound(1000, 10, delta)
 
-    @pytest.mark.parametrize("n_cal, n_bins", [(0, 10), (-5, 10), (1000, 0), (1000, -1)])
-    def test_mce_bound_rejects_empty_sample_or_bins(self, n_cal, n_bins):
-        with pytest.raises(ValueError, match="n_cal and n_bins must be >= 1"):
+    @pytest.mark.parametrize(
+        "n_cal, n_bins, message",
+        [
+            (0, 10, "n_cal must be >= 1, got 0"),
+            (-5, 10, "n_cal must be >= 1, got -5"),
+            (1000, 0, "n_bins must be >= 1, got 0"),
+            (1000, -1, "n_bins must be >= 1, got -1"),
+        ],
+    )
+    def test_mce_bound_rejects_empty_sample_or_bins(self, n_cal, n_bins, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             mce_bound(n_cal, n_bins, 0.05)
 
     def test_hoeffding_reference_value(self):

@@ -17,9 +17,11 @@ from oracles import (
 )
 from probcal.base import NotFittedError
 import probcal.monotone
+from probcal.density import DPMCalibrator
 from probcal.metrics import auc
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator, pool_adjacent_violators
 from probcal.serialize import dumps, load_model, save_model
+from probcal.synth import fit_logistic, generate_xor
 
 
 class TestPoolAdjacentViolators:
@@ -271,6 +273,34 @@ class TestPlattCalibrator:
         with pytest.warns(RuntimeWarning, match="gradient norm"):
             PlattCalibrator(max_iter=1).fit(scores, labels)
 
+    def test_halved_steps_reach_the_optimum(self, monkeypatch):
+        # one positive far above 99 tied negatives: the full Newton step overshoots,
+        # so the line search halves it before the fit converges
+        scores = np.r_[np.full(99, 0.001), 1.0]
+        labels = np.r_[np.zeros(99, dtype=int), 1]
+        newton, evaluations = probcal.monotone._newton, []
+
+        def counting_newton(objective, *args, **kwargs):
+            def counted(w):
+                evaluations.append(w)
+                return objective(w)
+
+            return newton(counted, *args, **kwargs)
+
+        monkeypatch.setattr(probcal.monotone, "_newton", counting_newton)
+        model = PlattCalibrator().fit(scores, labels)
+        # an undamped fit evaluates the start once and each of its n_iter_ - 1 steps twice
+        assert model.converged_ and len(evaluations) > 1 + 2 * (model.n_iter_ - 1)
+        target = np.where(labels == 1, 2.0 / 3.0, 1.0 / 101.0)
+
+        def nll(params):
+            s = params[0] * scores + params[1]
+            return np.sum(np.where(s >= 0, target * s, (target - 1) * s)) + np.sum(np.log1p(np.exp(-np.abs(s))))
+
+        reference = minimize(nll, x0=[0.0, 0.0], method="BFGS", options={"gtol": 1e-12})
+        assert model.slope_ == pytest.approx(reference.x[0], abs=1e-6)
+        assert model.intercept_ == pytest.approx(reference.x[1], abs=1e-6)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -469,3 +499,25 @@ class TestCompactIsotonicModel:
         fresh = tmp_path_factory.mktemp("isotonic") / "model.json"
         save_model(IsotonicCalibrator().fit(scores, labels), fresh)
         assert path.read_bytes() == fresh.read_bytes()
+
+
+def _noisy_identity(n=100, seed=3):
+    rng = np.random.default_rng(seed)
+    scores = rng.random(n)
+    return scores, (rng.random(n) < scores).astype(int)
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda: PlattCalibrator(max_iter=1).fit(*_noisy_identity()),
+        lambda: fit_logistic(generate_xor(200, seed=0), max_iter=1),
+        lambda: DPMCalibrator(max_iter=2).fit(*_noisy_identity()),
+    ],
+    ids=["platt", "fit_logistic", "dpm"],
+)
+def test_non_convergence_warning_points_at_the_caller(fit):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        fit()
+    assert record and {w.filename for w in record} == {__file__}

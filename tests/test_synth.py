@@ -237,7 +237,7 @@ class TestFitLogistic:
             warnings.simplefilter("error")
             exact = fit_logistic(data, max_iter=steps)
         assert np.array_equal(exact.coef, full.coef)
-        with pytest.warns(RuntimeWarning, match=f"logistic fit reached {steps - 1} iterations"):
+        with pytest.warns(RuntimeWarning, match=f"logistic fit stopped after {steps - 1} iterations"):
             fit_logistic(data, max_iter=steps - 1)
 
     def test_deterministic(self):
