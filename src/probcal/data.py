@@ -16,11 +16,12 @@ from ._validation import as_labels, as_scores, check_same_length, scored_pair
 
 class _Rows:
     """The row protocol of both datasets: each dataclass field is an array with one entry (or
-    row) per sample. ``_checked`` returns the fields validated, in order; they are then made
-    read-only, so instances are safe to share across threads."""
+    row) per sample. ``_checked`` returns the fields validated, in order; each is then stored
+    as a read-only view, so no data is copied and the caller's own arrays stay writable."""
 
     def __post_init__(self):
         for column, arr in zip(fields(self), self._checked()):
+            arr = arr.view()
             arr.setflags(write=False)
             object.__setattr__(self, column.name, arr)
 

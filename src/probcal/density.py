@@ -118,8 +118,12 @@ class KDECalibrator(BaseCalibrator):
         out = np.empty_like(queries)
         for start in range(0, queries.size, _BLOCK_QUERIES):
             block = queries[start : start + _BLOCK_QUERIES]
-            s_pos = self._kernel_sum(self.positives_, block, self.bandwidth_pos_)
-            s_neg = self._kernel_sum(self.negatives_, block, self.bandwidth_neg_)
+            # searchsorted is cheaper on sorted queries; the sums go back to query order
+            order = np.argsort(block, kind="stable")
+            ordered = block[order]
+            s_pos, s_neg = np.empty((2, block.size))
+            s_pos[order] = self._kernel_sum(self.positives_, ordered, self.bandwidth_pos_)
+            s_neg[order] = self._kernel_sum(self.negatives_, ordered, self.bandwidth_neg_)
             out[start : start + block.size] = _posterior_ratio(
                 self.bandwidth_neg_ * s_pos, self.bandwidth_pos_ * s_neg, self.prior_
             )
@@ -216,6 +220,10 @@ def _fit_class_mixture(
     log_2pi = np.log(2.0 * np.pi)
 
     phi = rng.dirichlet(np.ones(truncation), size=n)
+    # every sweep writes into these buffers; each reduction keeps the call and the
+    # contiguous shape it has on fresh arrays, so its summation order is unchanged
+    log_lik, work = np.empty_like(phi), np.empty_like(phi)
+    row_max, row_sum = np.empty((n, 1)), np.empty((n, 1))
 
     x2 = x * x
     gamma = np.empty((truncation - 1, 2))  # (0, 2) at truncation 1: every stick sum is 0
@@ -248,14 +256,22 @@ def _fit_class_mixture(
         e_log_pi[1:] += np.cumsum(e_log_1mv)
         e_lambda = aq / bq
         e_log_lambda = special.digamma(aq) - np.log(bq)
-        quad = e_lambda[None, :] * (x[:, None] - mq[None, :]) ** 2 + 1.0 / kq[None, :]
-        log_lik = e_log_pi[None, :] + 0.5 * e_log_lambda[None, :] - 0.5 * log_2pi - 0.5 * quad
-        phi = np.exp(log_lik - log_lik.max(axis=1, keepdims=True))
-        phi /= phi.sum(axis=1, keepdims=True)
+        # log_lik = e_log_pi + 0.5 e_log_lambda - 0.5 log 2pi - 0.5 (e_lambda (x - mq)^2 + 1/kq),
+        # the last 0.5 moved onto the T-long terms: scaling by 0.5 is exact away from subnormals
+        np.square(np.subtract(x[:, None], mq, out=work), out=work)
+        np.add(np.multiply(work, 0.5 * e_lambda, out=work), 0.5 / kq, out=work)
+        np.subtract(e_log_pi + 0.5 * e_log_lambda - 0.5 * log_2pi, work, out=log_lik)
+        # the row max as a running maximum over the columns: max does not depend on order
+        np.copyto(row_max, log_lik[:, :1])
+        for t in range(1, truncation):
+            np.maximum(row_max, log_lik[:, t : t + 1], out=row_max)
+        np.exp(np.subtract(log_lik, row_max, out=phi), out=phi)
+        np.divide(phi, phi.sum(axis=1, keepdims=True, out=row_sum), out=phi)
 
         # evidence lower bound with all parameters current
-        data_term = float(np.sum(phi * log_lik))
-        entropy = -float(np.sum(phi * np.log(np.maximum(phi, 1e-300))))
+        data_term = float(np.sum(np.multiply(phi, log_lik, out=work)))
+        np.log(np.maximum(phi, 1e-300, out=work), out=work)
+        entropy = -float(np.sum(np.multiply(phi, work, out=work)))
         stick_prior = float(np.sum(np.log(alpha) + (alpha - 1.0) * e_log_1mv))
         stick_q = float(
             np.sum(
@@ -313,10 +329,12 @@ class DPMCalibrator(BaseCalibrator):
     mixture of Gaussians with a Normal-Gamma base measure and fitted by
     coordinate-ascent variational inference. Responsibilities start from a
     seeded random assignment, so fits are reproducible bit for bit given
-    the seed. Fitting stops when the evidence lower bound improves by less
-    than ``tol`` or after ``max_iter`` sweeps. The truncation may not exceed
-    the smaller class size: more components than samples add nothing, and
-    each class holds class size x truncation arrays.
+    the seed. The two classes are fitted at the same time on two threads,
+    each from its own stream, and give the bits of a serial fit. Fitting
+    stops when the evidence lower bound improves by less than ``tol`` or
+    after ``max_iter`` sweeps. The truncation is an integer and may not
+    exceed the smaller class size: more components than samples add
+    nothing, and each class holds three class size x truncation arrays.
 
     Prediction plugs the two posterior-predictive densities into the
     posterior ratio with the empirical positive prior; if both densities
@@ -341,6 +359,8 @@ class DPMCalibrator(BaseCalibrator):
         self.prior_ = None
 
     def fit(self, scores, labels) -> "DPMCalibrator":
+        if isinstance(self.truncation, bool) or not isinstance(self.truncation, (int, np.integer)):
+            raise ValueError(f"truncation must be an integer, got {self.truncation!r}")
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
         if not (np.isfinite(self.alpha) and self.alpha > 0):
@@ -353,11 +373,19 @@ class DPMCalibrator(BaseCalibrator):
                 f"truncation must not exceed the smaller class size, got {self.truncation} "
                 f"for {m} positive / {n_neg} negative"
             )
+        from concurrent.futures import ThreadPoolExecutor
+
+        _special()  # imported here, not by both workers at once
         streams = map(np.random.default_rng, np.random.SeedSequence(self.seed).spawn(2))
-        self.positive_, self.negative_ = (
-            _fit_class_mixture(y[z == label], self.truncation, self.alpha, self.max_iter, self.tol, rng)
-            for label, rng in zip((1, 0), streams)
-        )
+        # one thread per class; numpy releases the interpreter lock in the n x T steps
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fits = [
+                pool.submit(_fit_class_mixture, y[z == label], self.truncation, self.alpha,
+                            self.max_iter, self.tol, rng)
+                for label, rng in zip((1, 0), streams)
+            ]
+        # results in class order, so a failure surfaces as the serial loop raised it
+        self.positive_, self.negative_ = (fit.result() for fit in fits)
         for name, posterior in (("positive", self.positive_), ("negative", self.negative_)):
             if not posterior.converged:
                 history = posterior.elbo_history  # one sweep measures no change

@@ -260,6 +260,111 @@ def expected_weights_by_loop(sticks) -> np.ndarray:
     return weights
 
 
+
+def dpm_sweeps_with_temporaries(x, truncation, alpha, max_iter, tol, rng):
+    """One class's stick-breaking mixture fit, each sweep building fresh n x T arrays.
+
+    This was the library's ``density._fit_class_mixture`` before its sweep
+    reused preallocated buffers; the arithmetic is kept as it was, so the
+    library must match it bit for bit.
+    """
+    import scipy.special as special
+
+    from probcal.density import StickBreakingPosterior
+
+    n = x.size
+    mu0 = float(np.mean(x))
+    kappa0 = 0.1
+    a0 = 1.0
+    b0 = max(float(np.var(x, ddof=1)), 1e-6)
+    log_2pi = np.log(2.0 * np.pi)
+
+    phi = rng.dirichlet(np.ones(truncation), size=n)
+
+    x2 = x * x
+    gamma = np.empty((truncation - 1, 2))
+    elbo_history = []
+    previous = -np.inf
+    converged = False
+    iteration = 0
+
+    for iteration in range(1, max_iter + 1):
+        counts = phi.sum(axis=0)
+        sum_x = phi.T @ x
+        sum_x2 = phi.T @ x2
+        xbar = np.where(counts > 0, sum_x / np.maximum(counts, 1e-300), 0.0)
+        scatter = np.maximum(sum_x2 - counts * xbar * xbar, 0.0)
+
+        tail = np.concatenate([np.cumsum(counts[::-1])[-2::-1], [0.0]])
+        gamma[:, 0] = 1.0 + counts[:-1]
+        gamma[:, 1] = alpha + tail[:-1]
+        kq = kappa0 + counts
+        mq = (kappa0 * mu0 + sum_x) / kq
+        aq = a0 + 0.5 * counts
+        bq = b0 + 0.5 * (scatter + kappa0 * counts * (xbar - mu0) ** 2 / kq)
+
+        digamma_total = special.digamma(gamma[:, 0] + gamma[:, 1])
+        e_log_v = special.digamma(gamma[:, 0]) - digamma_total
+        e_log_1mv = special.digamma(gamma[:, 1]) - digamma_total
+        e_log_pi = np.concatenate([e_log_v, [0.0]])
+        e_log_pi[1:] += np.cumsum(e_log_1mv)
+        e_lambda = aq / bq
+        e_log_lambda = special.digamma(aq) - np.log(bq)
+        quad = e_lambda[None, :] * (x[:, None] - mq[None, :]) ** 2 + 1.0 / kq[None, :]
+        log_lik = e_log_pi[None, :] + 0.5 * e_log_lambda[None, :] - 0.5 * log_2pi - 0.5 * quad
+        phi = np.exp(log_lik - log_lik.max(axis=1, keepdims=True))
+        phi /= phi.sum(axis=1, keepdims=True)
+
+        data_term = float(np.sum(phi * log_lik))
+        entropy = -float(np.sum(phi * np.log(np.maximum(phi, 1e-300))))
+        stick_prior = float(np.sum(np.log(alpha) + (alpha - 1.0) * e_log_1mv))
+        stick_q = float(
+            np.sum(
+                -special.betaln(gamma[:, 0], gamma[:, 1])
+                + (gamma[:, 0] - 1.0) * e_log_v
+                + (gamma[:, 1] - 1.0) * e_log_1mv
+            )
+        )
+        e_lambda_dev0 = e_lambda * (mq - mu0) ** 2 + 1.0 / kq
+        component_prior = float(
+            np.sum(
+                0.5 * (np.log(kappa0) - log_2pi)
+                + 0.5 * e_log_lambda
+                - 0.5 * kappa0 * e_lambda_dev0
+                + a0 * np.log(b0)
+                - special.gammaln(a0)
+                + (a0 - 1.0) * e_log_lambda
+                - b0 * e_lambda
+            )
+        )
+        component_q = float(
+            np.sum(
+                0.5 * (np.log(kq) - log_2pi)
+                - 0.5
+                + aq * np.log(bq)
+                - special.gammaln(aq)
+                + (aq - 0.5) * e_log_lambda
+                - aq
+            )
+        )
+        elbo = data_term + entropy + stick_prior - stick_q + component_prior - component_q
+        if not np.isfinite(elbo):
+            raise RuntimeError(f"evidence lower bound became non-finite at iteration {iteration}")
+        elbo_history.append(elbo)
+        if elbo - previous < tol and iteration > 1:
+            converged = True
+            break
+        previous = elbo
+
+    return StickBreakingPosterior(
+        sticks=gamma.copy(),
+        components=np.column_stack([mq, kq, aq, bq]),
+        elbo=elbo_history[-1],
+        elbo_history=elbo_history,
+        n_iter=iteration,
+        converged=converged,
+    )
+
 def frequency_edges_by_loop(scores, n_bins: int) -> np.ndarray:
     """Equal-frequency histogram edges, one group boundary at a time.
 

@@ -195,6 +195,26 @@ class TestFeatureDataset:
             FeatureDataset(feats, np.array([0, 1]))
 
 
+
+@pytest.mark.parametrize(
+    "dataset, field, values",
+    [
+        (ScoredDataset, "scores", np.array([0.1, 0.9])),
+        (FeatureDataset, "features", np.array([[0.1, 0.2], [0.3, 0.4]])),
+    ],
+    ids=["scored", "feature"],
+)
+def test_stored_arrays_are_read_only_views_of_the_callers(dataset, field, values):
+    labels = np.array([0, 1])
+    data = dataset(values, labels)
+    for given, stored in ((values, getattr(data, field)), (labels, data.labels)):
+        assert given.flags.writeable
+        assert not stored.flags.writeable
+        assert np.shares_memory(given, stored)
+    values[0] = 0.5
+    labels[0] = 1
+
+
 class TestLoadScoredCsv:
     def test_reads_basic_file(self, tmp_path):
         path = make_csv(tmp_path, "score,label\n0.25,1\n0.75,0\n")

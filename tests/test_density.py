@@ -1,3 +1,5 @@
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import t as student_t
 
-from oracles import expected_weights_by_loop, nadaraya_watson_direct, student_t_density_direct
+from oracles import (
+    dpm_sweeps_with_temporaries,
+    expected_weights_by_loop,
+    nadaraya_watson_direct,
+    student_t_density_direct,
+)
 import probcal.density
 from probcal.base import NotFittedError
 from probcal.density import (
@@ -419,3 +426,94 @@ class TestDPM:
         assert model.positive_.expected_weights().tolist() == [1.0]
         out = model.predict(np.linspace(0, 1, 11))
         assert np.all((out >= 0) & (out <= 1))
+
+
+def same_posterior(a: StickBreakingPosterior, b: StickBreakingPosterior) -> bool:
+    return (
+        a.sticks.tobytes() == b.sticks.tobytes()
+        and a.components.tobytes() == b.components.tobytes()
+        and np.array(a.elbo_history).tobytes() == np.array(b.elbo_history).tobytes()
+        and (a.n_iter, a.converged) == (b.n_iter, b.converged)
+    )
+
+
+class TestDPMSameBits:
+    """The buffered sweep and the two-thread fit give the bits of the fresh-array serial fit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        truncation=st.sampled_from([1, 2, 5, 20]),
+        kind=st.sampled_from(["uniform", "tied", "constant", "size is truncation"]),
+        size=st.integers(2, 400),
+        max_iter=st.sampled_from([1, 2, 60]),
+        tol=st.sampled_from([1e-6, 1e-2]),
+    )
+    def test_sweep_equals_the_fresh_array_sweep(self, seed, truncation, kind, size, max_iter, tol):
+        rng = np.random.default_rng(seed)
+        n = max(truncation, 2) if kind == "size is truncation" else max(truncation, size)
+        if kind == "constant":  # zero sample variance: b0 takes its floor
+            x = np.full(n, rng.integers(0, 11) / 10)
+        elif kind == "tied":
+            x = rng.integers(0, 5, n) / 4
+        else:
+            x = rng.random(n)
+        args = (x, truncation, float(rng.choice([0.5, 1.0, 3.0])), max_iter, tol)
+        fitted = probcal.density._fit_class_mixture(*args, np.random.default_rng(seed))
+        assert same_posterior(fitted, dpm_sweeps_with_temporaries(*args, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("truncation", [1, 2, 5, 20])
+    def test_sweep_equals_the_fresh_array_sweep_on_thousands_of_rows(self, truncation):
+        x = np.random.default_rng(truncation).random(4000) ** 2
+        args = (x, truncation, 1.0, 40, 1e-6)
+        fitted = probcal.density._fit_class_mixture(*args, np.random.default_rng(1))
+        assert same_posterior(fitted, dpm_sweeps_with_temporaries(*args, np.random.default_rng(1)))
+
+    @pytest.mark.parametrize("truncation", [1, 2, 5, 20])
+    def test_threaded_fit_equals_two_serial_fits_on_the_spawned_streams(self, truncation):
+        scores, labels = two_cluster_data(seed=13, n=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = DPMCalibrator(truncation=truncation, max_iter=80, seed=5).fit(scores, labels)
+        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(2)]
+        for posterior, label, rng in zip((model.positive_, model.negative_), (1, 0), streams):
+            expected = dpm_sweeps_with_temporaries(scores[labels == label], truncation, 1.0, 80, 1e-6, rng)
+            assert same_posterior(posterior, expected)
+
+    @pytest.mark.parametrize("failing", [(1,), (0,), (1, 0)], ids=["positive", "negative", "both"])
+    def test_a_failing_class_raises_as_the_serial_loop_did(self, monkeypatch, failing):
+        scores, labels = two_cluster_data(n=40)
+        scores, labels = scores[:70], labels[:70]  # 40 positive, 30 negative
+        fit_class = probcal.density._fit_class_mixture
+
+        def flaky(x, *args):
+            label = int(x.size == 40)
+            if label == 1:
+                time.sleep(0.05)  # the negative class fails first when both fail
+            if label in failing:
+                raise RuntimeError(f"class {label} failed")
+            return fit_class(x, *args)
+
+        monkeypatch.setattr(probcal.density, "_fit_class_mixture", flaky)
+        before = set(threading.enumerate())
+        model = DPMCalibrator(truncation=2, max_iter=5)
+        with pytest.raises(RuntimeError, match=rf"^class {failing[0]} failed$"):
+            model.fit(scores, labels)
+        assert set(threading.enumerate()) == before
+        assert model.positive_ is None and model.negative_ is None
+
+    def test_truncation_type_is_checked_before_any_class_fit(self, monkeypatch):
+        scores, labels = two_cluster_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            model = DPMCalibrator(truncation=np.int64(3), max_iter=2).fit(scores, labels)
+        assert model.positive_.components.shape == (3, 4)
+
+        def unreachable(*args):
+            raise AssertionError("a class fit started")
+
+        monkeypatch.setattr(probcal.density, "_fit_class_mixture", unreachable)
+        for truncation in (2.5, np.float64(3.0), True, "3"):
+            with pytest.raises(ValueError) as raised:
+                DPMCalibrator(truncation=truncation).fit(scores, labels)
+            assert str(raised.value) == f"truncation must be an integer, got {truncation!r}"

@@ -9,10 +9,12 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import probcal.cli  # noqa: F401  (binds every traced function, as the tracer expects)
-from probcal import harness
+from oracles import dpm_sweeps_with_temporaries
+from probcal import DPMCalibrator, harness
 from probcal.synth import OracleSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -81,3 +83,22 @@ def test_traced_trials_and_auc_calls(tracing):
     # mce-bound calls auc for the raw AUC of each of its trials; the harness
     # counts the calibrated AUC from its per-level class counts
     assert metrics["metrics.auc.calls"] == (2, "count")
+
+
+def test_traced_dpm_fit_counts_the_sweeps_of_the_serial_fit(tracing):
+    rng = np.random.default_rng(3)
+    scores = rng.random(300)
+    labels = (rng.random(300) < scores).astype(int)
+    recorder = tracing.Recorder()
+    recorder.install()
+    try:
+        model = DPMCalibrator(truncation=5, max_iter=400, seed=2).fit(scores, labels)
+    finally:
+        recorder.uninstall()
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(2).spawn(2)]
+    sweeps = [
+        dpm_sweeps_with_temporaries(scores[labels == label], 5, 1.0, 400, 1e-6, stream).n_iter
+        for label, stream in zip((1, 0), streams)
+    ]
+    assert [model.positive_.n_iter, model.negative_.n_iter] == sweeps
+    assert tracing.layer_metrics(recorder)["density.dpm.n_iter"] == (sum(sweeps), "count")
