@@ -1,4 +1,4 @@
-"""Shared input checks for score and label arrays and for model files; the iterative fits' warning."""
+"""Shared checks of counts, score and label arrays and model files; the iterative fits' warning."""
 
 from __future__ import annotations
 
@@ -37,10 +37,21 @@ def as_labels(values, name: str = "labels") -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def require_count(least: float, why: str = "", **values) -> None:
+    """Each value given, other than None (a default), must be an integer, not a bool,
+    and >= ``least``; the message names it."""
+    for name, value in values.items():
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}{why}, got {value}")
+
+
 def check_iteration(max_iter: int, tol: float) -> None:
     """Settings of an iterative fit: a budget of at least one step, a finite positive tolerance."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    require_count(1, max_iter=max_iter)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 

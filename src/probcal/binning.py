@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._validation import model_field, scored_pair
+from ._validation import model_field, require_count, scored_pair
 from .base import BaseCalibrator
 from .metrics import SCHEME_FREQUENCY, SCHEME_WIDTH, SCHEMES, _bin_indices
 
@@ -80,8 +80,7 @@ class HistogramCalibrator(BaseCalibrator):
             raise ValueError("need at least one sample")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.n_bins is not None and not isinstance(self.n_bins, (int, np.integer)):
-            raise ValueError(f"n_bins must be an integer or None, got {self.n_bins!r}")
+        require_count(-np.inf, n_bins=self.n_bins)  # the range check below names both bounds
         b = default_bin_count(n) if self.n_bins is None else int(self.n_bins)
         if not 1 <= b <= n:
             raise ValueError(f"n_bins must satisfy 1 <= B <= {n}, got {b}")

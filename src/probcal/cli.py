@@ -44,6 +44,13 @@ class FitError(Exception):
     """Calibrator could not be fitted (exit 3)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag in argparse's one error line, without the usage block; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _list_of(kind, name: str):
     """A parser of comma-separated ``kind`` values, as taken by --n-grid."""
 
@@ -235,7 +242,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="probcal", description="Probability calibration for binary classifier scores."
     )
     commands = parser.add_subparsers(dest="command", required=True)

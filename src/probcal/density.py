@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._validation import check_iteration, class_counts, model_field, scored_pair, warn_unconverged
+from ._validation import (
+    check_iteration, class_counts, model_field, require_count, scored_pair, warn_unconverged
+)
 from .base import BaseCalibrator
 
 _SILVERMAN_FLOOR = 1e-3
@@ -48,6 +50,14 @@ def silverman_bandwidth(scores) -> float:
     sd = float(np.std(x, ddof=1))
     h = 1.06 * sd * x.size ** (-0.2)
     return h if h > 0.0 else _SILVERMAN_FLOOR
+
+
+def _positive_field(payload, key: str) -> float:
+    """A model file's number that a fit always makes > 0."""
+    value = float(model_field(payload, key, low=0.0))
+    if value == 0.0:
+        raise ValueError(f"model field {key!r} must be > 0, got 0")
+    return value
 
 
 def _two_per_class(labels: np.ndarray) -> tuple[int, int, int]:
@@ -156,8 +166,8 @@ class KDECalibrator(BaseCalibrator):
         model = cls(shared_bandwidth=bool(payload.get("shared_bandwidth", False)))
         model.positives_ = np.sort(model_field(payload, "positives", 1, 0.0, 1.0))
         model.negatives_ = np.sort(model_field(payload, "negatives", 1, 0.0, 1.0))
-        model.bandwidth_neg_ = float(model_field(payload, "h0", low=0.0))
-        model.bandwidth_pos_ = float(model_field(payload, "h1", low=0.0))
+        model.bandwidth_neg_ = _positive_field(payload, "h0")
+        model.bandwidth_pos_ = _positive_field(payload, "h1")
         model.prior_ = float(model_field(payload, "prior", low=0.0, high=1.0))
         return model
 
@@ -359,10 +369,7 @@ class DPMCalibrator(BaseCalibrator):
         self.prior_ = None
 
     def fit(self, scores, labels) -> "DPMCalibrator":
-        if isinstance(self.truncation, bool) or not isinstance(self.truncation, (int, np.integer)):
-            raise ValueError(f"truncation must be an integer, got {self.truncation!r}")
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+        require_count(1, truncation=self.truncation)
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         check_iteration(self.max_iter, self.tol)
@@ -432,7 +439,7 @@ class DPMCalibrator(BaseCalibrator):
     @classmethod
     def from_dict(cls, payload: dict) -> "DPMCalibrator":
         truncation = int(model_field(payload, "truncation", low=1, integer=True))
-        model = cls(truncation=truncation, alpha=float(model_field(payload, "alpha", low=0.0)))
+        model = cls(truncation=truncation, alpha=_positive_field(payload, "alpha"))
 
         def rebuild(key: str) -> StickBreakingPosterior:
             part = payload.get(key)

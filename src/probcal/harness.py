@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._validation import require_count
 from .binning import HistogramCalibrator
 from .data import write_csv
 from .metrics import _bin_indices, _level_auc, _summarize, auc, ece, mce
@@ -37,6 +38,7 @@ from .synth import OracleSpec, generate_oracle, true_theta
 
 DEFAULT_MIN_TEST = 100_000
 _SLOPE_WINDOW = (-0.65, -0.35)  # verify_ece_rate's acceptance window for the log-log slope
+_SWEEP_NUM_BINS = 10  # calibration_size_sweep's reliability bins, the same at every size
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class SweepReport:
 
 def mce_bound(n_cal: int, n_bins: int, delta: float) -> float:
     """Closed-form high-probability MCE bound sqrt(2B log(2B/delta) / N)."""
-    _require(1, n_cal=n_cal, n_bins=n_bins)
+    require_count(1, n_cal=n_cal, n_bins=n_bins)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return math.sqrt(2.0 * n_bins * math.log(2.0 * n_bins / delta) / n_cal)
@@ -108,13 +110,6 @@ def _rng_pair(seed: int, *path: int):
     """Two independent deterministic streams addressed by (seed, path)."""
     root = np.random.SeedSequence(seed, spawn_key=tuple(path))
     return root.spawn(2)
-
-
-def _require(least: int, why: str = "", **values) -> None:
-    """Each value given, other than None (a default), must be >= ``least``; the message names it."""
-    for name, value in values.items():
-        if value is not None and value < least:
-            raise ValueError(f"{name} must be >= {least}{why}, got {value}")
 
 
 def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = "std") -> dict:
@@ -143,12 +138,12 @@ def _calibrated_bins(model: HistogramCalibrator, test, num_bins: int, with_auc: 
 def _run_trials(
     generate: Callable,
     n_cal: int,
-    n_test: int,
+    n_test: int | None,
     n_bins: int | None,
     trials: int,
     seed: int,
     path: tuple = (),
-    metric_bins: int | None = None,
+    num_bins: int | None = None,
     raw_auc: bool = False,
     calibrated_auc: bool = False,
 ) -> tuple:
@@ -156,9 +151,11 @@ def _run_trials(
 
     Trial t draws its calibration and test sets with ``generate(n, stream)``
     from the streams at (seed, *path, t), fits the histogram calibrator and
-    measures MCE and ECE on the test set. Only the AUCs asked for are
+    measures MCE and ECE on the test set (default max(10 N, 1e5) samples)
+    in ``num_bins`` bins (default: as fitted). Only the AUCs asked for are
     computed; they stay None when the test set holds one class.
     """
+    n_test = default_test_size(n_cal) if n_test is None else n_test
     reports = []
     for t in range(trials):
         cal_ss, test_ss = _rng_pair(seed, *path, t)
@@ -166,8 +163,7 @@ def _run_trials(
         test = generate(n_test, test_ss)
         model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
         two_class = 0 < test.n_pos < test.n_samples
-        num_bins = model.n_bins_ if metric_bins is None else metric_bins
-        bins, cal_auc = _calibrated_bins(model, test, num_bins, calibrated_auc and two_class)
+        bins, cal_auc = _calibrated_bins(model, test, num_bins or model.n_bins_, calibrated_auc and two_class)
         raw = auc(test.scores, test.labels) if raw_auc and two_class else None
         reports.append(
             TrialReport(
@@ -201,9 +197,8 @@ def verify_mce_bound(
     of trials within the bound, which must reach 1 - delta. At least ~50
     trials are needed for that fraction to be meaningful.
     """
-    _require(1, trials=trials, n_test=n_test)
+    require_count(1, trials=trials, n_test=n_test)
     bound = mce_bound(n_cal, n_bins, delta)
-    n_test = default_test_size(n_cal) if n_test is None else n_test
     reports = _run_trials(
         oracle_generator(spec), n_cal, n_test, n_bins, trials, seed,
         raw_auc=True, calibrated_auc=True,
@@ -248,7 +243,7 @@ def verify_ece_rate(
     [-0.65, -0.35] is wide enough for Monte-Carlo noise. The size grid must
     span at least two decades for the slope to mean anything.
     """
-    _require(1, n_bins=n_bins, trials=trials)
+    require_count(1, n_bins=n_bins, trials=trials)
     sizes = sorted(int(n) for n in n_grid)
     if len(sizes) < 2 or sizes[0] < 1:
         raise ValueError("n_grid needs at least two positive sizes")
@@ -257,8 +252,7 @@ def verify_ece_rate(
     points = []
     for grid_index, n_cal in enumerate(sizes):
         reports = _run_trials(
-            oracle_generator(spec), n_cal, default_test_size(n_cal), n_bins, trials, seed,
-            (grid_index,),
+            oracle_generator(spec), n_cal, None, n_bins, trials, seed, (grid_index,)
         )
         summary = {"n_cal": float(n_cal), **_spread(reports, ("ece", "mce"))}
         points.append(SweepPoint(float(n_cal), reports, summary))
@@ -287,7 +281,7 @@ def verify_auc_loss(
     the average-loss guarantee does not cover. Negative losses (AUC
     gained) are possible and simply reported.
     """
-    _require(1, n_cal=n_cal)
+    require_count(1, n_cal=n_cal)
     bins_sorted = sorted(int(b) for b in bin_grid)
     if not bins_sorted or bins_sorted[0] < 1:
         raise ValueError("bin counts must be >= 1")
@@ -296,13 +290,12 @@ def verify_auc_loss(
             f"bin count {bins_sorted[-1]} exceeds sqrt(n_cal) = {math.isqrt(n_cal)}; "
             "per-bin noise would swamp the average-loss guarantee"
         )
-    _require(2, " for a standard error", trials=trials)
-    n_test = default_test_size(n_cal)
+    require_count(2, " for a standard error", trials=trials)
     points = []
     assertions = []
     for grid_index, b in enumerate(bins_sorted):
         reports = _run_trials(
-            oracle_generator(spec), n_cal, n_test, b, trials, seed, (grid_index,),
+            oracle_generator(spec), n_cal, None, b, trials, seed, (grid_index,),
             raw_auc=True, calibrated_auc=True,
         )
         # each trial computes both AUCs or neither, so these trials are also those with either
@@ -343,8 +336,8 @@ def verify_theta_concentration(
     checks the estimates are centered: per-bin mean deviation within
     three standard errors of zero.
     """
-    _require(1, n_cal=n_cal, n_bins=n_bins)
-    _require(2, trials=trials)
+    require_count(1, n_cal=n_cal, n_bins=n_bins)
+    require_count(2, trials=trials)
     epsilons = sorted(float(e) for e in epsilon_grid)
     if not epsilons or not all(0 < e < math.inf for e in epsilons):
         raise ValueError("epsilon_grid needs values that are finite and > 0")
@@ -393,27 +386,27 @@ def calibration_size_sweep(
     seed: int = 0,
     n_test: int = DEFAULT_MIN_TEST,
     n_bins: int | None = None,
-    metric_bins: int = 10,
 ) -> SweepReport:
     """Measure MCE/ECE/AUC as the calibration set grows.
 
     ``data_generator(n, seed)`` must return a ScoredDataset. The bin count
-    defaults to the cube-root rule per size. Mean MCE and ECE must be
-    non-increasing along the size axis; a single adjacent inversion is
-    tolerated if it stays within one standard error of the difference.
+    defaults to the cube-root rule per size; MCE and ECE use 10 reliability
+    bins at every size. Mean MCE and ECE must be non-increasing along the
+    size axis; a single adjacent inversion is tolerated if it stays within
+    one standard error of the difference.
     """
     size_list = [int(s) for s in sizes]
     if size_list != sorted(size_list):
         raise ValueError("sizes must be ascending")
     if len(size_list) < 2:
         raise ValueError("need at least two sizes")
-    _require(1, sizes=size_list[0], n_test=n_test, n_bins=n_bins, num_bins=metric_bins)
-    _require(2, trials=trials)
+    require_count(1, sizes=size_list[0], n_test=n_test, n_bins=n_bins)
+    require_count(2, trials=trials)
     points = []
     for grid_index, n_cal in enumerate(size_list):
         reports = _run_trials(
             data_generator, n_cal, n_test, n_bins, trials, seed, (grid_index,),
-            metric_bins=metric_bins, calibrated_auc=True,
+            num_bins=_SWEEP_NUM_BINS, calibrated_auc=True,
         )
         auc_values = [r.auc_calibrated for r in reports if r.auc_calibrated is not None]
         summary = {

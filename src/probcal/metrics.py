@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import class_counts, scored_pair
+from ._validation import class_counts, require_count, scored_pair
 from .data import write_csv
 
 SCHEME_FREQUENCY = "frequency"
@@ -70,8 +70,7 @@ def reliability(
     p, z = scored_pair(predictions, labels, "predictions")
     if p.size == 0:
         raise ValueError("cannot bin an empty prediction list")
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+    require_count(1, num_bins=num_bins)
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 

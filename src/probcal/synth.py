@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_iteration
+from ._validation import check_iteration, require_count
 from .data import FeatureDataset, ScoredDataset
 from .monotone import _expit, _newton
 
@@ -50,8 +50,7 @@ class OracleSpec:
 
 def generate_oracle(spec: OracleSpec, n: int, seed) -> ScoredDataset:
     """Draw n (score, label) pairs from the oracle; deterministic given seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    require_count(1, n=n)
     rng = np.random.default_rng(seed)
     scores = rng.random(n)
     labels = (rng.random(n) < spec.probability(scores)).astype(np.int64)
@@ -87,8 +86,7 @@ def generate_xor(n: int, noise_sd: float = 0.3, seed=0) -> FeatureDataset:
     """Four Gaussian blobs at the corners (+-1, +-1); same-sign corners are
     class 1. Corner counts are allocated deterministically so the classes
     are balanced within one sample; row order is shuffled (seeded)."""
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
+    require_count(4, n=n)
     if not 0 <= noise_sd < np.inf:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     rng = np.random.default_rng(seed)
@@ -144,8 +142,8 @@ def fit_logistic(
     """
     if feature_map not in ("linear", "quadratic"):
         raise ValueError(f"feature_map must be 'linear' or 'quadratic', got {feature_map!r}")
-    if l2 < 0:
-        raise ValueError(f"l2 must be >= 0, got {l2}")
+    if not 0 <= l2 < np.inf:
+        raise ValueError(f"l2 must be finite and >= 0, got {l2}")
     check_iteration(max_iter, tol)
     z = data.labels.astype(np.float64)
     if not 0 < z.sum() < z.size:

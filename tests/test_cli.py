@@ -742,6 +742,21 @@ class TestArgumentErrors:
         assert main(["verify", "size-sweep", "--sizes", "10,oops"]) == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            (["verify", "mce-bound", "--n", "ten"], "probcal verify mce-bound: error: argument --n: invalid int value: 'ten'"),
+            (["fit", "--method", "spline", "--in", "x", "--out", "y"],
+             "probcal fit: error: argument --method: invalid choice: 'spline'"),
+            (["fit", "--method", "histogram", "--out", "y"], "probcal fit: error: the following arguments are required: --in"),
+        ],
+        ids=["invalid-int", "invalid-choice", "missing-required"],
+    )
+    def test_bad_flag_prints_one_error_line(self, argv, start, capsys):
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()

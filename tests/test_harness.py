@@ -324,13 +324,6 @@ class TestCalibrationSizeSweep:
         with pytest.raises(ValueError, match="trials"):
             calibration_size_sweep(oracle_generator(IDENTITY), sizes=(100, 1000), trials=1)
 
-    @pytest.mark.parametrize("metric_bins", [0, -1])
-    def test_rejects_nonpositive_metric_bins(self, metric_bins):
-        with pytest.raises(ValueError, match=f"num_bins must be >= 1, got {metric_bins}"):
-            calibration_size_sweep(
-                oracle_generator(IDENTITY), sizes=(100, 1000), trials=2, metric_bins=metric_bins
-            )
-
     def test_constant_oracle_calibrates_to_small_error(self):
         # truth is flat at 0.5, so per-bin noise is all that remains
         generator = oracle_generator(OracleSpec(curve="constant", level=0.5))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import probcal.serialize
 from oracles import dumps_whole
 from probcal.binning import HistogramCalibrator
+from probcal.cli import EXIT_INPUT, main
 from probcal.density import DPMCalibrator, KDECalibrator
 from probcal.harness import Assertion, SweepPoint, SweepReport, write_sweep_json
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator
@@ -376,6 +377,24 @@ class TestModelValidation:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=message):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "index, changes, key",
+        [(3, {"h0": 0.0, "h1": 0.0}, "h0"), (3, {"h1": 0}, "h1"), (4, {"alpha": 0}, "alpha")],
+        ids=["kde-zero-bandwidths", "kde-zero-h1", "dpm-zero-alpha"],
+    )
+    def test_value_a_fit_never_makes_is_rejected(self, tmp_path, capsys, index, changes, key):
+        # fits make bandwidths and alpha > 0; zero bandwidths would predict the prior at every score
+        path, data = tmp_path / "model.json", tmp_path / "data.csv"
+        path.write_text(dumps({**_VALID_PAYLOADS[index], **changes}))
+        data.write_text("score,label\n0.2,0\n0.8,1\n")
+        message = f"{path}: model field '{key}' must be > 0, got 0"
+        with pytest.raises(ValueError) as raised:
+            load_model(path)
+        assert str(raised.value) == message
+        for argv in (["apply", "--out", str(tmp_path / "out.csv")], ["eval"]):
+            assert main([*argv, "--model", str(path), "--in", str(data)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
 
     def test_valid_hand_written_histogram_loads(self, tmp_path):
         path = tmp_path / "model.json"

@@ -214,6 +214,14 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match=message):
             fit_logistic(generate_xor(40, seed=0), **kwargs)
 
+    @pytest.mark.parametrize("l2", [math.inf, math.nan, -1e-4])
+    def test_rejects_a_penalty_that_is_not_finite_and_nonnegative(self, l2):
+        # an infinite or NaN penalty would give NaN coefficients after a nan-gradient warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^l2 must be finite and >= 0, got {l2}$"):
+                fit_logistic(generate_xor(40, seed=0), l2=l2)
+
     def test_requires_both_classes(self):
         from probcal.data import FeatureDataset
 
