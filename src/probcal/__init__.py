@@ -14,13 +14,7 @@ Monte-Carlo simulation against synthetic oracles with known truth curves.
 
 from .base import BaseCalibrator, NotFittedError
 from .binning import HistogramCalibrator, default_bin_count
-from .data import (
-    FeatureDataset,
-    ScoredDataset,
-    kfold_calibration_set,
-    load_scored_csv,
-    split,
-)
+from .data import FeatureDataset, ScoredDataset, load_scored_csv
 from .density import DPMCalibrator, KDECalibrator, silverman_bandwidth
 from .harness import (
     calibration_size_sweep,
@@ -79,7 +73,6 @@ __all__ = [
     "generate_oracle",
     "generate_xor",
     "hoeffding_bound",
-    "kfold_calibration_set",
     "load_model",
     "load_scored_csv",
     "mce",
@@ -89,7 +82,6 @@ __all__ = [
     "rmse",
     "save_model",
     "silverman_bandwidth",
-    "split",
     "true_theta",
     "verify_auc_loss",
     "verify_ece_rate",

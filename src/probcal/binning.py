@@ -69,7 +69,6 @@ class HistogramCalibrator(BaseCalibrator):
         self.counts_ = None
         self.positives_ = None
         self.theta_ = None
-        self.weights_ = None
         self.n_bins_ = None
         self._fill = None
 
@@ -100,16 +99,15 @@ class HistogramCalibrator(BaseCalibrator):
         idx = _bin_indices(edges, y)
         counts = np.bincount(idx, minlength=edges.size - 1)
         positives = np.bincount(idx[z == 1], minlength=edges.size - 1)
-        theta = np.where(counts > 0, positives / np.maximum(counts, 1), np.nan)
-        return self._set_state(edges, counts, positives, theta)
+        return self._set_state(edges, counts, positives)
 
-    def _set_state(self, edges, counts, positives, theta) -> "HistogramCalibrator":
-        self._fill = _nearest_nonempty(counts)  # raises before any division by a zero total
+    def _set_state(self, edges, counts, positives) -> "HistogramCalibrator":
+        """Store the bins; theta is each bin's positive fraction, NaN for an empty bin."""
+        self._fill = _nearest_nonempty(counts)
         self.edges_ = edges
         self.counts_ = counts
         self.positives_ = positives
-        self.theta_ = theta
-        self.weights_ = counts / counts.sum()
+        self.theta_ = np.where(counts > 0, positives / np.maximum(counts, 1), np.nan)
         self.n_bins_ = counts.size
         return self
 
@@ -146,6 +144,7 @@ class HistogramCalibrator(BaseCalibrator):
             raise ValueError("histogram needs one more edge than counts, positives and theta")
         if np.any(np.diff(edges) <= 0) or np.any(positives > counts):
             raise ValueError("histogram edges must increase and positives must not exceed counts")
-        if not np.array_equal(np.isnan(theta), counts == 0):
-            raise ValueError("histogram theta must be null exactly for empty bins")
-        return cls(counts.size, payload["scheme"])._set_state(edges, counts, positives, theta)
+        model = cls(counts.size, payload["scheme"])._set_state(edges, counts, positives)
+        if not np.array_equal(theta, model.theta_, equal_nan=True):
+            raise ValueError("model field 'theta' must be positives / counts, null exactly for empty bins")
+        return model

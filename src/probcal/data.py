@@ -1,4 +1,4 @@
-"""Score/label containers, CSV reading and writing, and calibration-set construction."""
+"""Score/label containers and CSV reading and writing."""
 
 from __future__ import annotations
 
@@ -7,11 +7,10 @@ import io
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from ._validation import as_labels, as_scores, check_same_length, scored_pair
+from ._validation import as_labels, check_same_length, scored_pair
 
 
 class _Rows:
@@ -31,11 +30,6 @@ class _Rows:
 
     def __len__(self) -> int:
         return self.n_samples
-
-    def subset(self, indices):
-        """Copies of the rows at ``indices``, as the caller's own type."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return type(self)(*(getattr(self, column.name)[idx].copy() for column in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -73,10 +67,6 @@ class FeatureDataset(_Rows):
         labels = as_labels(self.labels)
         check_same_length(feats, labels, "features and labels")
         return feats, labels
-
-    @property
-    def dim(self) -> int:
-        return int(self.features.shape[1])
 
 
 def read_scored_rows(
@@ -274,51 +264,3 @@ def load_scored_csv(
     """Read (score, label) rows from a headered CSV file (see read_scored_rows)."""
     _, scores, labels, _ = read_scored_rows(path, score_column, label_column)
     return ScoredDataset(scores, labels)
-
-
-def split(data, fraction: float, seed):
-    """Randomly partition a dataset into two disjoint parts.
-
-    Part A receives round(fraction * N) samples. Deterministic given the seed.
-    Works on both ScoredDataset and FeatureDataset.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    n = len(data)
-    if n == 0:
-        raise ValueError("cannot split an empty dataset")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    size_a = int(round(fraction * n))
-    return data.subset(order[:size_a]), data.subset(order[size_a:])
-
-
-def kfold_calibration_set(
-    data: FeatureDataset,
-    k: int,
-    trainer: Callable[[FeatureDataset], Callable[[np.ndarray], np.ndarray]],
-    seed,
-) -> ScoredDataset:
-    """Build a calibration set by k-fold cross scoring.
-
-    Rows are shuffled once (seeded) and cut into k contiguous folds. For each
-    fold a model is trained on the remaining k-1 folds and used to score the
-    held-out rows, so no row is ever scored by a model trained on it. With
-    k = N this is the leave-one-out scheme. The result has exactly one
-    (score, label) entry per input row, in the original row order.
-    """
-    n = len(data)
-    if not 2 <= k <= n:
-        raise ValueError(f"k must satisfy 2 <= k <= {n}, got {k}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    folds = np.array_split(order, k)
-    scores = np.empty(n, dtype=np.float64)
-    for fold_index, held_out in enumerate(folds):
-        train_idx = np.concatenate([f for i, f in enumerate(folds) if i != fold_index])
-        try:
-            score_fn = trainer(data.subset(train_idx))
-        except Exception as exc:
-            raise RuntimeError(f"trainer failed on fold {fold_index}: {exc}") from exc
-        scores[held_out] = as_scores(score_fn(data.features[held_out]), "fold scores")
-    return ScoredDataset(scores, data.labels.copy())

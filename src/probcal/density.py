@@ -100,7 +100,7 @@ class KDECalibrator(BaseCalibrator):
 
     def fit(self, scores, labels) -> "KDECalibrator":
         y, z = scored_pair(scores, labels)
-        total, m, n_neg = _two_per_class(z)
+        _two_per_class(z)
         positives = np.sort(y[z == 1])
         negatives = np.sort(y[z == 0])
         if self.shared_bandwidth:
@@ -108,11 +108,15 @@ class KDECalibrator(BaseCalibrator):
         else:
             h1 = silverman_bandwidth(positives)
             h0 = silverman_bandwidth(negatives)
+        return self._set_state(positives, negatives, h0, h1)
+
+    def _set_state(self, positives, negatives, h0, h1) -> "KDECalibrator":
+        """Store the sorted samples and bandwidths; the prior is the positive share of the samples."""
         self.positives_ = positives
         self.negatives_ = negatives
-        self.bandwidth_pos_ = h1
         self.bandwidth_neg_ = h0
-        self.prior_ = m / total
+        self.bandwidth_pos_ = h1
+        self.prior_ = positives.size / (positives.size + negatives.size)
         return self
 
     @staticmethod
@@ -161,14 +165,19 @@ class KDECalibrator(BaseCalibrator):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "KDECalibrator":
-        if payload.get("form", "bayes") != "bayes":
-            raise ValueError(f"unknown KDE form {payload['form']!r}; only 'bayes' is supported")
-        model = cls(shared_bandwidth=bool(payload.get("shared_bandwidth", False)))
-        model.positives_ = np.sort(model_field(payload, "positives", 1, 0.0, 1.0))
-        model.negatives_ = np.sort(model_field(payload, "negatives", 1, 0.0, 1.0))
-        model.bandwidth_neg_ = _positive_field(payload, "h0")
-        model.bandwidth_pos_ = _positive_field(payload, "h1")
-        model.prior_ = float(model_field(payload, "prior", low=0.0, high=1.0))
+        if payload.get("form") != "bayes":
+            raise ValueError("model field 'form' must be \"bayes\"; no other KDE form is supported")
+        shared = payload.get("shared_bandwidth", False)
+        if not isinstance(shared, bool):
+            raise ValueError("model field 'shared_bandwidth' must be true or false")
+        positives = np.sort(model_field(payload, "positives", 1, 0.0, 1.0))
+        negatives = np.sort(model_field(payload, "negatives", 1, 0.0, 1.0))
+        if not (positives.size and negatives.size):
+            raise ValueError("model fields 'positives' and 'negatives' must both be non-empty")
+        h0, h1 = _positive_field(payload, "h0"), _positive_field(payload, "h1")
+        model = cls(shared)._set_state(positives, negatives, h0, h1)
+        if float(model_field(payload, "prior")) != model.prior_:
+            raise ValueError("model field 'prior' must be the positive share of the samples")
         return model
 
 

@@ -244,8 +244,10 @@ def verify_ece_rate(
     span at least two decades for the slope to mean anything.
     """
     require_count(1, n_bins=n_bins, trials=trials)
-    sizes = sorted(int(n) for n in n_grid)
-    if len(sizes) < 2 or sizes[0] < 1:
+    for n in n_grid:
+        require_count(1, n_grid=n)
+    sizes = sorted(n_grid)
+    if len(sizes) < 2:
         raise ValueError("n_grid needs at least two positive sizes")
     if sizes[-1] < 100 * sizes[0]:
         raise ValueError("n_grid must span at least two decades")
@@ -282,8 +284,10 @@ def verify_auc_loss(
     gained) are possible and simply reported.
     """
     require_count(1, n_cal=n_cal)
-    bins_sorted = sorted(int(b) for b in bin_grid)
-    if not bins_sorted or bins_sorted[0] < 1:
+    for b in bin_grid:
+        require_count(1, bin_grid=b)
+    bins_sorted = sorted(bin_grid)
+    if not bins_sorted:
         raise ValueError("bin counts must be >= 1")
     if bins_sorted[-1] > math.isqrt(n_cal):
         raise ValueError(
@@ -395,15 +399,16 @@ def calibration_size_sweep(
     size axis; a single adjacent inversion is tolerated if it stays within
     one standard error of the difference.
     """
-    size_list = [int(s) for s in sizes]
-    if size_list != sorted(size_list):
+    for size in sizes:
+        require_count(1, sizes=size)
+    if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
-    if len(size_list) < 2:
+    if len(sizes) < 2:
         raise ValueError("need at least two sizes")
-    require_count(1, sizes=size_list[0], n_test=n_test, n_bins=n_bins)
+    require_count(1, n_test=n_test, n_bins=n_bins)
     require_count(2, trials=trials)
     points = []
-    for grid_index, n_cal in enumerate(size_list):
+    for grid_index, n_cal in enumerate(sizes):
         reports = _run_trials(
             data_generator, n_cal, n_test, n_bins, trials, seed, (grid_index,),
             num_bins=_SWEEP_NUM_BINS, calibrated_auc=True,

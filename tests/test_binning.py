@@ -79,11 +79,6 @@ class TestEqualFrequencyFit:
             if model.counts_[j]:
                 assert model.theta_[j] == pytest.approx(labels[idx == j].mean())
 
-    def test_weights_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        model = fit_hist(rng.random(47), rng.integers(0, 2, 47), n_bins=7)
-        assert model.weights_.sum() == pytest.approx(1.0)
-
     @settings(max_examples=50, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=200),

@@ -72,6 +72,10 @@ ENTRY_POINTS = {
         lambda v: verify_ece_rate(IDENTITY, n_bins=2, n_grid=(10, 1000), trials=v),
         1, 0, "trials must be >= 1, got 0",
     ),
+    "verify_ece_rate n_grid": (
+        lambda v: verify_ece_rate(IDENTITY, n_bins=2, n_grid=(10, v), trials=1),
+        1000, 0, "n_grid must be >= 1, got 0",
+    ),
     "verify_auc_loss n_cal": (
         lambda v: verify_auc_loss(IDENTITY, n_cal=v, bin_grid=(2,), trials=2),
         100, 0, "n_cal must be >= 1, got 0",
@@ -79,6 +83,10 @@ ENTRY_POINTS = {
     "verify_auc_loss trials": (
         lambda v: verify_auc_loss(IDENTITY, n_cal=100, bin_grid=(2,), trials=v),
         2, 1, "trials must be >= 2 for a standard error, got 1",
+    ),
+    "verify_auc_loss bin_grid": (
+        lambda v: verify_auc_loss(IDENTITY, n_cal=100, bin_grid=(v,), trials=2),
+        2, 0, "bin_grid must be >= 1, got 0",
     ),
     "verify_theta_concentration n_cal": (
         lambda v: verify_theta_concentration(IDENTITY, n_cal=v, n_bins=2, trials=2),
@@ -91,6 +99,10 @@ ENTRY_POINTS = {
     "verify_theta_concentration trials": (
         lambda v: verify_theta_concentration(IDENTITY, n_cal=100, n_bins=2, trials=v),
         2, 1, "trials must be >= 2, got 1",
+    ),
+    "calibration_size_sweep sizes": (
+        lambda v: calibration_size_sweep(oracle_generator(IDENTITY), sizes=(v, 100), trials=2, n_test=100),
+        10, 0, "sizes must be >= 1, got 0",
     ),
     "calibration_size_sweep n_test": (
         lambda v: calibration_size_sweep(oracle_generator(IDENTITY), sizes=(10, 100), trials=2, n_test=v),

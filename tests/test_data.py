@@ -20,10 +20,8 @@ from probcal.data import (
     _blocks,
     _read_plain,
     _read_row_by_row,
-    kfold_calibration_set,
     load_scored_csv,
     read_scored_rows,
-    split,
 )
 from probcal.metrics import accuracy, auc, reliability, rmse
 
@@ -137,12 +135,6 @@ class TestScoredDataset:
         with pytest.raises(ValueError, match="length"):
             ScoredDataset(np.array([0.1]), np.array([0, 1]))
 
-    def test_subset_preserves_order(self):
-        data = ScoredDataset(np.array([0.1, 0.2, 0.3]), np.array([0, 1, 0]))
-        sub = data.subset([2, 0])
-        assert sub.scores.tolist() == [0.3, 0.1]
-        assert sub.labels.tolist() == [0, 0]
-
 
 # every entry point that takes a (scores, labels) pair, and the name it gives the scores
 PAIR_ENTRY_POINTS = {
@@ -182,7 +174,6 @@ class TestFeatureDataset:
     def test_shape_properties(self):
         data = FeatureDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         assert data.n_samples == 4
-        assert data.dim == 2
 
     def test_rejects_one_dimensional_features(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -460,101 +451,3 @@ def _render(cells) -> str:
     out = io.StringIO()
     csv.writer(out).writerow(cells)
     return out.getvalue().removesuffix("\r\n")
-
-
-class TestSplit:
-    def test_sizes_and_partition(self):
-        data = ScoredDataset(np.linspace(0, 1, 10), np.tile([0, 1], 5))
-        a, b = split(data, 0.3, seed=0)
-        assert len(a) == 3
-        assert len(b) == 7
-        merged = sorted(np.concatenate([a.scores, b.scores]).tolist())
-        assert merged == sorted(data.scores.tolist())
-
-    def test_deterministic_given_seed(self):
-        data = ScoredDataset(np.linspace(0, 1, 20), np.tile([0, 1], 10))
-        a1, _ = split(data, 0.5, seed=42)
-        a2, _ = split(data, 0.5, seed=42)
-        assert np.array_equal(a1.scores, a2.scores)
-
-    def test_different_seeds_differ(self):
-        data = ScoredDataset(np.linspace(0, 1, 40), np.tile([0, 1], 20))
-        a1, _ = split(data, 0.5, seed=1)
-        a2, _ = split(data, 0.5, seed=2)
-        assert not np.array_equal(a1.scores, a2.scores)
-
-    def test_rejects_degenerate_fraction(self):
-        data = ScoredDataset(np.array([0.5]), np.array([1]))
-        with pytest.raises(ValueError):
-            split(data, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            split(data, 1.0, seed=0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        n=st.integers(min_value=2, max_value=60),
-        fraction=st.floats(min_value=0.05, max_value=0.95),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_split_is_a_partition(self, n, fraction, seed):
-        rng = np.random.default_rng(0)
-        data = ScoredDataset(rng.random(n), rng.integers(0, 2, n))
-        a, b = split(data, fraction, seed=seed)
-        assert len(a) == int(round(fraction * n))
-        assert len(a) + len(b) == n
-        together = sorted(np.concatenate([a.scores, b.scores]).tolist())
-        assert together == sorted(data.scores.tolist())
-
-
-class TestKFold:
-    @staticmethod
-    def mean_score_trainer(train: FeatureDataset):
-        # score = label rate of the training fold, ignoring features
-        rate = train.labels.mean()
-        return lambda feats: np.full(len(feats), rate)
-
-    def test_output_aligned_with_input_rows(self):
-        rng = np.random.default_rng(3)
-        data = FeatureDataset(rng.normal(size=(20, 2)), rng.integers(0, 2, 20))
-        out = kfold_calibration_set(data, 4, self.mean_score_trainer, seed=0)
-        assert len(out) == 20
-        assert np.array_equal(out.labels, data.labels)
-
-    def test_held_out_rows_do_not_influence_their_score(self):
-        # one outlier label; its own fold's score must be computed without it
-        feats = np.zeros((6, 1))
-        labels = np.array([1, 0, 0, 0, 0, 0])
-        data = FeatureDataset(feats, labels)
-
-        def trainer(train):
-            rate = train.labels.mean()
-            return lambda f: np.full(len(f), rate)
-
-        out = kfold_calibration_set(data, 6, trainer, seed=0)
-        # the positive row is scored by a model trained on all-negative folds
-        assert out.scores[0] == 0.0
-        # every other row sees the single positive among its 5 training rows
-        assert np.allclose(np.delete(out.scores, 0), 0.2)
-
-    def test_k_bounds(self):
-        data = FeatureDataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]))
-        with pytest.raises(ValueError):
-            kfold_calibration_set(data, 1, self.mean_score_trainer, seed=0)
-        with pytest.raises(ValueError):
-            kfold_calibration_set(data, 5, self.mean_score_trainer, seed=0)
-
-    def test_trainer_failure_is_wrapped(self):
-        data = FeatureDataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]))
-
-        def broken(train):
-            raise ValueError("nope")
-
-        with pytest.raises(RuntimeError, match="fold 0"):
-            kfold_calibration_set(data, 2, broken, seed=0)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        data = FeatureDataset(rng.normal(size=(15, 2)), rng.integers(0, 2, 15))
-        out1 = kfold_calibration_set(data, 3, self.mean_score_trainer, seed=7)
-        out2 = kfold_calibration_set(data, 3, self.mean_score_trainer, seed=7)
-        assert np.array_equal(out1.scores, out2.scores)

@@ -333,6 +333,18 @@ HISTOGRAM = {
     "positives": [1, 3],
 }
 
+_VALID_PAYLOADS = [model.to_dict() for model in _fitted_models()]
+KDE = {
+    "method": "kde",
+    "form": "bayes",
+    "shared_bandwidth": False,
+    "positives": [0.5, 0.6],
+    "negatives": [0.1, 0.2],
+    "h0": 0.2,
+    "h1": 0.2,
+    "prior": 0.5,
+}
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda children: st.lists(children, max_size=4)
@@ -379,16 +391,38 @@ class TestModelValidation:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "index, changes, key",
-        [(3, {"h0": 0.0, "h1": 0.0}, "h0"), (3, {"h1": 0}, "h1"), (4, {"alpha": 0}, "alpha")],
-        ids=["kde-zero-bandwidths", "kde-zero-h1", "dpm-zero-alpha"],
+        "payload, message",
+        [
+            # fits make bandwidths and alpha > 0; zero bandwidths would predict the prior at every score
+            ({**_VALID_PAYLOADS[3], "h0": 0.0, "h1": 0.0}, "model field 'h0' must be > 0, got 0"),
+            ({**_VALID_PAYLOADS[3], "h1": 0}, "model field 'h1' must be > 0, got 0"),
+            ({**_VALID_PAYLOADS[4], "alpha": 0}, "model field 'alpha' must be > 0, got 0"),
+            # a fit derives theta from counts and positives, and the KDE prior from the two samples
+            (
+                {**HISTOGRAM, "theta": [0.3, 0.75]},
+                "model field 'theta' must be positives / counts, null exactly for empty bins",
+            ),
+            ({**KDE, "prior": 0.6}, "model field 'prior' must be the positive share of the samples"),
+            # a fit needs two samples of each class; an empty one would make apply write 0 everywhere
+            ({**KDE, "positives": []}, "model fields 'positives' and 'negatives' must both be non-empty"),
+            (
+                {key: value for key, value in KDE.items() if key != "form"},
+                "model field 'form' must be \"bayes\"; no other KDE form is supported",
+            ),
+            ({**KDE, "shared_bandwidth": "no"}, "model field 'shared_bandwidth' must be true or false"),
+            ({**KDE, "shared_bandwidth": [1]}, "model field 'shared_bandwidth' must be true or false"),
+        ],
+        ids=[
+            "kde-zero-bandwidths", "kde-zero-h1", "dpm-zero-alpha", "histogram-theta-not-positives-over-counts",
+            "kde-prior-not-the-class-share", "kde-empty-positives", "kde-form-missing",
+            "kde-shared-bandwidth-string", "kde-shared-bandwidth-list",
+        ],
     )
-    def test_value_a_fit_never_makes_is_rejected(self, tmp_path, capsys, index, changes, key):
-        # fits make bandwidths and alpha > 0; zero bandwidths would predict the prior at every score
+    def test_value_a_fit_never_makes_is_rejected(self, tmp_path, capsys, payload, message):
         path, data = tmp_path / "model.json", tmp_path / "data.csv"
-        path.write_text(dumps({**_VALID_PAYLOADS[index], **changes}))
+        path.write_text(dumps(payload))
         data.write_text("score,label\n0.2,0\n0.8,1\n")
-        message = f"{path}: model field '{key}' must be > 0, got 0"
+        message = f"{path}: {message}"
         with pytest.raises(ValueError) as raised:
             load_model(path)
         assert str(raised.value) == message
@@ -423,6 +457,3 @@ class TestModelValidation:
             return
         out = model.predict(np.linspace(0.0, 1.0, 11))
         assert np.all((out >= 0.0) & (out <= 1.0))
-
-
-_VALID_PAYLOADS = [model.to_dict() for model in _fitted_models()]
