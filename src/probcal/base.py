@@ -12,17 +12,20 @@ import numpy as np
 from ._validation import as_scores
 
 
+def _special():
+    """``scipy.special``, imported on first use: it is most of probcal's import time."""
+    import scipy.special
+    return scipy.special
+
+
 class NotFittedError(ValueError):
     """Raised when predict is called before fit."""
 
 
 class BaseCalibrator:
-    def _require_fitted(self, *attributes: str) -> None:
-        for attr in attributes:
-            if getattr(self, attr, None) is None:
-                raise NotFittedError(
-                    f"{type(self).__name__} is not fitted; call fit first"
-                )
+    def _require_fitted(self, attribute: str) -> None:
+        if getattr(self, attribute, None) is None:
+            raise NotFittedError(f"{type(self).__name__} is not fitted; call fit first")
 
     @staticmethod
     def _prepare_queries(scores) -> tuple[np.ndarray, bool]:

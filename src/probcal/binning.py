@@ -70,7 +70,7 @@ class HistogramCalibrator(BaseCalibrator):
         self.positives_ = None
         self.theta_ = None
         self.n_bins_ = None
-        self._fill = None
+        self.values_ = None
 
     def fit(self, scores, labels) -> "HistogramCalibrator":
         y, z = scored_pair(scores, labels)
@@ -102,20 +102,20 @@ class HistogramCalibrator(BaseCalibrator):
         return self._set_state(edges, counts, positives)
 
     def _set_state(self, edges, counts, positives) -> "HistogramCalibrator":
-        """Store the bins; theta is each bin's positive fraction, NaN for an empty bin."""
-        self._fill = _nearest_nonempty(counts)
+        """Store the bins; theta is each bin's positive fraction, NaN for an empty bin, and
+        values_ each bin's prediction, the theta of its nearest nonempty bin."""
         self.edges_ = edges
         self.counts_ = counts
         self.positives_ = positives
         self.theta_ = np.where(counts > 0, positives / np.maximum(counts, 1), np.nan)
+        self.values_ = self.theta_[_nearest_nonempty(counts)]
         self.n_bins_ = counts.size
         return self
 
     def predict(self, scores):
         self._require_fitted("edges_")
         queries, scalar = self._prepare_queries(scores)
-        idx = _bin_indices(self.edges_, queries)
-        return self._finish(self.theta_[self._fill[idx]], scalar)
+        return self._finish(self.values_[_bin_indices(self.edges_, queries)], scalar)
 
     def to_dict(self) -> dict:
         self._require_fitted("edges_")

@@ -156,7 +156,7 @@ def cmd_apply(args) -> int:
     if args.column in fieldnames:
         raise ValueError(f"{args.infile}: column {args.column!r} already exists; refusing to replace it")
     # predicted whole, so no bit depends on the blocks the rows are written in
-    calibrated = model.predict(scores) if scores.size else scores
+    calibrated = model.predict(scores)
 
     def blocks():
         start = 0

@@ -20,16 +20,10 @@ import numpy as np
 from ._validation import (
     check_iteration, class_counts, model_field, require_count, scored_pair, warn_unconverged
 )
-from .base import BaseCalibrator
+from .base import BaseCalibrator, _special
 
 _SILVERMAN_FLOOR = 1e-3
 _BLOCK_QUERIES = 1 << 14  # queries per block of KDECalibrator.predict
-
-
-def _special():
-    """``scipy.special``, imported on first use: it is most of probcal's import time."""
-    import scipy.special
-    return scipy.special
 
 
 def silverman_bandwidth(scores) -> float:
@@ -172,8 +166,8 @@ class KDECalibrator(BaseCalibrator):
             raise ValueError("model field 'shared_bandwidth' must be true or false")
         positives = np.sort(model_field(payload, "positives", 1, 0.0, 1.0))
         negatives = np.sort(model_field(payload, "negatives", 1, 0.0, 1.0))
-        if not (positives.size and negatives.size):
-            raise ValueError("model fields 'positives' and 'negatives' must both be non-empty")
+        if positives.size < 2 or negatives.size < 2:
+            raise ValueError("model fields 'positives' and 'negatives' must each hold at least 2 scores")
         h0, h1 = _positive_field(payload, "h0"), _positive_field(payload, "h1")
         model = cls(shared)._set_state(positives, negatives, h0, h1)
         if float(model_field(payload, "prior")) != model.prior_:
@@ -470,4 +464,6 @@ class DPMCalibrator(BaseCalibrator):
         model.positive_ = rebuild("positive")
         model.negative_ = rebuild("negative")
         model.prior_ = float(model_field(payload, "prior", low=0.0, high=1.0))
+        if model.prior_ in (0.0, 1.0):  # a fit has two samples of each class
+            raise ValueError(f"model field 'prior' must lie strictly between 0 and 1, got {model.prior_:g}")
         return model

@@ -143,12 +143,12 @@ def rmse(predictions, labels) -> float:
     return float(np.sqrt(np.mean((p - z) ** 2)))
 
 
-def accuracy(predictions, labels, threshold: float = 0.5) -> float:
-    """Fraction of samples where (prediction >= threshold) matches the label."""
+def accuracy(predictions, labels) -> float:
+    """Fraction of samples where (prediction >= 0.5) matches the label."""
     p, z = scored_pair(predictions, labels, "predictions")
     if p.size == 0:
         raise ValueError("accuracy of an empty list is undefined")
-    return float(np.mean((p >= threshold).astype(np.int64) == z))
+    return float(np.mean((p >= 0.5).astype(np.int64) == z))
 
 
 def evaluate(

@@ -7,13 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._validation import check_iteration, class_counts, model_field, scored_pair, warn_unconverged
-from .base import BaseCalibrator
-
-
-def _expit(x):
-    """scipy's ``expit``, imported on first use: scipy.special is most of probcal's import time."""
-    from scipy.special import expit
-    return expit(x)
+from .base import BaseCalibrator, _special
 
 
 def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float, what: str) -> tuple:
@@ -150,7 +144,7 @@ class PlattCalibrator(BaseCalibrator):
             )
 
         def derivatives(w):
-            p = _expit(-(w[0] * f + w[1]))
+            p = _special().expit(-(w[0] * f + w[1]))
             d = target - p
             c = p * (1.0 - p)
             cross = np.dot(c, f)
@@ -167,7 +161,7 @@ class PlattCalibrator(BaseCalibrator):
     def predict(self, scores):
         self._require_fitted("slope_")
         queries, scalar = self._prepare_queries(scores)
-        return self._finish(_expit(-(self.slope_ * queries + self.intercept_)), scalar)
+        return self._finish(_special().expit(-(self.slope_ * queries + self.intercept_)), scalar)
 
     def to_dict(self) -> dict:
         self._require_fitted("slope_")
@@ -185,9 +179,7 @@ class PlattCalibrator(BaseCalibrator):
         model = cls()
         model.slope_ = float(model_field(payload, "A"))
         model.intercept_ = float(model_field(payload, "B"))
-        # the file does not record convergence; None means unknown
-        model.converged_ = None
-        return model
+        return model  # the file does not record convergence: converged_ stays None, unknown
 
 
 class IsotonicCalibrator(BaseCalibrator):

@@ -34,16 +34,17 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
+def dumps(obj) -> str:
     """Render to JSON text with stable formatting."""
-    return "".join(iterdumps(obj, indent))
+    return "".join(iterdumps(obj))
 
 
 _BLOCK_VALUES = 1 << 14  # floats of a float list or array formatted per piece of iterdumps
 
 
 def iterdumps(obj, indent: int = 0):
-    """The text of ``dumps(obj, indent)`` in pieces; a float list or 1-D float64 array comes in blocks."""
+    """The text of ``dumps(obj)`` at nesting depth ``indent``, in pieces; a float list or
+    1-D float64 array comes in blocks."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -72,15 +73,9 @@ def iterdumps(obj, indent: int = 0):
                 yield from iterdumps(v, indent + 1)
                 opening = ",\n"
         yield f"\n{pad}]" if len(obj) else "[]"
-    elif obj is None:
-        yield "null"
-    elif isinstance(obj, bool):
-        yield "true" if obj else "false"
-    elif isinstance(obj, int):
-        yield str(obj)
     elif isinstance(obj, float):
         yield format_float(obj)
-    elif isinstance(obj, str):
+    elif obj is None or isinstance(obj, (bool, int, str)):
         yield json.dumps(obj)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -134,14 +134,14 @@ class TestAgainstLoopReferences:
         scores, n_bins = case
         model = fit_hist(scores, np.arange(scores.size) % 2, n_bins=n_bins)
         assert model.edges_.tobytes() == frequency_edges_by_loop(scores, n_bins).tobytes()
-        assert model._fill.tobytes() == nearest_nonempty_by_loop(model.counts_).tobytes()
+        assert model.values_.tobytes() == model.theta_[nearest_nonempty_by_loop(model.counts_)].tobytes()
 
     @given(tied_scores_and_bin_count())
     @settings(max_examples=200, deadline=None)
     def test_width_fill_with_bins_left_empty(self, case):
         scores, n_bins = case
         model = fit_hist(scores, np.arange(scores.size) % 2, n_bins=n_bins, scheme="width")
-        assert model._fill.tobytes() == nearest_nonempty_by_loop(model.counts_).tobytes()
+        assert model.values_.tobytes() == model.theta_[nearest_nonempty_by_loop(model.counts_)].tobytes()
 
     @given(st.lists(st.sampled_from([0, 0, 0, 1, 5]), min_size=1, max_size=40).filter(any))
     @settings(max_examples=300, deadline=None)
@@ -190,6 +190,10 @@ class TestValidationAndState:
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             HistogramCalibrator().predict(0.5)
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            HistogramCalibrator(n_bins=3).fit([], [])
 
     def test_rejects_too_many_bins(self):
         with pytest.raises(ValueError, match="n_bins"):

@@ -63,6 +63,10 @@ class TestSilvermanBandwidth:
         with pytest.raises(ValueError):
             silverman_bandwidth([0.5])
 
+    def test_rejects_two_dimensional_scores(self):
+        with pytest.raises(ValueError, match="scores must be one-dimensional"):
+            silverman_bandwidth([[0.1, 0.2], [0.3, 0.4]])
+
 
 class TestKDEFit:
     def test_per_class_bandwidths(self):
@@ -103,16 +107,16 @@ class TestKDEFit:
 
 class TestKDEPredict:
     def test_window_covering_only_positives(self):
-        model = kde_from_parts([0.5, 0.6], [0.1], 0.2, prior=2 / 3)
+        model = kde_from_parts([0.5, 0.55, 0.6, 0.65], [0.05, 0.1], 0.2, prior=2 / 3)
         assert model.predict(0.55) == 1.0
 
     def test_window_edges_count_inclusively(self):
         # 0.5 sits at 0.3 + h and 0.1 at 0.3 - h; both contribute 0.5
-        model = kde_from_parts([0.5, 0.6], [0.1], 0.2, prior=2 / 3)
+        model = kde_from_parts([0.5, 0.55, 0.6, 0.65], [0.05, 0.1], 0.2, prior=2 / 3)
         assert model.predict(0.3) == 0.5
 
     def test_empty_window_returns_prior(self):
-        model = kde_from_parts([0.5, 0.6], [0.1], 0.2, prior=2 / 3)
+        model = kde_from_parts([0.5, 0.55, 0.6, 0.65], [0.05, 0.1], 0.2, prior=2 / 3)
         assert model.predict(0.95) == pytest.approx(2 / 3)
 
     def test_shared_bandwidth_equals_nadaraya_watson(self):
@@ -150,7 +154,7 @@ class TestKDEPredict:
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_out_of_range_query(self):
-        model = kde_from_parts([0.5, 0.6], [0.1], 0.2, prior=2 / 3)
+        model = kde_from_parts([0.5, 0.55, 0.6, 0.65], [0.05, 0.1], 0.2, prior=2 / 3)
         with pytest.raises(ValueError):
             model.predict(-0.1)
 

@@ -129,11 +129,6 @@ class TestVerifyMceBound:
         assert len(report.assertions) == 1
         assert "fraction of trials" in report.assertions[0].name
 
-    def test_auc_loss_is_exact_difference(self):
-        report = verify_mce_bound(IDENTITY, n_cal=200, n_bins=5, trials=4, n_test=2000)
-        for r in report.points[0].reports:
-            assert r.auc_loss == r.auc_raw - r.auc_calibrated
-
     def test_deterministic(self):
         a = verify_mce_bound(IDENTITY, n_cal=150, n_bins=5, trials=3, n_test=1000, seed=7)
         b = verify_mce_bound(IDENTITY, n_cal=150, n_bins=5, trials=3, n_test=1000, seed=7)
@@ -145,14 +140,14 @@ class TestVerifyMceBound:
         long = verify_mce_bound(IDENTITY, n_cal=150, n_bins=5, trials=3, n_test=1000)
         assert short.points[0].reports[0].mce == long.points[0].reports[0].mce
 
-    def test_one_class_oracle_noted_and_auc_skipped(self):
+    def test_one_class_oracle_has_no_note_and_no_auc(self):
         report = verify_mce_bound(
             OracleSpec(curve="constant", level=1.0), n_cal=100, n_bins=2, trials=3, n_test=500
         )
-        assert report.notes == ["3/3 trials had one-class test data; AUC skipped there"]
+        assert report.notes == []
         for r in report.points[0].reports:
-            assert r.auc_raw is None
-            assert r.auc_loss is None
+            assert (r.auc_raw, r.auc_calibrated, r.auc_loss) == (None, None, None)
+            assert r.mce == r.ece == 0.0
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
@@ -221,6 +216,11 @@ class TestVerifyAucLoss:
     def test_rejects_empty_bin_grid(self):
         with pytest.raises(ValueError, match="bin counts"):
             verify_auc_loss(IDENTITY, n_cal=100, bin_grid=(), trials=2)
+
+    def test_auc_loss_is_exact_difference(self):
+        report = verify_auc_loss(IDENTITY, n_cal=2500, bin_grid=(5,), trials=3)
+        for r in report.points[0].reports:
+            assert r.auc_loss == r.auc_raw - r.auc_calibrated
 
     def test_report_structure_and_limits(self):
         report = verify_auc_loss(IDENTITY, n_cal=2500, bin_grid=(5, 10), trials=3)
@@ -391,9 +391,9 @@ class TestTrialStreamsAndAucWork:
 
     def test_mce_bound(self, harness_auc_calls):
         report = verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=3, n_test=2000, seed=4)
-        assert len(harness_auc_calls) == 2 * 3
+        assert harness_auc_calls == []
         for r in report.points[0].reports:
-            _assert_direct_fit(r, SQUARE, 4, (r.trial,), 2000, 5, raw=True, calibrated=True)
+            _assert_direct_fit(r, SQUARE, 4, (r.trial,), 2000, 5, raw=False, calibrated=False)
 
     def test_ece_rate(self, harness_auc_calls):
         report = verify_ece_rate(SQUARE, n_bins=5, n_grid=(100, 10_000), trials=2, seed=4)

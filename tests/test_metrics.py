@@ -225,15 +225,15 @@ class TestPointMetrics:
         labels = np.array([0, 1, 1])
         assert rmse(preds, labels) == pytest.approx(math.sqrt(0.25 / 3))
 
+    @pytest.mark.parametrize("measure, name", [(rmse, "rmse"), (accuracy, "accuracy")])
+    def test_empty_list_is_rejected(self, measure, name):
+        with pytest.raises(ValueError, match=f"{name} of an empty list is undefined"):
+            measure([], [])
+
     def test_accuracy_threshold_is_inclusive(self):
         preds = np.array([0.5, 0.49])
         labels = np.array([1, 0])
         assert accuracy(preds, labels) == 1.0
-
-    def test_accuracy_custom_threshold(self):
-        preds = np.array([0.3, 0.3])
-        labels = np.array([1, 0])
-        assert accuracy(preds, labels, threshold=0.3) == 0.5
 
     def test_evaluate_bundles_all_measures(self):
         rng = np.random.default_rng(1)

@@ -17,7 +17,7 @@ from probcal.density import DPMCalibrator, KDECalibrator
 from probcal.harness import Assertion, SweepPoint, SweepReport, write_sweep_json
 from probcal.monotone import IsotonicCalibrator, PlattCalibrator
 from probcal.data import format_cells
-from probcal.serialize import MODEL_CLASSES, dumps, format_float, load_model, save_model
+from probcal.serialize import MODEL_CLASSES, dumps, format_float, iterdumps, load_model, save_model
 from probcal.synth import OracleSpec, generate_oracle
 
 
@@ -63,7 +63,7 @@ class TestFormatFloats:
 def recursive_float_list(values, indent):
     """A list of floats as dumps renders it one element at a time."""
     pad, inner = "  " * indent, "  " * (indent + 1)
-    return "[\n" + ",\n".join(inner + dumps(v, indent + 1) for v in values) + f"\n{pad}]"
+    return "[\n" + ",\n".join(inner + "".join(iterdumps(v, indent + 1)) for v in values) + f"\n{pad}]"
 
 
 class TestDumps:
@@ -73,7 +73,7 @@ class TestDumps:
     )
     @settings(max_examples=100, deadline=None)
     def test_float_list_renders_like_the_recursive_form(self, values, indent):
-        assert dumps(values, indent) == recursive_float_list(values, indent)
+        assert "".join(iterdumps(values, indent)) == recursive_float_list(values, indent)
         assert dumps({"v": values}) == '{\n  "v": ' + recursive_float_list(values, 1) + "\n}"
 
     def test_mixed_list_keeps_each_type(self):
@@ -193,7 +193,7 @@ class TestArrayPayloads:
             patch.setattr(probcal.serialize, "_BLOCK_VALUES", block)
             text = "".join(probcal.serialize.iterdumps(array, indent))
             nested = dumps({"a": array, "b": [array, 1]})
-        assert text == dumps(array.tolist(), indent) == dumps_whole(array.tolist(), indent)
+        assert text == "".join(iterdumps(array.tolist(), indent)) == dumps_whole(array.tolist(), indent)
         assert nested == dumps({"a": array.tolist(), "b": [array.tolist(), 1]})
 
     def test_long_array_comes_in_blocks_of_the_list_text(self, monkeypatch):
@@ -397,6 +397,9 @@ class TestModelValidation:
             ({**_VALID_PAYLOADS[3], "h0": 0.0, "h1": 0.0}, "model field 'h0' must be > 0, got 0"),
             ({**_VALID_PAYLOADS[3], "h1": 0}, "model field 'h1' must be > 0, got 0"),
             ({**_VALID_PAYLOADS[4], "alpha": 0}, "model field 'alpha' must be > 0, got 0"),
+            # a fit has two samples of each class; a prior of 0 or 1 would predict it everywhere
+            ({**_VALID_PAYLOADS[4], "prior": 0}, "model field 'prior' must lie strictly between 0 and 1, got 0"),
+            ({**_VALID_PAYLOADS[4], "prior": 1}, "model field 'prior' must lie strictly between 0 and 1, got 1"),
             # a fit derives theta from counts and positives, and the KDE prior from the two samples
             (
                 {**HISTOGRAM, "theta": [0.3, 0.75]},
@@ -404,7 +407,11 @@ class TestModelValidation:
             ),
             ({**KDE, "prior": 0.6}, "model field 'prior' must be the positive share of the samples"),
             # a fit needs two samples of each class; an empty one would make apply write 0 everywhere
-            ({**KDE, "positives": []}, "model fields 'positives' and 'negatives' must both be non-empty"),
+            ({**KDE, "positives": []}, "model fields 'positives' and 'negatives' must each hold at least 2 scores"),
+            (
+                {**KDE, "positives": [0.5], "negatives": [0.1], "prior": 0.5},
+                "model fields 'positives' and 'negatives' must each hold at least 2 scores",
+            ),
             (
                 {key: value for key, value in KDE.items() if key != "form"},
                 "model field 'form' must be \"bayes\"; no other KDE form is supported",
@@ -413,8 +420,9 @@ class TestModelValidation:
             ({**KDE, "shared_bandwidth": [1]}, "model field 'shared_bandwidth' must be true or false"),
         ],
         ids=[
-            "kde-zero-bandwidths", "kde-zero-h1", "dpm-zero-alpha", "histogram-theta-not-positives-over-counts",
-            "kde-prior-not-the-class-share", "kde-empty-positives", "kde-form-missing",
+            "kde-zero-bandwidths", "kde-zero-h1", "dpm-zero-alpha", "dpm-prior-0", "dpm-prior-1",
+            "histogram-theta-not-positives-over-counts", "kde-prior-not-the-class-share",
+            "kde-empty-positives", "kde-one-sample-per-class", "kde-form-missing",
             "kde-shared-bandwidth-string", "kde-shared-bandwidth-list",
         ],
     )

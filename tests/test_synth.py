@@ -119,6 +119,14 @@ class TestTrueTheta:
         theta = true_theta(OracleSpec(curve="logistic"), np.linspace(0, 1, 11))
         assert np.all((theta >= 0) & (theta <= 1))
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [([0.5], "at least two values"), ([0.2, 0.2], "strictly increasing")],
+    )
+    def test_rejects_bad_edges(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            true_theta(OracleSpec(), edges)
+
 
 class TestGenerateXor:
     def test_zero_noise_gives_exact_corners(self):
@@ -201,6 +209,13 @@ class TestFitLogistic:
         assert np.array_equal(once, again)
         with pytest.raises(AttributeError):
             scorer.feature_map = "quadratic"
+
+    def test_one_feature_row_gives_one_score(self):
+        data = generate_xor(200, seed=4)
+        scorer = fit_logistic(data, feature_map="quadratic")
+        single = scorer(data.features[0])
+        assert single.shape == (1,)
+        assert single[0] == scorer(data.features[:1])[0]
 
     def test_rejects_unknown_feature_map(self):
         data = generate_xor(100, seed=0)

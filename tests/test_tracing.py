@@ -71,7 +71,7 @@ def test_traced_trials_and_auc_calls(tracing):
     recorder = tracing.Recorder()
     recorder.install()
     try:
-        harness.verify_mce_bound(OracleSpec(), n_cal=100, n_bins=2, trials=2, n_test=200)
+        harness.verify_auc_loss(OracleSpec(), n_cal=100, bin_grid=(2,), trials=2)
         harness.verify_theta_concentration(
             OracleSpec(), n_cal=200, n_bins=2, epsilon_grid=(0.1, 0.2), trials=3
         )
@@ -80,7 +80,7 @@ def test_traced_trials_and_auc_calls(tracing):
     metrics = tracing.layer_metrics(recorder)
     # theta-conc reports its trials once, on its first point
     assert metrics["harness.trials"] == (5, "count")
-    # mce-bound calls auc for the raw AUC of each of its trials; the harness
+    # auc-loss calls auc for the raw AUC of each of its trials; the harness
     # counts the calibrated AUC from its per-level class counts
     assert metrics["metrics.auc.calls"] == (2, "count")
 
