@@ -246,9 +246,16 @@ class TestApply:
         assert code == EXIT_INPUT
         assert "outside [0, 1]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["histogram", "platt", "isotonic", "kde", "dpm"])
-    def test_header_only_input(self, scored_csv, tmp_path, capsys, method):
+    def test_header_only_input(self, scored_csv, tmp_path, capsys):
+        self._check_header_only_input(scored_csv, tmp_path, capsys, "histogram")
+
+    @pytest.mark.parametrize("method", ["platt", "isotonic", "kde", "dpm"])
+    def test_header_only_input_other_kinds(self, scored_csv, tmp_path, capsys, method):
         # every model kind's predict maps no rows to no values
+        self._check_header_only_input(scored_csv, tmp_path, capsys, method)
+
+    @staticmethod
+    def _check_header_only_input(scored_csv, tmp_path, capsys, method):
         model = tmp_path / "m.json"
         assert main(["fit", "--method", method, "--in", str(scored_csv), "--out", str(model)]) == EXIT_OK
         data = tmp_path / "empty.csv"
