@@ -43,7 +43,9 @@ _SWEEP_NUM_BINS = 10  # calibration_size_sweep's reliability bins, the same at e
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Measured quantities for one Monte-Carlo trial."""
+    """Measured quantities for one Monte-Carlo trial. ``mce`` and ``ece`` are NaN in
+    the trials of ``verify_auc_loss`` and ``verify_theta_concentration``, which
+    measure neither; the AUC fields are None where a check computes no AUC."""
 
     trial: int
     n_cal: int
@@ -124,14 +126,17 @@ def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = 
     return summary
 
 
-def _calibrated_bins(model: HistogramCalibrator, test, num_bins: int, with_auc: bool) -> tuple:
-    """``reliability`` and, if asked, ``auc`` of ``model.predict(test.scores)``, bit for bit:
-    a stable argsort of each row's small-integer value rank is a radix sort with the
-    float order's permutation, and the AUC is counted per value."""
+def _calibrated_bins(model: HistogramCalibrator, test, num_bins: int | None, with_auc: bool) -> tuple:
+    """``reliability`` in ``num_bins`` bins (None: skipped) and, if asked, ``auc`` of
+    ``model.predict(test.scores)``, bit for bit: a stable argsort of each row's
+    small-integer value rank is a radix sort with the float order's permutation, and
+    the AUC is counted per value."""
     levels, rank = np.unique(model.values_, return_inverse=True)
     codes = rank.astype(np.min_scalar_type(levels.size - 1))[_bin_indices(model.edges_, test.scores)]
-    members = np.array_split(np.argsort(codes, kind="stable"), num_bins)
-    bins = _summarize(levels[codes], test.labels, members)
+    bins = None
+    if num_bins is not None:
+        members = np.array_split(np.argsort(codes, kind="stable"), num_bins)
+        bins = _summarize(levels[codes], test.labels, members)
     return bins, _level_auc(codes, test.labels, levels.size) if with_auc else None
 
 
@@ -144,6 +149,7 @@ def _run_trials(
     seed: int,
     path: tuple = (),
     num_bins: int | None = None,
+    reliability: bool = True,
     raw_auc: bool = False,
     calibrated_auc: bool = False,
 ) -> tuple:
@@ -151,9 +157,9 @@ def _run_trials(
 
     Trial t draws its calibration and test sets with ``generate(n, stream)``
     from the streams at (seed, *path, t), fits the histogram calibrator and
-    measures MCE and ECE on the test set (default max(10 N, 1e5) samples)
-    in ``num_bins`` bins (default: as fitted). Only the AUCs asked for are
-    computed; they stay None when the test set holds one class.
+    measures MCE and ECE (NaN unless ``reliability``) on the test set (default
+    max(10 N, 1e5) samples) in ``num_bins`` bins (default: as fitted). Only the
+    AUCs asked for are computed; they stay None when the test set holds one class.
     """
     n_test = default_test_size(n_cal) if n_test is None else n_test
     reports = []
@@ -163,15 +169,16 @@ def _run_trials(
         test = generate(n_test, test_ss)
         model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
         two_class = 0 < test.n_pos < test.n_samples
-        bins, cal_auc = _calibrated_bins(model, test, num_bins or model.n_bins_, calibrated_auc and two_class)
+        metric_bins = (num_bins or model.n_bins_) if reliability else None
+        bins, cal_auc = _calibrated_bins(model, test, metric_bins, calibrated_auc and two_class)
         raw = auc(test.scores, test.labels) if raw_auc and two_class else None
         reports.append(
             TrialReport(
                 trial=t,
                 n_cal=len(cal),
                 n_bins=model.n_bins_,
-                mce=mce(bins),
-                ece=ece(bins),
+                mce=mce(bins) if reliability else math.nan,
+                ece=ece(bins) if reliability else math.nan,
                 auc_raw=raw,
                 auc_calibrated=cal_auc,
                 auc_loss=raw - cal_auc if raw is not None and cal_auc is not None else None,
@@ -292,7 +299,7 @@ def verify_auc_loss(
     for grid_index, b in enumerate(bins_sorted):
         reports = _run_trials(
             oracle_generator(spec), n_cal, None, b, trials, seed, (grid_index,),
-            raw_auc=True, calibrated_auc=True,
+            reliability=False, raw_auc=True, calibrated_auc=True,
         )
         # each trial computes both AUCs or neither, so these trials are also those with either
         defined = [r for r in reports if r.auc_loss is not None]

@@ -22,11 +22,26 @@ SCHEMES = (SCHEME_FREQUENCY, SCHEME_WIDTH)
 
 DEFAULT_NUM_BINS = 10
 
+_CELLS = 1 << 12  # lookup cells of [0, 1]; a power of two, so a score's cell is exact
+
 
 def _bin_indices(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Right-open bin lookup; scores at 1 fall into the last bin."""
-    idx = np.searchsorted(edges, scores, side="right") - 1
-    return np.clip(idx, 0, len(edges) - 2)
+    """Right-open bin lookup of scores in [0, 1]: the number of interior edges at or below
+    each score, so scores at 1 fall into the last bin and, when a loaded model's first
+    edge is above 0, lower scores into bin 0. Score s lies in cell floor(s * 2**12),
+    the last closed at 1; a table gives the bin of each cell's left end, and only scores
+    in a cell with an interior edge strictly inside it take a binary search."""
+    inner = edges[1:-1]
+    table = np.searchsorted(inner, np.arange(_CELLS) / _CELLS, side="right")
+    scaled = inner * _CELLS
+    split = np.zeros(_CELLS, dtype=bool)
+    split[scaled[scaled != np.floor(scaled)].astype(np.intp)] = True
+    cells = (scores * _CELLS).astype(np.int16)
+    np.minimum(cells, _CELLS - 1, out=cells)
+    idx = table[cells]
+    rows = np.flatnonzero(split[cells])
+    idx[rows] = np.searchsorted(inner, scores[rows], side="right")
+    return idx
 
 
 @dataclass(frozen=True)

@@ -390,6 +390,14 @@ def frequency_edges_by_loop(scores, n_bins: int) -> np.ndarray:
     return np.asarray(cuts, dtype=np.float64)
 
 
+def bin_indices_by_search(edges, scores) -> np.ndarray:
+    """Right-open bin of each score by binary search over all the edges, clipped so that
+    scores at or above the last edge fall into the last bin and scores below the first
+    into bin 0. This was the library's ``_bin_indices`` before its cell table."""
+    idx = np.searchsorted(edges, scores, side="right") - 1
+    return np.clip(idx, 0, len(edges) - 2)
+
+
 def nearest_nonempty_by_loop(counts) -> np.ndarray:
     """For every bin, the index of the nearest bin with a positive count (ties -> lower)."""
     nonempty = np.flatnonzero(np.asarray(counts) > 0)

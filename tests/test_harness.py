@@ -27,7 +27,7 @@ from probcal.harness import (
     write_sweep_csv,
     write_sweep_json,
 )
-from probcal.metrics import _level_auc, auc, ece, mce, reliability
+from probcal.metrics import _level_auc, _summarize, auc, ece, mce, reliability
 from probcal.synth import OracleSpec, generate_oracle, true_theta
 
 IDENTITY = OracleSpec()
@@ -371,33 +371,54 @@ def harness_auc_calls(monkeypatch):
     return calls
 
 
-def _assert_direct_fit(report, spec, seed, key, n_test, n_bins, raw, calibrated, metric_bins=None):
-    """The trial report equals a fit on the streams at (seed, key), done here."""
+@pytest.fixture()
+def harness_summaries(monkeypatch):
+    """Record the bin count of every reliability summary the harness builds."""
+    calls = []
+
+    def counting(p, z, members):
+        calls.append(len(members))
+        return _summarize(p, z, members)
+
+    monkeypatch.setattr("probcal.harness._summarize", counting)
+    return calls
+
+
+def _assert_direct_fit(
+    report, spec, seed, key, n_test, n_bins, raw, calibrated, metric_bins=None, errors=True
+):
+    """The trial report equals a fit on the streams at (seed, key), done here; its MCE
+    and ECE are NaN unless ``errors``."""
     cal_ss, test_ss = np.random.SeedSequence(seed, spawn_key=key).spawn(2)
     cal = generate_oracle(spec, report.n_cal, cal_ss)
     test = generate_oracle(spec, n_test, test_ss)
     model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
     predicted = model.predict(test.scores)
-    bins = reliability(predicted, test.labels, num_bins=metric_bins or model.n_bins_)
-    assert (report.mce, report.ece) == (mce(bins), ece(bins))
+    if errors:
+        bins = reliability(predicted, test.labels, num_bins=metric_bins or model.n_bins_)
+        assert (report.mce, report.ece) == (mce(bins), ece(bins))
+    else:
+        assert math.isnan(report.mce) and math.isnan(report.ece)
     assert report.auc_raw == (auc(test.scores, test.labels) if raw else None)
     assert report.auc_calibrated == (auc(predicted, test.labels) if calibrated else None)
 
 
 class TestTrialStreamsAndAucWork:
     """Trial t at grid point g draws from SeedSequence(seed, spawn_key=(g, t)),
-    or (t,) for the single-point checks, and computes only the AUCs its check
-    reports."""
+    or (t,) for the single-point checks, and computes only the AUCs and the
+    reliability summary (MCE and ECE) its check reports."""
 
-    def test_mce_bound(self, harness_auc_calls):
+    def test_mce_bound(self, harness_auc_calls, harness_summaries):
         report = verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=3, n_test=2000, seed=4)
         assert harness_auc_calls == []
+        assert harness_summaries == [5] * 3
         for r in report.points[0].reports:
             _assert_direct_fit(r, SQUARE, 4, (r.trial,), 2000, 5, raw=False, calibrated=False)
 
-    def test_ece_rate(self, harness_auc_calls):
+    def test_ece_rate(self, harness_auc_calls, harness_summaries):
         report = verify_ece_rate(SQUARE, n_bins=5, n_grid=(100, 10_000), trials=2, seed=4)
         assert harness_auc_calls == []
+        assert harness_summaries == [5] * 2 * 2
         for g, point in enumerate(report.points):
             for r in point.reports:
                 n_test = default_test_size(r.n_cal)
@@ -405,21 +426,24 @@ class TestTrialStreamsAndAucWork:
                     r, SQUARE, 4, (g, r.trial), n_test, 5, raw=False, calibrated=False
                 )
 
-    def test_auc_loss(self, harness_auc_calls):
+    def test_auc_loss(self, harness_auc_calls, harness_summaries):
+        # the loss check reports no MCE or ECE, so its trials measure neither
         report = verify_auc_loss(SQUARE, n_cal=2500, bin_grid=(5, 10), trials=2, seed=4)
         assert len(harness_auc_calls) == 2 * 2 * 2
+        assert harness_summaries == []
         for g, point in enumerate(report.points):
             for r in point.reports:
                 n_test = default_test_size(2500)
                 _assert_direct_fit(
-                    r, SQUARE, 4, (g, r.trial), n_test, r.n_bins, raw=True, calibrated=True
+                    r, SQUARE, 4, (g, r.trial), n_test, r.n_bins, raw=True, calibrated=True, errors=False
                 )
 
-    def test_size_sweep(self, harness_auc_calls):
+    def test_size_sweep(self, harness_auc_calls, harness_summaries):
         report = calibration_size_sweep(
             oracle_generator(SQUARE), sizes=(100, 1000), trials=2, seed=4, n_test=2000
         )
         assert len(harness_auc_calls) == 2 * 2
+        assert harness_summaries == [10] * 2 * 2
         for g, point in enumerate(report.points):
             for r in point.reports:
                 _assert_direct_fit(
@@ -427,11 +451,12 @@ class TestTrialStreamsAndAucWork:
                     raw=False, calibrated=True, metric_bins=10,
                 )
 
-    def test_theta_concentration(self, harness_auc_calls):
+    def test_theta_concentration(self, harness_auc_calls, harness_summaries):
         report = verify_theta_concentration(
             SQUARE, n_cal=1000, n_bins=5, epsilon_grid=(0.05,), trials=3, seed=4
         )
         assert harness_auc_calls == []
+        assert harness_summaries == []
         for r in report.points[0].reports:
             cal_ss, _ = np.random.SeedSequence(4, spawn_key=(r.trial,)).spawn(2)
             cal = generate_oracle(SQUARE, 1000, cal_ss)
@@ -441,13 +466,15 @@ class TestTrialStreamsAndAucWork:
 
 
 def _assert_same_as_predict(model, test, num_bins):
-    """The harness's code path gives the bins and AUC of ``model.predict``, bit for bit."""
+    """The harness's code path gives the bins and AUC of ``model.predict``, bit for bit,
+    and with the bins skipped (``num_bins`` None) the same AUC and no bins."""
     predicted = model.predict(test.scores)
     two_class = 0 < test.n_pos < test.n_samples
     bins, calibrated_auc = _calibrated_bins(model, test, num_bins, two_class)
     # repr is exact for floats and shows NaN, which == would not match
     assert repr(bins) == repr(reliability(predicted, test.labels, num_bins=num_bins))
     assert calibrated_auc == (auc(predicted, test.labels) if two_class else None)
+    assert _calibrated_bins(model, test, None, two_class) == (None, calibrated_auc)
 
 
 class TestCalibratedBins:

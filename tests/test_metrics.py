@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from oracles import auc_by_pair_enumeration, ece_by_definition
+from oracles import auc_by_pair_enumeration, bin_indices_by_search, ece_by_definition
+from probcal.binning import HistogramCalibrator
 from probcal.metrics import (
     ReliabilityBin,
+    _bin_indices,
     accuracy,
     auc,
     ece,
@@ -272,3 +275,68 @@ class TestReliabilityCsv:
         write_reliability_csv(bins, a)
         write_reliability_csv(bins, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+CELL = 2.0**-12  # the width of _bin_indices's lookup cells
+SMALL = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308]  # ends, subnormals, least normal
+
+
+@st.composite
+def edges_and_scores(draw):
+    """Strictly increasing edges in [0, 1], some crowded into one cell or into adjacent
+    cells, some on a cell boundary or 1 ulp to either side of one, that may start above
+    0 and end below 1; and scores in [0, 1] on every edge,
+    on the cell boundaries k * 2**-12 nearby and on the points above, and 1 ulp to
+    either side of each."""
+    cells = draw(st.lists(st.integers(0, 4095), min_size=1, max_size=4))
+    cells += [k + 1 for k in cells]
+    offsets = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+    points = [(k + draw(offsets)) * CELL for k in cells for _ in range(draw(st.integers(1, 4)))]
+    points += [np.nextafter(k * CELL, draw(st.sampled_from([-1.0, 2.0]))) for k in cells if draw(st.booleans())]
+    points += draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    points += draw(st.lists(st.sampled_from(SMALL), max_size=3))
+    edges = np.unique(np.clip(points, 0.0, 1.0))
+    if draw(st.booleans()):
+        edges = np.union1d(edges, [0.0])
+    if draw(st.booleans()):
+        edges = np.union1d(edges, [1.0])
+    assume(edges.size >= 2)
+    near = np.concatenate([points, edges, np.array(cells) * CELL, SMALL])
+    near = np.concatenate([near, np.nextafter(near, -1.0), np.nextafter(near, 2.0)])
+    scores = np.clip(np.concatenate([near, draw(st.lists(st.floats(0.0, 1.0), max_size=20))]), 0.0, 1.0)
+    return edges, scores
+
+
+class TestBinIndices:
+    """The cell-table lookup gives the bins of a binary search over the edges, exactly."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(edges_and_scores())
+    def test_matches_binary_search(self, case):
+        edges, scores = case
+        assert np.array_equal(_bin_indices(edges, scores), bin_indices_by_search(edges, scores))
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_one_bin_and_one_bin_per_score(self, n):
+        # B = 1 and B = n: a frequency fit on n distinct scores puts an edge between each pair
+        rng = np.random.default_rng(n)
+        scores = np.concatenate([rng.random(n), np.arange(4097) * CELL, SMALL])
+        for b in (1, n):
+            edges = HistogramCalibrator(n_bins=b).fit(scores[:n], np.arange(n) % 2).edges_
+            assert edges.size == b + 1
+            assert np.array_equal(_bin_indices(edges, scores), bin_indices_by_search(edges, scores))
+
+    def test_peak_memory_is_no_higher_than_the_search(self):
+        # 4e5 uniform scores at B = 74, the cube-root bin count of pipeline-4e5's fit
+        rng = np.random.default_rng(74)
+        scores = rng.random(400_000)
+        edges = np.concatenate([[0.0], np.sort(rng.random(73)), [1.0]])
+        peaks = []
+        for lookup in (_bin_indices, bin_indices_by_search):
+            tracemalloc.start()
+            try:
+                lookup(edges, scores)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
