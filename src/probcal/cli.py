@@ -7,7 +7,8 @@ does not use is an input error. Only simulate, verify and ``fit --method dpm``
 take --seed.
 Exit codes, all set in ``main``: 0 success, 1 verification assertion failed,
 2 input error (bad or unused flag, unreadable or malformed input, unwritable
-output), 3 fit error. Errors and calibrator warnings print as one line each.
+output, a size too large for memory), 3 fit error. Errors and calibrator
+warnings print as one line each.
 """
 
 from __future__ import annotations
@@ -308,6 +309,10 @@ def main(argv=None) -> int:
             return EXIT_FIT
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except MemoryError as exc:  # numpy's message names the array it could not allocate
+            detail = f": {exc}" if str(exc) else ""
+            print(f"error: out of memory{detail}; try smaller sizes", file=sys.stderr)
             return EXIT_INPUT
 
 

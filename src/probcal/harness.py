@@ -1,8 +1,8 @@
 """Monte-Carlo verification of the calibration-error guarantees.
 
-Each ``verify_*`` routine repeatedly draws fresh calibration data from a
-known oracle, fits the histogram calibrator, measures calibration error on
-a large held-out test set, and compares against the closed-form guarantee:
+Each routine repeatedly draws fresh calibration data from a known oracle,
+fits the histogram calibrator, measures what its guarantee is about, and
+compares against the closed-form guarantee:
 
 * ``verify_mce_bound``:    MCE <= sqrt(2 B log(2B/delta) / N) with
                            probability at least 1 - delta.
@@ -15,9 +15,13 @@ a large held-out test set, and compares against the closed-form guarantee:
 * ``calibration_size_sweep``: more calibration data gives non-increasing
                            MCE and ECE.
 
-All routines derive the random streams of trial t from the master seed
-and a spawn key ``(t,)`` or ``(grid_index, t)``, so trial t draws the
-same data however many trials run and in whatever order.
+All five run their trials through one runner, ``_trials``, which draws
+and fits and then calls the routine's own measure. A measure draws the
+trial's held-out test set (theta-conc draws none, it integrates the truth
+curve) and drops it when it returns, so no test set outlives its trial.
+Trial t's streams derive from the master seed and a spawn key ``(t,)`` or
+``(grid_index, t)``, so trial t draws the same data however many trials
+run and in whatever order.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ _SWEEP_NUM_BINS = 10  # calibration_size_sweep's reliability bins, the same at e
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Measured quantities for one Monte-Carlo trial. ``mce`` and ``ece`` are NaN in
-    the trials of ``verify_auc_loss`` and ``verify_theta_concentration``, which
-    measure neither; the AUC fields are None where a check computes no AUC."""
+    """Measured quantities for one Monte-Carlo trial, from its check's measure. ``mce``
+    and ``ece`` are NaN in the trials of ``verify_auc_loss`` and
+    ``verify_theta_concentration``, which measure neither; the AUC fields are None where
+    a check computes no AUC or the test set holds one class."""
 
     trial: int
     n_cal: int
@@ -108,12 +113,6 @@ def oracle_generator(spec: OracleSpec) -> Callable:
     return partial(generate_oracle, spec)
 
 
-def _rng_pair(seed: int, *path: int):
-    """Two independent deterministic streams addressed by (seed, path)."""
-    root = np.random.SeedSequence(seed, spawn_key=tuple(path))
-    return root.spawn(2)
-
-
 def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = "std") -> dict:
     """``mean_<name>``, then ``std_<name>`` (ddof=1) or ``se_<name>`` (std / sqrt(n)),
     for each report field in the order given; one report has spread 0."""
@@ -140,51 +139,36 @@ def _calibrated_bins(model: HistogramCalibrator, test, num_bins: int | None, wit
     return bins, _level_auc(codes, test.labels, levels.size) if with_auc else None
 
 
-def _run_trials(
-    generate: Callable,
-    n_cal: int,
-    n_test: int | None,
-    n_bins: int | None,
-    trials: int,
-    seed: int,
-    path: tuple = (),
-    num_bins: int | None = None,
-    reliability: bool = True,
-    raw_auc: bool = False,
-    calibrated_auc: bool = False,
-) -> tuple:
-    """Run trials 0..trials-1 of one grid point.
+def _trials(generate: Callable, n_cal: int, n_bins: int | None, trials: int, seed: int, path: tuple,
+            measure: Callable) -> tuple:
+    """``measure(t, cal, model, test_stream)`` for trials t = 0..trials-1 of one grid point.
 
-    Trial t draws its calibration and test sets with ``generate(n, stream)``
-    from the streams at (seed, *path, t), fits the histogram calibrator and
-    measures MCE and ECE (NaN unless ``reliability``) on the test set (default
-    max(10 N, 1e5) samples) in ``num_bins`` bins (default: as fitted). Only the
-    AUCs asked for are computed; they stay None when the test set holds one class.
+    Trial t spawns two independent streams from SeedSequence(seed, spawn_key=(*path, t)),
+    draws its calibration set with ``generate(n_cal, stream)`` from the first and fits the
+    histogram calibrator on it. The second stream is for ``measure``: a test set it draws
+    there is dropped when it returns, so no test set outlives its trial.
     """
-    n_test = default_test_size(n_cal) if n_test is None else n_test
-    reports = []
+    results = []
     for t in range(trials):
-        cal_ss, test_ss = _rng_pair(seed, *path, t)
+        cal_ss, test_ss = np.random.SeedSequence(seed, spawn_key=(*path, t)).spawn(2)
         cal = generate(n_cal, cal_ss)
-        test = generate(n_test, test_ss)
         model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
+        results.append(measure(t, cal, model, test_ss))
+    return tuple(results)
+
+
+def _errors(generate: Callable, n_test: int, num_bins: int | None = None, with_auc: bool = False) -> Callable:
+    """The measure of mce-bound, ece-rate and size-sweep: MCE and ECE on ``n_test`` fresh
+    rows in ``num_bins`` bins (default: as fitted) and, ``with_auc``, the calibrated AUC,
+    None for a one-class test set."""
+
+    def measure(t, cal, model, test_stream) -> TrialReport:
+        test = generate(n_test, test_stream)
         two_class = 0 < test.n_pos < test.n_samples
-        metric_bins = (num_bins or model.n_bins_) if reliability else None
-        bins, cal_auc = _calibrated_bins(model, test, metric_bins, calibrated_auc and two_class)
-        raw = auc(test.scores, test.labels) if raw_auc and two_class else None
-        reports.append(
-            TrialReport(
-                trial=t,
-                n_cal=len(cal),
-                n_bins=model.n_bins_,
-                mce=mce(bins) if reliability else math.nan,
-                ece=ece(bins) if reliability else math.nan,
-                auc_raw=raw,
-                auc_calibrated=cal_auc,
-                auc_loss=raw - cal_auc if raw is not None and cal_auc is not None else None,
-            )
-        )
-    return tuple(reports)
+        bins, cal_auc = _calibrated_bins(model, test, num_bins or model.n_bins_, with_auc and two_class)
+        return TrialReport(t, len(cal), model.n_bins_, mce(bins), ece(bins), auc_calibrated=cal_auc)
+
+    return measure
 
 
 def verify_mce_bound(
@@ -206,7 +190,9 @@ def verify_mce_bound(
     """
     require_count(1, trials=trials, n_test=n_test)
     bound = mce_bound(n_cal, n_bins, delta)
-    reports = _run_trials(oracle_generator(spec), n_cal, n_test, n_bins, trials, seed)
+    generate = oracle_generator(spec)
+    n_test = default_test_size(n_cal) if n_test is None else n_test
+    reports = _trials(generate, n_cal, n_bins, trials, seed, (), _errors(generate, n_test))
     within = float(np.mean([r.mce <= bound for r in reports]))
     summary = {
         "n_cal": float(n_cal),
@@ -250,11 +236,11 @@ def verify_ece_rate(
         raise ValueError("n_grid needs at least two positive sizes")
     if sizes[-1] < 100 * sizes[0]:
         raise ValueError("n_grid must span at least two decades")
+    generate = oracle_generator(spec)
     points = []
     for grid_index, n_cal in enumerate(sizes):
-        reports = _run_trials(
-            oracle_generator(spec), n_cal, None, n_bins, trials, seed, (grid_index,)
-        )
+        measure = _errors(generate, default_test_size(n_cal))
+        reports = _trials(generate, n_cal, n_bins, trials, seed, (grid_index,), measure)
         summary = {"n_cal": float(n_cal), **_spread(reports, ("ece", "mce"))}
         points.append(SweepPoint(float(n_cal), reports, summary))
     mean_ece = [p.summary["mean_ece"] for p in points]
@@ -294,13 +280,23 @@ def verify_auc_loss(
             "per-bin noise would swamp the average-loss guarantee"
         )
     require_count(2, " for a standard error", trials=trials)
+    generate = oracle_generator(spec)
+    n_test = default_test_size(n_cal)
+
+    def measure(t, cal, model, test_stream) -> TrialReport:
+        # no MCE or ECE: the loss check reports neither
+        test = generate(n_test, test_stream)
+        raw = cal_auc = loss = None
+        if 0 < test.n_pos < test.n_samples:
+            cal_auc = _calibrated_bins(model, test, None, True)[1]
+            raw = auc(test.scores, test.labels)
+            loss = raw - cal_auc
+        return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan, raw, cal_auc, loss)
+
     points = []
     assertions = []
     for grid_index, b in enumerate(bins_sorted):
-        reports = _run_trials(
-            oracle_generator(spec), n_cal, None, b, trials, seed, (grid_index,),
-            reliability=False, raw_auc=True, calibrated_auc=True,
-        )
+        reports = _trials(generate, n_cal, b, trials, seed, (grid_index,), measure)
         # each trial computes both AUCs or neither, so these trials are also those with either
         defined = [r for r in reports if r.auc_loss is not None]
         if not defined:
@@ -344,17 +340,17 @@ def verify_theta_concentration(
     epsilons = sorted(float(e) for e in epsilon_grid)
     if not epsilons or not all(0 < e < math.inf for e in epsilons):
         raise ValueError("epsilon_grid needs values that are finite and > 0")
-    deviations = np.empty((trials, n_bins))
-    for t in range(trials):
-        cal_ss, _ = _rng_pair(seed, t)
-        cal = generate_oracle(spec, n_cal, cal_ss)
-        model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
+
+    def deviation(t, cal, model, test_stream) -> np.ndarray:
+        # no test set: the limit rates come from the truth curve
         if model.n_bins_ != n_bins or np.isnan(model.theta_).any():
             raise RuntimeError(
                 "degenerate binning (tied scores); concentration check "
                 "expects continuous score data"
             )
-        deviations[t] = model.theta_ - true_theta(spec, model.edges_)
+        return model.theta_ - true_theta(spec, model.edges_)
+
+    deviations = np.array(_trials(oracle_generator(spec), n_cal, n_bins, trials, seed, (), deviation))
     absolute = np.abs(deviations)
     # the trials are reported once, on the first point; they measure no MCE or ECE
     reports = tuple(
@@ -406,12 +402,10 @@ def calibration_size_sweep(
         raise ValueError("need at least two sizes")
     require_count(1, n_test=n_test, n_bins=n_bins)
     require_count(2, trials=trials)
+    measure = _errors(data_generator, n_test, _SWEEP_NUM_BINS, with_auc=True)
     points = []
     for grid_index, n_cal in enumerate(sizes):
-        reports = _run_trials(
-            data_generator, n_cal, n_test, n_bins, trials, seed, (grid_index,),
-            num_bins=_SWEEP_NUM_BINS, calibrated_auc=True,
-        )
+        reports = _trials(data_generator, n_cal, n_bins, trials, seed, (grid_index,), measure)
         auc_values = [r.auc_calibrated for r in reports if r.auc_calibrated is not None]
         summary = {
             "n_cal": float(n_cal),

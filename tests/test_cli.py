@@ -734,6 +734,39 @@ class TestUnwritableOutput:
         assert err.count("\n") == 1
 
 
+class TestOutOfMemory:
+    """A size too large for memory is an input error on one line, not exit 1 with a traceback.
+    The generator is replaced by one that raises, so nothing is allocated."""
+
+    NUMPY = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--kind", "oracle", "--n", "100000000000"],
+            ["verify", "mce-bound", "--test-size", "100000000000"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (MemoryError(NUMPY), f"error: out of memory: {NUMPY}; try smaller sizes\n"),
+            (MemoryError(), "error: out of memory; try smaller sizes\n"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv, error, line, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("probcal.cli.generate_oracle", exhausted)
+        monkeypatch.setattr("probcal.harness.generate_oracle", exhausted)
+        out = tmp_path / "out.csv"
+        argv = [*argv, "--out", str(out)] if argv[0] == "simulate" else argv
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", line)
+        assert not out.exists()
+
+
 class TestArgumentErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_INPUT

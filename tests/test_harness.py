@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -463,6 +464,70 @@ class TestTrialStreamsAndAucWork:
             model = HistogramCalibrator(n_bins=5).fit(cal.scores, cal.labels)
             limits = true_theta(SQUARE, model.edges_)
             assert r.max_theta_error == float(np.abs(model.theta_ - limits).max())
+
+
+class _RecordingOracle:
+    """``generate_oracle`` that records the spawn key of every stream it draws from and keeps
+    a weak reference to each test set (a trial's second stream) it returns. Before drawing a
+    test set it records how many earlier test sets are still alive."""
+
+    def __init__(self):
+        self.keys = []
+        self.test_sets = []
+        self.alive_at_draw = []
+
+    def __call__(self, spec, n, stream):
+        self.keys.append(stream.spawn_key)
+        is_test = stream.spawn_key[-1] == 1
+        if is_test:
+            self.alive_at_draw.append(sum(ref() is not None for ref in self.test_sets))
+        data = generate_oracle(spec, n, stream)
+        if is_test:
+            self.test_sets.append(weakref.ref(data))
+        return data
+
+
+class TestTrialWorkAndTestSetLifetime:
+    """Each trial draws its calibration set, then (except in theta-conc) one test set, which
+    is dropped before the next trial draws its own."""
+
+    @pytest.mark.parametrize(
+        "run, test_sets",
+        [
+            pytest.param(
+                lambda: verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=3, n_test=2000), 3, id="mce-bound"
+            ),
+            pytest.param(
+                lambda: verify_ece_rate(SQUARE, n_bins=5, n_grid=(100, 10_000), trials=2), 4, id="ece-rate"
+            ),
+            pytest.param(
+                lambda: verify_auc_loss(SQUARE, n_cal=2500, bin_grid=(5, 10), trials=2), 4, id="auc-loss"
+            ),
+            pytest.param(
+                # oracle_generator reads the patched generate_oracle when it is called
+                lambda: calibration_size_sweep(oracle_generator(SQUARE), sizes=(100, 1000), trials=2, n_test=2000),
+                4,
+                id="size-sweep",
+            ),
+        ],
+    )
+    def test_no_test_set_outlives_its_trial(self, run, test_sets, monkeypatch):
+        recorder = _RecordingOracle()
+        monkeypatch.setattr("probcal.harness.generate_oracle", recorder)
+        run()
+        assert recorder.alive_at_draw == [0] * test_sets
+
+    def test_mce_bound_draws_a_calibration_and_a_test_set_per_trial(self, monkeypatch):
+        recorder = _RecordingOracle()
+        monkeypatch.setattr("probcal.harness.generate_oracle", recorder)
+        verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=3, n_test=2000)
+        assert recorder.keys == [(t, stream) for t in range(3) for stream in (0, 1)]
+
+    def test_theta_concentration_draws_only_calibration_sets(self, monkeypatch):
+        recorder = _RecordingOracle()
+        monkeypatch.setattr("probcal.harness.generate_oracle", recorder)
+        verify_theta_concentration(SQUARE, n_cal=1000, n_bins=5, epsilon_grid=(0.05,), trials=3)
+        assert recorder.keys == [(t, 0) for t in range(3)]
 
 
 def _assert_same_as_predict(model, test, num_bins):
