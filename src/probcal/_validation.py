@@ -90,35 +90,26 @@ def model_field(
     low: float = -math.inf,
     high: float = math.inf,
     integer: bool = False,
-    nullable: bool = False,
 ) -> np.ndarray:
     """A numeric field of a model file's JSON object, checked.
 
     The field must hold a number (ndim 0) or a list nested ndim deep (any
     depth when ndim is None) of finite numbers in [low, high], integers if
-    ``integer``; null entries of a flat list become NaN if ``nullable``.
-    Anything else raises ValueError naming the field.
+    ``integer``. Anything else raises ValueError naming the field.
     """
     if not isinstance(payload, dict) or key not in payload:
         raise ValueError(f"model field {key!r} is missing")
-    value = payload[key]
-    if nullable and isinstance(value, list):
-        value = [math.nan if v is None else v for v in value]
     try:
-        arr = np.asarray(value)
+        arr = np.asarray(payload[key])
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     valid = (arr.size == 0 or arr.dtype.kind in ("i" if integer else "if")) and (
         ndim is None or arr.ndim == ndim
     )
     if valid and arr.size:
-        present = arr[~np.isnan(arr)] if nullable else arr
-        valid = bool(np.all(np.isfinite(present) & (present >= low) & (present <= high)))
+        valid = bool(np.all(np.isfinite(arr) & (arr >= low) & (arr <= high)))
     if not valid:
         shape = {0: "a number", 1: "a list", 2: "a list of rows"}.get(ndim, "numbers")
         kind = "integers" if integer else "finite"
-        raise ValueError(
-            f"model field {key!r} must be {shape} ({kind}, in [{low:g}, {high:g}]"
-            f"{', or null' if nullable else ''})"
-        )
+        raise ValueError(f"model field {key!r} must be {shape} ({kind}, in [{low:g}, {high:g}])")
     return arr.astype(np.int64 if integer else np.float64, copy=False)

@@ -30,10 +30,8 @@ class BaseCalibrator:
     @staticmethod
     def _prepare_queries(scores) -> tuple[np.ndarray, bool]:
         """Validate query scores; remember whether the input was scalar."""
-        scalar = np.isscalar(scores) or (
-            isinstance(scores, np.ndarray) and scores.ndim == 0
-        )
-        return as_scores(scores), scalar
+        queries = np.asarray(scores)  # once: np.ndim of a list would convert it again
+        return as_scores(queries), queries.ndim == 0
 
     @staticmethod
     def _finish(result: np.ndarray, scalar: bool):

@@ -139,12 +139,13 @@ class HistogramCalibrator(BaseCalibrator):
         edges = model_field(payload, "edges", 1, 0.0, 1.0)
         counts = model_field(payload, "counts", 1, 0, integer=True)
         positives = model_field(payload, "positives", 1, 0, integer=True)
-        theta = model_field(payload, "theta", 1, 0.0, 1.0, nullable=True)
-        if not edges.size - 1 == counts.size == positives.size == theta.size > 0:
+        theta = payload.get("theta")
+        n_theta = len(theta) if isinstance(theta, list) else -1  # the message below names a non-list
+        if not edges.size - 1 == counts.size == positives.size == n_theta > 0:
             raise ValueError("histogram needs one more edge than counts, positives and theta")
         if np.any(np.diff(edges) <= 0) or np.any(positives > counts):
             raise ValueError("histogram edges must increase and positives must not exceed counts")
         model = cls(counts.size, payload["scheme"])._set_state(edges, counts, positives)
-        if not np.array_equal(theta, model.theta_, equal_nan=True):
+        if theta != model.to_dict()["theta"]:
             raise ValueError("model field 'theta' must be positives / counts, null exactly for empty bins")
         return model

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,6 +77,8 @@ def read_scored_rows(
 ) -> tuple:
     """Read a headered CSV file.
 
+    Each wanted column must appear exactly once in the header (other names
+    may repeat), and every non-blank row must have the header's field count.
     Scores must parse as reals in [0, 1] and, when ``label_column`` is
     given, labels as 0/1; violations are reported with the 1-based data-row
     number (the header is not counted). Returns (fieldnames, scores, labels,
@@ -85,7 +87,7 @@ def read_scored_rows(
     each block a list of its rows as csv.writer writes their fields, without
     the line ending. Plain files are parsed a block of lines at a time and
     keep each block's row text; any other file, or one with a bad cell, is
-    read whole by the row loop that raises.
+    read whole by the csv.reader row loop that raises.
     """
     path = Path(path)
     if not path.is_file():
@@ -93,6 +95,15 @@ def read_scored_rows(
     wanted = [score_column] if label_column is None else [score_column, label_column]
     parsed = _read_plain(path, wanted, keep_rows)
     return parsed if parsed is not None else _read_row_by_row(path, wanted, keep_rows)
+
+
+def _header_error(header: list[str], wanted: list[str]) -> str | None:
+    """Why the header fails the rule of both paths, each wanted column exactly once; else None."""
+    for column in wanted:
+        if (count := header.count(column)) != 1:
+            if count == 0:
+                return f"missing column {column!r}; file has {header}"
+            return f"column {column!r} appears {count} times in the header"
 
 
 _BLOCK_BYTES = 1 << 18  # bytes read at a time by the plain-file parser
@@ -122,7 +133,7 @@ def _read_plain(path: Path, wanted: list[str], keep_rows: bool) -> tuple | None:
     """``read_scored_rows`` of a plain CSV file; None if it is not plain or a cell is bad.
 
     Plain: valid UTF-8; no quote, NUL or CR outside a CRLF; a non-empty
-    header of unique names holding the wanted columns; every non-blank line
+    header that keeps the header rule (``_header_error``); every non-blank line
     with the header's field count and within csv's field size limit. Each
     line then splits on commas as csv reads it (csv breaks lines at LF only,
     unlike str.splitlines) and is what csv.writer writes for its fields. The
@@ -142,7 +153,7 @@ def _read_plain(path: Path, wanted: list[str], keep_rows: bool) -> tuple | None:
         if header is None:
             header = lines.pop(0).split(",")
             width = len(header)
-            if header == [""] or len(set(header)) != width or not set(wanted) <= set(header):
+            if header == [""] or _header_error(header, wanted):
                 return None
         body = list(filter(None, lines))  # csv skips blank lines
         if set(map(str.count, body, repeat(","))) - {width - 1}:
@@ -172,51 +183,44 @@ def _read_plain(path: Path, wanted: list[str], keep_rows: bool) -> tuple | None:
 
 
 def _read_row_by_row(path: Path, wanted: list[str], keep_rows: bool) -> tuple:
-    score_column, label_column = wanted[0], wanted[1] if len(wanted) > 1 else None
     scores: list[float] = []
     labels: list[int] = []
     rows: list[str] | None = [] if keep_rows else None
-    row_number = -1  # while the header is read
+    render = csv.writer(SimpleNamespace(write=str)).writerow  # returns what write returns: the text
+    header, row_number = None, 0  # header None: the header is being read
+
+    def fault(what: str) -> ValueError:
+        return ValueError(f"{path}: row {row_number}: {what}")
+
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
                 raise ValueError(f"{path}: empty file, expected a header row")
-            for column in wanted:
-                if column not in reader.fieldnames:
-                    raise ValueError(
-                        f"{path}: missing column {column!r}; file has {reader.fieldnames}"
-                    )
-            row_number = 0
-            for row_number, row in enumerate(reader, start=1):
-                raw_score = row.get(score_column)
-                raw_label = row.get(label_column) if label_column is not None else ""
-                if raw_score is None or raw_label is None:
-                    raise ValueError(f"{path}: row {row_number}: short row")
+            if error := _header_error(header, wanted):
+                raise ValueError(f"{path}: {error}")
+            at_score, *at_label = map(header.index, wanted)
+            for row_number, fields in enumerate(filter(None, reader), 1):  # csv reads a blank line as []
+                if len(fields) != len(header):
+                    raise fault(f"{len(fields)} fields, the header has {len(header)}")
+                raw_score = fields[at_score]
                 try:
                     score = float(raw_score)
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: row {row_number}: cannot parse score {raw_score!r}"
-                    ) from None
+                    raise fault(f"cannot parse score {raw_score!r}") from None
                 if not 0.0 <= score <= 1.0:
-                    raise ValueError(
-                        f"{path}: row {row_number}: score {raw_score} outside [0, 1]"
-                    )
+                    raise fault(f"score {raw_score} outside [0, 1]")
                 scores.append(score)
-                if label_column is not None:
+                if at_label:
+                    raw_label = fields[at_label[0]]
                     if raw_label.strip() not in ("0", "1"):
-                        raise ValueError(
-                            f"{path}: row {row_number}: label {raw_label!r} not in {{0, 1}}"
-                        )
+                        raise fault(f"label {raw_label!r} not in {{0, 1}}")
                     labels.append(int(raw_label))
-                if rows is not None:
-                    # csv.writer's line ending decides what it quotes, so cut it off after
-                    out = io.StringIO()
-                    csv.writer(out).writerow([row[name] for name in reader.fieldnames])
-                    rows.append(out.getvalue()[:-2])
+                if rows is not None:  # the line ending decides what csv.writer quotes, so cut it off after
+                    rows.append(render(fields)[:-2])
     except csv.Error as exc:  # say, a cell longer than csv.field_size_limit()
-        where = "header" if row_number < 0 else f"row {row_number + 1}"
+        where = "header" if header is None else f"row {row_number + 1}"
         raise ValueError(f"{path}: {where}: {exc}") from None
     except UnicodeDecodeError:  # its position is in a read buffer: find the byte in the whole file
         raw = path.read_bytes()
@@ -227,9 +231,9 @@ def _read_row_by_row(path: Path, wanted: list[str], keep_rows: bool) -> tuple:
             raise ValueError(f"{path}: line {line}: {exc}") from None
         raise
     return (
-        list(reader.fieldnames),
+        header,
         np.asarray(scores, dtype=np.float64),
-        None if label_column is None else np.asarray(labels, dtype=np.int64),
+        np.asarray(labels, dtype=np.int64) if at_label else None,
         None if rows is None else [rows],
     )
 
@@ -256,11 +260,7 @@ def write_csv(path, header: list[str], blocks) -> None:
             handle.write("".join(map(line.format, *map(_cells, columns))))
 
 
-def load_scored_csv(
-    path,
-    score_column: str = "score",
-    label_column: str = "label",
-) -> ScoredDataset:
+def load_scored_csv(path, score_column: str = "score", label_column: str = "label") -> ScoredDataset:
     """Read (score, label) rows from a headered CSV file (see read_scored_rows)."""
     _, scores, labels, _ = read_scored_rows(path, score_column, label_column)
     return ScoredDataset(scores, labels)

@@ -169,6 +169,8 @@ class KDECalibrator(BaseCalibrator):
         if positives.size < 2 or negatives.size < 2:
             raise ValueError("model fields 'positives' and 'negatives' must each hold at least 2 scores")
         h0, h1 = _positive_field(payload, "h0"), _positive_field(payload, "h1")
+        if shared and h0 != h1:
+            raise ValueError("model fields 'h0' and 'h1' must be equal when 'shared_bandwidth' is true")
         model = cls(shared)._set_state(positives, negatives, h0, h1)
         if float(model_field(payload, "prior")) != model.prior_:
             raise ValueError("model field 'prior' must be the positive share of the samples")

@@ -297,16 +297,18 @@ class TestApply:
 
 
 def apply_by_rows(model_path, in_path, column="calibrated") -> bytes:
-    """What apply writes, computed one row at a time with csv.DictReader and csv.writer."""
+    """What apply writes, computed one row at a time with csv.reader and csv.writer."""
     with open(in_path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        rows = list(reader)
-    predictions = load_model(model_path).predict(np.array([float(row["score"]) for row in rows]))
+        reader = csv.reader(handle)
+        header = next(reader)
+        rows = [row for row in reader if row]  # csv reads a blank line as []
+    at = header.index("score")
+    predictions = load_model(model_path).predict(np.array([float(row[at]) for row in rows]))
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(reader.fieldnames + [column])
+    writer.writerow(header + [column])
     for row, value in zip(rows, predictions.tolist()):
-        writer.writerow([row[name] for name in reader.fieldnames] + [format_float(value)])
+        writer.writerow(row + [format_float(value)])
     return out.getvalue().encode("utf-8")
 
 
@@ -711,6 +713,66 @@ class TestOverLongCell:
             f"error: {data}: row 2: field larger than field limit ({limit})\n"
         )
         assert not Path(out).exists()
+
+
+def _reading_argv(command, data, model, out) -> list[str]:
+    """The argv of a command that reads the CSV ``data``; apply and eval use ``model``."""
+    return {
+        "fit": ["fit", "--method", "histogram", "--in", str(data), "--out", str(out)],
+        "apply": ["apply", "--model", str(model), "--in", str(data), "--out", str(out)],
+        "eval": ["eval", "--in", str(data), "--model", str(model), "--out", str(out)],
+    }[command]
+
+
+NOTES = pytest.mark.parametrize("note", ["a", '"a,b"'], ids=["plain", "quoted"])
+
+
+class TestOneRowModel:
+    """Each wanted column appears once in the header and every non-blank row has the header's
+    field count, or the command exits 2 with one line; apply writes each row's fields back."""
+
+    @NOTES
+    @pytest.mark.parametrize("name", ["x", "label"])
+    def test_apply_keeps_every_field_of_a_repeated_name(self, name, note, histogram_model, tmp_path):
+        data, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        data.write_text(f"score,{name},{name}\n0.5,1,0\n0.25,{note},1\n")
+        assert main(_reading_argv("apply", data, histogram_model, out)) == EXIT_OK
+        assert out.read_bytes() == apply_by_rows(histogram_model, data)
+        rows = list(csv.reader(io.StringIO(out.read_bytes().decode(), newline="")))
+        expected = [["score", name, name], ["0.5", "1", "0"], ["0.25", note.strip('"'), "1"]]
+        assert [row[:-1] for row in rows] == expected
+
+    @NOTES
+    @pytest.mark.parametrize(
+        "command, header, column",
+        [
+            ("fit", "score,score,label", "score"),
+            ("fit", "score,label,label", "label"),
+            ("eval", "score,score,label", "score"),
+            ("eval", "score,label,label", "label"),
+            ("apply", "score,score,label", "score"),  # apply reads no label column
+        ],
+    )
+    def test_repeated_wanted_column_exits_2(
+        self, command, header, column, note, histogram_model, tmp_path, capsys
+    ):
+        data, out = tmp_path / "in.csv", tmp_path / "out"
+        data.write_text(f"{header}\n0.5,1,1\n0.25,{note},0\n")
+        assert main(_reading_argv(command, data, histogram_model, out)) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {data}: column {column!r} appears 2 times in the header\n"
+        assert not out.exists()
+
+    @NOTES
+    @pytest.mark.parametrize("command", ["fit", "apply", "eval"])
+    @pytest.mark.parametrize("row, count", [("0.25,0,b,extra", 4), ("0.25,0", 2)], ids=["long", "short"])
+    def test_ragged_row_exits_2_naming_the_row(
+        self, row, count, command, note, histogram_model, tmp_path, capsys
+    ):
+        data, out = tmp_path / "in.csv", tmp_path / "out"
+        data.write_text(f"score,label,note\n0.5,1,{note}\n0.75,0,c\n{row}\n0.5,1,d\n")
+        assert main(_reading_argv(command, data, histogram_model, out)) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {data}: row 3: {count} fields, the header has 3\n"
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

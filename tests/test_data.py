@@ -346,7 +346,7 @@ class TestColumnPath:
         [
             'score,label\n"0.5",1\n',  # quote
             "score,label\n0.5,1\r0.25,0\n",  # bare CR
-            "score,score,label\n0.5,0.25,1\n",  # duplicate name
+            "score,score,label\n0.5,0.25,1\n",  # a wanted column twice
             "score,label\n0.5,1,x\n",  # long row
             "score,label\n0.5\n",  # short row
             "score,label\n0.5,1\x00\n",  # NUL
@@ -373,6 +373,38 @@ class TestColumnPath:
         path = make_csv(tmp_path, "score,label," + "x" * (csv.field_size_limit() + 1) + "\n0.5,1,a\n")
         with pytest.raises(ValueError, match=r"data\.csv: header: field larger than field limit"):
             read_scored_rows(path, label_column="label")
+
+
+class TestOneRowModel:
+    """Both paths keep a row as its list of fields, under one header rule (each wanted column
+    exactly once) and one row rule (every non-blank row has the header's field count)."""
+
+    @pytest.mark.parametrize("note", ["a", '"a,b"'], ids=["plain", "quoted"])
+    def test_repeated_other_name_keeps_every_field(self, note, tmp_path):
+        path = make_csv(tmp_path, f"score,x,x,label\n0.5,1,2,1\n0.25,{note},3,0\n")
+        assert (_read_plain(path, ["score", "label"], True) is None) == (note != "a")
+        fieldnames, scores, labels, rows = read_scored_rows(path, label_column="label", keep_rows=True)
+        assert fieldnames == ["score", "x", "x", "label"]
+        assert scores.tolist() == [0.5, 0.25] and labels.tolist() == [1, 0]
+        assert [row for block in rows for row in block] == ["0.5,1,2,1", f"0.25,{note},3,0"]
+
+    @pytest.mark.parametrize("note", ["a", '"a,b"'], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("header, column", [("score,score,label", "score"), ("score,label,label", "label")])
+    def test_repeated_wanted_column_is_named(self, header, column, note, tmp_path):
+        path = make_csv(tmp_path, f"{header}\n0.5,1,1\n0.25,{note},0\n")
+        message = f"{path}: column {column!r} appears 2 times in the header"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_scored_rows(path, label_column="label")
+
+    @pytest.mark.parametrize("note", ["a", '"a,b"'], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("row, count", [("0.25,0,b,extra", 4), ("0.25,0", 2)], ids=["long", "short"])
+    def test_ragged_row_is_named_with_both_counts(self, row, count, note, tmp_path):
+        # the blank line is not a row, so the ragged one is row 2
+        path = make_csv(tmp_path, f"score,label,note\n0.5,1,{note}\n\n{row}\n0.75,1,c\n")
+        message = f"{path}: row 2: {count} fields, the header has 3"
+        for label_column in ("label", None):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read_scored_rows(path, label_column=label_column, keep_rows=True)
 
 
 class TestColumnPathInBlocks(TestColumnPath):

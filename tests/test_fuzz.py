@@ -1,20 +1,37 @@
-"""A standing fuzzer of the command line: random flag values, run in process through ``main``.
+"""A standing fuzzer of the command line: random flag values and small CSV files, run in
+process through ``main``.
 
 Every run must end in a documented exit code with at most one line on stderr and no
 traceback. Example sizes stay bounded: every size flag is always given, at most 5000, and
-at most 3 trials, so each example runs in well under a second.
+at most 3 trials, and a CSV has at most 20 rows, so each example runs in well under a second.
 """
 
 import contextlib
+import csv
 import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probcal.cli import EXIT_ASSERTION, EXIT_INPUT, EXIT_OK, main
+import probcal.data
+from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, main
 from probcal.synth import CURVES
+
+
+def _run(argv) -> int:
+    """``main(argv)``'s exit code, once its stderr is checked: at most one line, no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
+    return code
+
 
 # each kind of value as (plausible values, edge values)
 SIZES = (
@@ -96,9 +113,72 @@ def verify_argv(draw, check):
 @given(data=st.data())
 def test_verify_ends_in_a_documented_exit_with_one_line_at_most(check, data):
     argv = data.draw(verify_argv(check), label="argv")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_INPUT)
-    assert err.getvalue().count("\n") <= 1
-    assert "Traceback" not in err.getvalue()
+    assert _run(argv) in (EXIT_OK, EXIT_ASSERTION, EXIT_INPUT)
+
+
+# header names, with the column apply adds; each column's cells, as (valid, bad): bad ones
+# include text that csv.writer quotes (commas, quotes, line breaks)
+NAMES = ["score", "label", "x", "calibrated"]
+TEXT = ["", "a", "a,b", 'say "hi"', "two\nlines", "cr\rx", "\u00e9"]
+CELLS = {
+    "score": (st.sampled_from(["0", "1", "0.5", "0.25", "1e-3"]), st.sampled_from(["1.5", "nan", "-1", *TEXT])),
+    "label": (st.sampled_from(["0", "1"]), st.sampled_from(["2", " 1", "0.0", *TEXT])),
+}
+HISTOGRAM = {
+    "method": "histogram", "scheme": "frequency", "edges": [0.0, 0.5, 1.0],
+    "theta": [0.25, 0.75], "counts": [4, 4], "positives": [1, 3],
+}
+
+
+def _line(cells) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerow(cells)
+    return out.getvalue().removesuffix("\r\n")
+
+
+@st.composite
+def small_csv(draw) -> bytes:
+    """At most 20 rows under a header of pooled names, repeats allowed, most often with a score
+    and a label column; blank lines; LF, CRLF or bare-CR line endings. A file has each fault
+    with odds 1 in 4: ragged rows, bad scores and labels, a stray invalid UTF-8 byte or quote."""
+    def faulty() -> bool:
+        return draw(st.integers(0, 3)) == 0
+
+    names = draw(st.lists(st.sampled_from(NAMES), max_size=3))
+    for name in ("score", "label"):
+        if draw(st.integers(0, 4)):
+            names.insert(draw(st.integers(0, len(names))), name)
+    width = len(names)
+    widths = st.integers(max(width - 1, 1), width + 1) if faulty() else st.just(width)
+    pick = 1 if faulty() else 0
+    text_cells = (st.sampled_from(TEXT),) * 2
+
+    def row(size):
+        kinds = names[:size] + ["x"] * (size - width)
+        return st.tuples(*(CELLS.get(kind, text_cells)[pick] for kind in kinds)).map(list)
+
+    rows = draw(st.lists(st.one_of(st.just([]), widths.flatmap(row)), max_size=20))
+    text = "".join(_line(cells) + draw(st.sampled_from(["\n", "\r\n", "\r"])) for cells in [names, *rows])
+    content = text.encode("utf-8")
+    at = draw(st.integers(0, len(content)))
+    return content[:at] + (draw(st.sampled_from([b"\xff", b'"'])) if faulty() else b"") + content[at:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=small_csv(), block_bytes=st.sampled_from([1 << 18, 1, 7, 64]))
+def test_csv_input_ends_in_a_documented_exit_and_apply_keeps_each_row(content, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(probcal.data, "_BLOCK_BYTES", block_bytes)  # small blocks: files straddle several
+        data, model, out = Path(tmp) / "in.csv", Path(tmp) / "model.json", Path(tmp) / "out.csv"
+        data.write_bytes(content)
+        model.write_text(json.dumps(HISTOGRAM))
+        fit = _run(["fit", "--method", "histogram", "--in", str(data), "--out", str(Path(tmp) / "fit.json")])
+        applied = _run(["apply", "--model", str(model), "--in", str(data), "--out", str(out)])
+        evaluated = _run(["eval", "--in", str(data), "--prediction-column", "score"])
+        assert {fit, applied, evaluated} <= {EXIT_OK, EXIT_INPUT, EXIT_FIT}
+        if applied == EXIT_OK:
+            header, *rows = csv.reader(io.StringIO(content.decode("utf-8"), newline=""))
+            written = list(csv.reader(io.StringIO(out.read_bytes().decode("utf-8"), newline="")))
+            assert written[0] == header + ["calibrated"]
+            assert [cells[:-1] for cells in written[1:]] == [cells for cells in rows if cells]
+            assert all(0.0 <= float(cells[-1]) <= 1.0 for cells in written[1:])

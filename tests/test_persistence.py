@@ -334,6 +334,8 @@ HISTOGRAM = {
 }
 
 _VALID_PAYLOADS = [model.to_dict() for model in _fitted_models()]
+_ORACLE = generate_oracle(OracleSpec(), 200, seed=3)
+_SHARED_KDE = KDECalibrator(shared_bandwidth=True).fit(_ORACLE.scores, _ORACLE.labels).to_dict()
 KDE = {
     "method": "kde",
     "form": "bayes",
@@ -418,12 +420,17 @@ class TestModelValidation:
             ),
             ({**KDE, "shared_bandwidth": "no"}, "model field 'shared_bandwidth' must be true or false"),
             ({**KDE, "shared_bandwidth": [1]}, "model field 'shared_bandwidth' must be true or false"),
+            # a shared-bandwidth fit gives both classes the one bandwidth of all the scores
+            (
+                {**_SHARED_KDE, "h1": 2 * _SHARED_KDE["h1"]},
+                "model fields 'h0' and 'h1' must be equal when 'shared_bandwidth' is true",
+            ),
         ],
         ids=[
             "kde-zero-bandwidths", "kde-zero-h1", "dpm-zero-alpha", "dpm-prior-0", "dpm-prior-1",
             "histogram-theta-not-positives-over-counts", "kde-prior-not-the-class-share",
             "kde-empty-positives", "kde-one-sample-per-class", "kde-form-missing",
-            "kde-shared-bandwidth-string", "kde-shared-bandwidth-list",
+            "kde-shared-bandwidth-string", "kde-shared-bandwidth-list", "kde-shared-unequal-bandwidths",
         ],
     )
     def test_value_a_fit_never_makes_is_rejected(self, tmp_path, capsys, payload, message):
