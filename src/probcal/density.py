@@ -13,6 +13,7 @@ variational inference and uses its posterior-predictive density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from ._validation import (
     check_iteration, class_counts, model_field, require_count, scored_pair, warn_unconverged
 )
-from .base import BaseCalibrator, _special
+from .base import BaseCalibrator, _digamma, _gammaln
 
 _SILVERMAN_FLOOR = 1e-3
 _BLOCK_QUERIES = 1 << 14  # queries per block of KDECalibrator.predict
@@ -209,10 +210,9 @@ class StickBreakingPosterior:
         rate = self.components[:, 3]
         df = 2.0 * shape
         scale = np.sqrt(rate * (kappa + 1.0) / (shape * kappa))
-        # Student-t pdf in the same arithmetic as scipy's t distribution, so
-        # predictions keep their bits
+        # Student-t pdf; its normaliser is Gamma((df+1)/2) / (Gamma(df/2) sqrt(df pi))
         u = (np.asarray(x)[:, None] - mean) / scale
-        log_norm = np.log(_special().poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+        log_norm = _gammaln(0.5 * df + 0.5) - _gammaln(0.5 * df) - 0.5 * (np.log(df) + np.log(np.pi))
         pdf = np.exp(log_norm - (df + 1) / 2 * np.log1p(u * u / df)) / scale
         return pdf @ self.expected_weights()
 
@@ -225,7 +225,6 @@ def _fit_class_mixture(
     tol: float,
     rng: np.random.Generator,
 ) -> StickBreakingPosterior:
-    special = _special()
     n = x.size
     mu0 = float(np.mean(x))
     kappa0 = 0.1
@@ -263,14 +262,18 @@ def _fit_class_mixture(
         aq = a0 + 0.5 * counts
         bq = b0 + 0.5 * (scatter + kappa0 * counts * (xbar - mu0) ** 2 / kq)
 
-        # responsibility update from the globals
-        digamma_total = special.digamma(gamma[:, 0] + gamma[:, 1])
-        e_log_v = special.digamma(gamma[:, 0]) - digamma_total
-        e_log_1mv = special.digamma(gamma[:, 1]) - digamma_total
+        # responsibility update from the globals; the sweep's digammas and log-gammas
+        # take one argument array, because a call's cost is mostly fixed
+        args = np.concatenate([gamma[:, 0] + gamma[:, 1], gamma[:, 0], gamma[:, 1], aq])
+        sections = np.arange(1, 4) * (truncation - 1)
+        psi_total, psi_v, psi_1mv, psi_aq = np.split(_digamma(args), sections)
+        lg_total, lg_v, lg_1mv, lg_aq = np.split(_gammaln(args), sections)
+        e_log_v = psi_v - psi_total
+        e_log_1mv = psi_1mv - psi_total
         e_log_pi = np.concatenate([e_log_v, [0.0]])
         e_log_pi[1:] += np.cumsum(e_log_1mv)
         e_lambda = aq / bq
-        e_log_lambda = special.digamma(aq) - np.log(bq)
+        e_log_lambda = psi_aq - np.log(bq)
         # log_lik = e_log_pi + 0.5 e_log_lambda - 0.5 log 2pi - 0.5 (e_lambda (x - mq)^2 + 1/kq),
         # the last 0.5 moved onto the T-long terms: scaling by 0.5 is exact away from subnormals
         np.square(np.subtract(x[:, None], mq, out=work), out=work)
@@ -290,7 +293,7 @@ def _fit_class_mixture(
         stick_prior = float(np.sum(np.log(alpha) + (alpha - 1.0) * e_log_1mv))
         stick_q = float(
             np.sum(
-                -special.betaln(gamma[:, 0], gamma[:, 1])
+                -(lg_v + lg_1mv - lg_total)
                 + (gamma[:, 0] - 1.0) * e_log_v
                 + (gamma[:, 1] - 1.0) * e_log_1mv
             )
@@ -302,7 +305,7 @@ def _fit_class_mixture(
                 + 0.5 * e_log_lambda
                 - 0.5 * kappa0 * e_lambda_dev0
                 + a0 * np.log(b0)
-                - special.gammaln(a0)
+                - math.lgamma(a0)
                 + (a0 - 1.0) * e_log_lambda
                 - b0 * e_lambda
             )
@@ -312,7 +315,7 @@ def _fit_class_mixture(
                 0.5 * (np.log(kq) - log_2pi)
                 - 0.5
                 + aq * np.log(bq)
-                - special.gammaln(aq)
+                - lg_aq
                 + (aq - 0.5) * e_log_lambda
                 - aq
             )
@@ -387,7 +390,6 @@ class DPMCalibrator(BaseCalibrator):
             )
         from concurrent.futures import ThreadPoolExecutor
 
-        _special()  # imported here, not by both workers at once
         streams = map(np.random.default_rng, np.random.SeedSequence(self.seed).spawn(2))
         # one thread per class; numpy releases the interpreter lock in the n x T steps
         with ThreadPoolExecutor(max_workers=2) as pool:

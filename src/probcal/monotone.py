@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._validation import check_iteration, class_counts, model_field, scored_pair, warn_unconverged
-from .base import BaseCalibrator, _special
+from .base import BaseCalibrator, _expit
 
 
 def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float, what: str) -> tuple:
@@ -144,7 +144,7 @@ class PlattCalibrator(BaseCalibrator):
             )
 
         def derivatives(w):
-            p = _special().expit(-(w[0] * f + w[1]))
+            p = _expit(-(w[0] * f + w[1]))
             d = target - p
             c = p * (1.0 - p)
             cross = np.dot(c, f)
@@ -161,7 +161,7 @@ class PlattCalibrator(BaseCalibrator):
     def predict(self, scores):
         self._require_fitted("slope_")
         queries, scalar = self._prepare_queries(scores)
-        return self._finish(_special().expit(-(self.slope_ * queries + self.intercept_)), scalar)
+        return self._finish(_expit(-(self.slope_ * queries + self.intercept_)), scalar)
 
     def to_dict(self) -> dict:
         self._require_fitted("slope_")

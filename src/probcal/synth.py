@@ -14,7 +14,7 @@ import numpy as np
 
 from ._validation import check_iteration, require_count
 from .data import FeatureDataset, ScoredDataset
-from .base import _special
+from .base import _expit
 from .monotone import _newton
 
 CURVES = ("identity", "square", "logistic", "constant")
@@ -45,7 +45,7 @@ class OracleSpec:
         if self.curve == "square":
             return y * y
         if self.curve == "logistic":
-            return _special().expit(8.0 * (y - 0.5))
+            return _expit(8.0 * (y - 0.5))
         return np.full_like(y, self.level)
 
 
@@ -75,7 +75,7 @@ def true_theta(spec: OracleSpec, edges) -> np.ndarray:
     if spec.curve == "logistic":
         # the antiderivative of expit(8(y - 1/2)) is log1p(exp(8(y - 1/2))) / 8
         width = 8.0 * (hi - lo)
-        return np.log1p(np.expm1(width) * _special().expit(8.0 * (lo - 0.5))) / width
+        return np.log1p(np.expm1(width) * _expit(8.0 * (lo - 0.5))) / width
     return np.full(lo.shape, spec.level, dtype=np.float64)
 
 
@@ -124,7 +124,7 @@ class LogisticScorer:
         x = np.asarray(features, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
-        return _special().expit(_expand(x, self.feature_map) @ self.coef)
+        return _expit(_expand(x, self.feature_map) @ self.coef)
 
 
 def fit_logistic(
@@ -160,7 +160,7 @@ def fit_logistic(
         return nll + 0.5 * float(penalty @ (weights * weights))
 
     def derivatives(weights: np.ndarray) -> tuple:
-        probabilities = _special().expit(x @ weights)
+        probabilities = _expit(x @ weights)
         curvature = np.maximum(probabilities * (1.0 - probabilities), 1e-12)
         hessian = (x * curvature[:, None]).T @ x + np.diag(penalty + 1e-12)
         return x.T @ (probabilities - z) + penalty * weights, hessian

@@ -266,10 +266,10 @@ def dpm_sweeps_with_temporaries(x, truncation, alpha, max_iter, tol, rng):
 
     This was the library's ``density._fit_class_mixture`` before its sweep
     reused preallocated buffers; the arithmetic is kept as it was, so the
-    library must match it bit for bit.
+    library must match it bit for bit. It takes the library's own digamma and
+    log-gamma, one digamma call per argument where the library batches them.
     """
-    import scipy.special as special
-
+    from probcal.base import _digamma, _gammaln
     from probcal.density import StickBreakingPosterior
 
     n = x.size
@@ -303,13 +303,13 @@ def dpm_sweeps_with_temporaries(x, truncation, alpha, max_iter, tol, rng):
         aq = a0 + 0.5 * counts
         bq = b0 + 0.5 * (scatter + kappa0 * counts * (xbar - mu0) ** 2 / kq)
 
-        digamma_total = special.digamma(gamma[:, 0] + gamma[:, 1])
-        e_log_v = special.digamma(gamma[:, 0]) - digamma_total
-        e_log_1mv = special.digamma(gamma[:, 1]) - digamma_total
+        digamma_total = _digamma(gamma[:, 0] + gamma[:, 1])
+        e_log_v = _digamma(gamma[:, 0]) - digamma_total
+        e_log_1mv = _digamma(gamma[:, 1]) - digamma_total
         e_log_pi = np.concatenate([e_log_v, [0.0]])
         e_log_pi[1:] += np.cumsum(e_log_1mv)
         e_lambda = aq / bq
-        e_log_lambda = special.digamma(aq) - np.log(bq)
+        e_log_lambda = _digamma(aq) - np.log(bq)
         quad = e_lambda[None, :] * (x[:, None] - mq[None, :]) ** 2 + 1.0 / kq[None, :]
         log_lik = e_log_pi[None, :] + 0.5 * e_log_lambda[None, :] - 0.5 * log_2pi - 0.5 * quad
         phi = np.exp(log_lik - log_lik.max(axis=1, keepdims=True))
@@ -318,9 +318,10 @@ def dpm_sweeps_with_temporaries(x, truncation, alpha, max_iter, tol, rng):
         data_term = float(np.sum(phi * log_lik))
         entropy = -float(np.sum(phi * np.log(np.maximum(phi, 1e-300))))
         stick_prior = float(np.sum(np.log(alpha) + (alpha - 1.0) * e_log_1mv))
+        log_beta = _gammaln(gamma[:, 0]) + _gammaln(gamma[:, 1]) - _gammaln(gamma[:, 0] + gamma[:, 1])
         stick_q = float(
             np.sum(
-                -special.betaln(gamma[:, 0], gamma[:, 1])
+                -log_beta
                 + (gamma[:, 0] - 1.0) * e_log_v
                 + (gamma[:, 1] - 1.0) * e_log_1mv
             )
@@ -332,7 +333,7 @@ def dpm_sweeps_with_temporaries(x, truncation, alpha, max_iter, tol, rng):
                 + 0.5 * e_log_lambda
                 - 0.5 * kappa0 * e_lambda_dev0
                 + a0 * np.log(b0)
-                - special.gammaln(a0)
+                - math.lgamma(a0)
                 + (a0 - 1.0) * e_log_lambda
                 - b0 * e_lambda
             )
@@ -342,7 +343,7 @@ def dpm_sweeps_with_temporaries(x, truncation, alpha, max_iter, tol, rng):
                 0.5 * (np.log(kq) - log_2pi)
                 - 0.5
                 + aq * np.log(bq)
-                - special.gammaln(aq)
+                - _gammaln(aq)
                 + (aq - 0.5) * e_log_lambda
                 - aq
             )

@@ -906,29 +906,66 @@ class TestModuleEntryPoint:
 
 
 class TestImportFootprint:
-    def test_only_the_data_module_imports_csv(self):
-        # one CSV reader and one writer, both in probcal.data
-        importers = []
+    @staticmethod
+    def imports() -> list:
+        """(module, imported name) for each import statement in probcal's source."""
+        found = []
         for path in sorted(Path(probcal.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
+                    found += [(path.stem, alias.name) for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
-                    names = [node.module]
-                else:
-                    continue
-                if "csv" in names:
-                    importers.append(path.stem)
-        assert importers == ["data"]
+                    found.append((path.stem, node.module or ""))
+        return found
+
+    def test_only_the_data_module_imports_csv(self):
+        # one CSV reader and one writer, both in probcal.data
+        assert [module for module, name in self.imports() if name == "csv"] == ["data"]
+
+    def test_no_module_imports_scipy(self):
+        assert [pair for pair in self.imports() if pair[1].split(".")[0] == "scipy"] == []
 
     def test_cli_import_loads_neither_scipy_stats_nor_integrate(self):
         source = str(Path(probcal.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
-        # scipy.special too: it is imported on first use by the paths that need it
+        # scipy.special too: no runtime path uses scipy
         probe = "import sys, probcal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
+        assert result.stdout.strip() == "[]"
+
+    def test_no_command_loads_scipy(self, tmp_path):
+        # every fit method and its apply, both simulate kinds, eval and each verify check,
+        # run through main in one child process at small sizes
+        source = str(Path(probcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        commands = [
+            ["simulate", "--kind", "oracle", "--curve", "logistic", "--n", "300", "--seed", "1", "--out", "s.csv"],
+            ["simulate", "--kind", "xor", "--n", "100", "--out", "xor.csv"],
+            *(argv for method in probcal.cli.METHODS for argv in (
+                ["fit", "--method", method, "--in", "s.csv", "--out", f"{method}.json"],
+                ["apply", "--model", f"{method}.json", "--in", "s.csv", "--out", f"{method}.csv"],
+            )),
+            ["eval", "--in", "s.csv", "--model", "platt.json"],
+            ["verify", "mce-bound", "--n", "200", "--bins", "5", "--trials", "2", "--test-size", "1000"],
+            ["verify", "ece-rate", "--n-grid", "100,10000", "--bins", "5", "--trials", "2"],
+            ["verify", "auc-loss", "--n", "500", "--bin-grid", "5", "--trials", "2", "--curve", "logistic"],
+            ["verify", "theta-conc", "--n", "200", "--bins", "5", "--trials", "3"],
+            ["verify", "size-sweep", "--sizes", "100,200", "--trials", "2", "--test-size", "1000"],
+        ]
+        probe = (
+            "import contextlib, io, sys; from probcal.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    assert code in (0, 1), (argv, code)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", probe], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
 
