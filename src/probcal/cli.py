@@ -158,6 +158,7 @@ def cmd_apply(args) -> int:
         raise ValueError(f"{args.infile}: column {args.column!r} already exists; refusing to replace it")
     # predicted whole, so no bit depends on the blocks the rows are written in
     calibrated = model.predict(scores)
+    del model, scores  # the write's forked worker starts from this process's memory
 
     def blocks():
         start = 0
@@ -166,7 +167,7 @@ def cmd_apply(args) -> int:
             start += len(block)
 
     write_csv(args.outfile, fieldnames + [args.column], blocks())
-    print(f"{scores.size} rows calibrated; written to {args.outfile}")
+    print(f"{calibrated.size} rows calibrated; written to {args.outfile}")
     return EXIT_OK
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import os
+import pickle
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -109,76 +111,147 @@ def _header_error(header: list[str], wanted: list[str]) -> str | None:
 _BLOCK_BYTES = 1 << 18  # bytes read at a time by the plain-file parser
 
 
-def _blocks(path: Path):
-    """The bytes of a file in blocks of about ``_BLOCK_BYTES``, each cut just after a LF.
+def _map_blocks(work, items):
+    """``map(work, items)``; from two items on, where ``os.fork`` exists, a forked child
+    computes every other result and sends it back pickled through a pipe, which holds
+    it at most one result ahead. Each result must be a pure function of its item, and
+    the child iterates its own copy of ``items``, which must hold no open file between
+    items. The child leaves by ``os._exit`` (no atexit handler, no stdio flush) and is
+    always reaped; its exceptions are raised here, and its end without a result raises
+    OSError."""
+    items = iter(items)
+    head = list(islice(items, 2))
+    items = chain(head, items)
+    if len(head) < 2 or not hasattr(os, "fork"):
+        yield from map(work, items)
+        return
+    reader, writer = os.pipe()
+    if (pid := os.fork()) == 0:  # the child: the odd items, then out, never back into the caller's code
+        try:
+            os.close(reader)
+            with open(writer, "wb") as replies:
+                for item in islice(items, 1, None, 2):
+                    try:
+                        reply = True, work(item)
+                    except BaseException as exc:  # the parent raises it
+                        reply = False, exc
+                    pickle.dump(reply, replies)
+                    replies.flush()
+        except BaseException:  # say, the parent closed the pipe: nothing is wanted any more
+            os._exit(1)
+        os._exit(0)
+    os.close(writer)
+    status = None
+    try:
+        with open(reader, "rb") as replies:
+            for index, item in enumerate(items):
+                if index % 2 == 0:
+                    yield work(item)
+                    continue
+                try:
+                    ok, result = pickle.load(replies)
+                except (EOFError, pickle.UnpicklingError):
+                    status = os.waitpid(pid, 0)[1]
+                    raise OSError(f"block worker {pid} ended without a result (wait status {status})") from None
+                if not ok:
+                    raise result
+                yield result
+    finally:  # the pipe is closed, so a child still at work ends at its next reply
+        if status is None:
+            os.waitpid(pid, 0)
+
+
+def _blocks(path: Path, start: int = 0):
+    """The bytes of a file from offset ``start`` on, in blocks of about ``_BLOCK_BYTES``,
+    each cut just after a LF.
 
     A block ends at its last LF (only the file's tail may not), so neither a
     CRLF pair nor a UTF-8 character, which never holds a LF byte, is split.
+    Each read opens the file at its own offset, so no open file lives between
+    blocks, and a forked copy of this generator reads on its own.
     """
     pending: list[bytes] = []
-    with open(path, "rb") as handle:
-        while chunk := handle.read(_BLOCK_BYTES):
-            cut = chunk.rfind(b"\n") + 1
-            if cut:
-                pending.append(chunk[:cut])
-                yield b"".join(pending)
-                pending = [chunk[cut:]]
-            else:
-                pending.append(chunk)
+    while True:
+        with open(path, "rb") as handle:
+            handle.seek(start)
+            if not (chunk := handle.read(_BLOCK_BYTES)):
+                break
+        start += len(chunk)
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield b"".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
     if tail := b"".join(pending):
         yield tail
+
+
+def _plain_lines(raw: bytes) -> list[str] | None:
+    """The lines of CSV bytes, split as csv splits them (at LF only, unlike str.splitlines),
+    without their CRLF endings; None unless valid UTF-8 with no quote, NUL or CR outside a
+    CRLF, and every line within csv's field size limit."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:  # the row loop reports it
+        return None
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    return None if max(map(len, lines)) > csv.field_size_limit() else lines
 
 
 def _read_plain(path: Path, wanted: list[str], keep_rows: bool) -> tuple | None:
     """``read_scored_rows`` of a plain CSV file; None if it is not plain or a cell is bad.
 
-    Plain: valid UTF-8; no quote, NUL or CR outside a CRLF; a non-empty
-    header that keeps the header rule (``_header_error``); every non-blank line
-    with the header's field count and within csv's field size limit. Each
-    line then splits on commas as csv reads it (csv breaks lines at LF only,
-    unlike str.splitlines) and is what csv.writer writes for its fields. The
-    checks hold line by line, so they are made on each block of ``_blocks``.
+    Plain: every line keeps ``_plain_lines``; a non-empty header that keeps the
+    header rule (``_header_error``); every non-blank line with the header's field
+    count. Each line then splits on commas as csv reads it and is what csv.writer
+    writes for its fields. The checks hold line by line, so the header is read
+    first, then ``_map_blocks`` parses each block of ``_blocks`` after it.
     """
-    header, width, scores, labels, texts = None, 0, [], [], []
-    for block in _blocks(path):
-        try:
-            text = block.decode("utf-8")
-        except UnicodeDecodeError:  # the row loop reports it
+    with open(path, "rb") as handle:
+        first = handle.readline()
+    header = (_plain_lines(first) or [""])[0].split(",")  # [""] if not plain
+    if header == [""] or _header_error(header, wanted):
+        return None
+    width, at = len(header), [header.index(name) for name in wanted]
+
+    def parse(block: bytes) -> tuple | None:
+        """A block's (scores, labels or None, kept row text or None); None if not plain or a cell is bad."""
+        if (lines := _plain_lines(block)) is None:
             return None
-        if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-            return None
-        lines = text.replace("\r\n", "\n").split("\n")
-        if max(map(len, lines)) > csv.field_size_limit():
-            return None
-        if header is None:
-            header = lines.pop(0).split(",")
-            width = len(header)
-            if header == [""] or _header_error(header, wanted):
-                return None
         body = list(filter(None, lines))  # csv skips blank lines
         if set(map(str.count, body, repeat(","))) - {width - 1}:
             return None
         cells = ",".join(body).split(",") if width > 1 and body else body
-        columns = [cells[header.index(name) :: width] for name in wanted]
+        columns = [cells[i::width] for i in at]
         try:
-            scores.append(np.fromiter(map(float, columns[0]), dtype=np.float64, count=len(body)))
+            scores = np.fromiter(map(float, columns[0]), dtype=np.float64, count=len(body))
         except ValueError:
             return None
-        if not np.all((scores[-1] >= 0.0) & (scores[-1] <= 1.0)):
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
             return None
+        labels = None
         if len(columns) > 1:
             if not set(columns[1]) <= {"0", "1"}:
                 return None
-            labels.append(np.frombuffer("".join(columns[1]).encode(), dtype=np.uint8) == ord("1"))
-        if keep_rows and body:  # "".split("\n") would give one empty row
-            texts.append("\n".join(body))  # split again on LF, which no plain row holds
-    if header is None:  # an empty file
-        return None
+            labels = np.frombuffer("".join(columns[1]).encode(), dtype=np.uint8) == ord("1")
+        # split again on LF, which no plain row holds; "".split("\n") would give one empty row
+        return scores, labels, "\n".join(body) if keep_rows and body else None
+
+    parsed = [(np.empty(0), np.empty(0, dtype=bool), None)]
+    for block in _map_blocks(parse, _blocks(path, len(first))):
+        if block is None:
+            return None
+        parsed.append(block)
+    scores, labels, texts = zip(*parsed)
     return (
         header,
         np.concatenate(scores),
         np.concatenate(labels).astype(np.int64) if len(wanted) > 1 else None,
-        (text.split("\n") for text in texts) if keep_rows else None,
+        (text.split("\n") for text in texts if text) if keep_rows else None,
     )
 
 
@@ -251,13 +324,18 @@ def _cells(column) -> list:
     return format_cells(column.tolist()) if column.dtype.kind == "f" else column.tolist()
 
 
+def _render(columns) -> str:
+    """The CSV text of a block of rows, given as the list of its columns."""
+    line = ",".join(["{}"] * len(columns)) + "\r\n"
+    return "".join(map(line.format, *map(_cells, columns)))
+
+
 def write_csv(path, header: list[str], blocks) -> None:
-    """Write a header line, then each block of rows, given as the list of its columns."""
+    """Write a header line, then each block of rows, given as the list of its columns
+    (rendered by ``_map_blocks``, so ``blocks`` must hold no open file)."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow(header)
-        for columns in blocks:
-            line = ",".join(["{}"] * len(columns)) + "\r\n"
-            handle.write("".join(map(line.format, *map(_cells, columns))))
+        handle.writelines(_map_blocks(_render, blocks))
 
 
 def load_scored_csv(path, score_column: str = "score", label_column: str = "label") -> ScoredDataset:

@@ -204,10 +204,14 @@ class IsotonicCalibrator(BaseCalibrator):
         y, z = y[order], z[order]
         del order  # each temporary goes as soon as it is used: this fit sets `fit`'s peak memory
         start = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+        n, y = y.size, y[start]  # y: each group's score
         positives = np.add.reduceat(z, start)
         del z
-        first, self.values_ = _compact(start, pool_adjacent_violators(positives, np.diff(start, append=y.size)))
-        self.breakpoints_ = y[first]
+        counts = np.empty_like(start)  # each group's size, with no concatenated copy of start
+        np.subtract(start[1:], start[:-1], out=counts[:-1])
+        counts[-1] = n - start[-1]
+        del start
+        self.breakpoints_, self.values_ = _compact(y, pool_adjacent_violators(positives, counts))
         return self
 
     def predict(self, scores):

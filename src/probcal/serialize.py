@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .binning import HistogramCalibrator
-from .data import format_cells
+from .data import _map_blocks, format_cells
 from .density import DPMCalibrator, KDECalibrator
 from .monotone import IsotonicCalibrator, PlattCalibrator
 
@@ -59,13 +59,16 @@ def iterdumps(obj, indent: int = 0):
             raise TypeError(f"cannot serialize a {obj.ndim}-D {obj.dtype} array")
         if len(obj) and (isinstance(obj, np.ndarray) or set(map(type, obj)) == {float}):
             comma = f",\n{inner}"
-            for start in range(0, len(obj), _BLOCK_VALUES):
+
+            def render(start: int) -> str:
                 block = obj[start : start + _BLOCK_VALUES]
                 block = block.tolist() if isinstance(block, np.ndarray) else block
                 text = comma.join(format_cells(block))
                 if "n" in text:  # only "nan" and "inf" contain an n: null them one by one
                     text = comma.join(map(format_float, block))
-                yield (comma if start else f"[\n{inner}") + text
+                return (comma if start else f"[\n{inner}") + text
+
+            yield from _map_blocks(render, range(0, len(obj), _BLOCK_VALUES))
         else:
             opening = "[\n"
             for v in obj:

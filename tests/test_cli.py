@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import probcal
 import probcal.cli
 import probcal.data
+import probcal.serialize
 from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, main, run
 from probcal.serialize import format_float, load_model
 
@@ -402,6 +404,69 @@ class TestBlockedRowPath:
             assert main([*args, str(blocked)]) == EXIT_OK
             assert blocked.read_bytes() == whole.read_bytes()
         capsys.readouterr()
+
+
+def forks_and_outputs(argvs, outputs, monkeypatch) -> tuple:
+    """The os.fork calls (None without os.fork) and the bytes of each output path of running each argv through main."""
+    forks, fork = [], getattr(os, "fork", None)
+    if fork:
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    for argv in argvs:
+        assert main(argv) == EXIT_OK
+    return len(forks) if fork else None, [path.read_bytes() for path in outputs]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process block map needs os.fork")
+class TestTwoProcessCommands:
+    """With blocks so small that 200 rows span many, the forked block map writes the bytes of the in-process one."""
+
+    def test_simulate_fit_kde_and_apply_write_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(probcal.cli, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(probcal.data, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(probcal.serialize, "_BLOCK_VALUES", 5)
+        data, model, out = tmp_path / "data.csv", tmp_path / "kde.json", tmp_path / "out.csv"
+        argvs = [
+            ["simulate", "--kind", "oracle", "--n", "200", "--seed", "2", "--out", str(data)],
+            ["fit", "--method", "kde", "--in", str(data), "--out", str(model)],
+            ["apply", "--model", str(model), "--in", str(data), "--out", str(out)],
+        ]
+        # simulate; fit: the read and the two score lists; apply: the read and the write
+        forked = forks_and_outputs(argvs, [data, model, out], monkeypatch)
+        assert forked[0] == 6
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.delattr(os, "fork")
+        assert forks_and_outputs(argvs, [data, model, out], monkeypatch)[1] == forked[1]
+        capsys.readouterr()
+
+    def test_ten_thousand_rows_stay_in_one_process(self, tmp_path, monkeypatch, capsys):
+        data, model = tmp_path / "data.csv", tmp_path / "kde.json"
+        argvs = [
+            ["simulate", "--kind", "oracle", "--n", "10000", "--seed", "2", "--out", str(data)],
+            ["fit", "--method", "kde", "--in", str(data), "--out", str(model)],
+            ["apply", "--model", str(model), "--in", str(data), "--out", str(tmp_path / "out.csv")],
+            ["eval", "--in", str(data), "--model", str(model), "--reliability-out", str(tmp_path / "bins.csv")],
+        ]
+        assert forks_and_outputs(argvs, [], monkeypatch)[0] == 0
+        capsys.readouterr()
+
+    def test_a_killed_child_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        parent, render = os.getpid(), probcal.data._render
+
+        def killed_in_the_child(columns):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return render(columns)
+
+        monkeypatch.setattr(probcal.data, "_render", killed_in_the_child)
+        monkeypatch.setattr(probcal.cli, "_BLOCK_ROWS", 7)
+        argv = ["simulate", "--kind", "oracle", "--n", "50", "--out", str(tmp_path / "data.csv")]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: block worker ") and err.count("\n") == 1
+        assert err.endswith(f" ended without a result (wait status {signal.SIGKILL.value})\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestUndecodableByte:

@@ -1,7 +1,11 @@
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -18,6 +22,7 @@ from probcal.data import (
     FeatureDataset,
     ScoredDataset,
     _blocks,
+    _map_blocks,
     _read_plain,
     _read_row_by_row,
     load_scored_csv,
@@ -477,6 +482,153 @@ class TestBlockEdges:
             read_scored_rows(path, label_column="label", keep_rows=True)
         where = "line 102: " if fault == LAST_BLOCK_FAULTS["invalid UTF-8"] else "row 101: "
         assert where in str(expected.value)
+
+    @given(st.binary(max_size=40), st.integers(1, 12), st.integers(0, 45))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_from_an_offset_cover_the_rest_of_the_file(self, content, size, start):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(content)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(probcal.data, "_BLOCK_BYTES", size)
+                blocks = list(_blocks(path, start))
+        assert b"".join(blocks) == content[start:]
+        assert all(block.endswith(b"\n") for block in blocks[:-1])
+
+
+def count_forks(monkeypatch) -> list:
+    """A list that gains an entry at each os.fork from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 200 rows of id, score and label: 64-byte blocks cut them into about 90
+ROWS_200 = "id,score,label\n" + "".join(f"r{i},{(i * 37 % 200) / 199!r},{i % 3 % 2}\n" for i in range(200))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process map needs os.fork")
+class TestTwoProcessBlocks:
+    """_map_blocks forks from two items on; every result and error is that of the in-process map."""
+
+    def test_the_child_computes_every_other_item(self, monkeypatch):
+        forks = count_forks(monkeypatch)
+        pids = list(_map_blocks(lambda _: os.getpid(), range(7)))
+        assert len(forks) == 1 and set(pids[::2]) == {os.getpid()}
+        assert len(set(pids[1::2])) == 1 and pids[1] != os.getpid()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_items_stay_in_process(self, count, monkeypatch):
+        forks = count_forks(monkeypatch)
+        assert list(_map_blocks(lambda _: os.getpid(), range(count))) == [os.getpid()] * count
+        assert forks == []
+
+    def test_without_fork_the_map_runs_in_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert list(_map_blocks(lambda _: os.getpid(), range(5))) == [os.getpid()] * 5
+
+    @pytest.mark.parametrize("failing", [2, 3], ids=["in the parent", "in the child"])
+    def test_an_exception_keeps_its_type_and_message(self, failing):
+        def work(item):
+            if item == failing:
+                raise KeyError(f"item {item}")
+            return item
+
+        results = _map_blocks(work, range(6))
+        assert [next(results) for _ in range(failing)] == list(range(failing))
+        with pytest.raises(KeyError) as raised:
+            next(results)
+        assert str(raised.value) == repr(f"item {failing}")
+        assert_no_child_left()
+
+    def test_closed_early_the_child_is_reaped(self):
+        results = _map_blocks(lambda item: item, range(50))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        results.close()
+        assert_no_child_left()
+
+    def test_a_child_that_dies_raises_oserror_naming_its_status(self):
+        parent = os.getpid()
+
+        def work(item):
+            if os.getpid() != parent:
+                os._exit(7)
+            return item
+
+        with pytest.raises(OSError, match=r"ended without a result \(wait status 1792\)$"):
+            list(_map_blocks(work, range(4)))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("label_column", ["label", None])
+    @pytest.mark.parametrize("keep_rows", [True, False])
+    def test_read_equals_the_in_process_read(self, label_column, keep_rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(probcal.data, "_BLOCK_BYTES", 64)
+        path = make_csv(tmp_path, ROWS_200)
+        wanted = ["score"] if label_column is None else ["score", label_column]
+        forks = count_forks(monkeypatch)
+        assert _read_plain(path, wanted, keep_rows) is not None  # the blocks' parse, not the row loop
+        forked = outcome(lambda: read_scored_rows(path, "score", label_column, keep_rows))
+        assert len(forks) == 2 and len(forked[2]) == 200 * 8
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert outcome(lambda: read_scored_rows(path, "score", label_column, keep_rows)) == forked
+
+    @pytest.mark.parametrize("block", [4, 5], ids=["even block, the parent's", "odd block, the child's"])
+    def test_bad_cell_in_either_process_gives_the_row_loop_message(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(probcal.data, "_BLOCK_BYTES", 64)
+        header = ROWS_200.index("\n") + 1
+        blocks = list(_blocks(make_csv(tmp_path, ROWS_200), header))
+        row = sum(b.count(b"\n") for b in blocks[:block])  # 0-based: the first row of that block
+        lines = ROWS_200.split("\n")
+        score = lines[row + 1].split(",")[1]
+        lines[row + 1] = lines[row + 1].replace(score, "x" * len(score))  # the same length: the same blocks
+        path = make_csv(tmp_path, "\n".join(lines))
+        assert list(_blocks(path, header))[block].startswith(lines[row + 1].encode())
+        forks = count_forks(monkeypatch)
+        assert _read_plain(path, ["score", "label"], True) is None
+        assert len(forks) == 1
+        assert_no_child_left()
+        message = f"{path}: row {row + 1}: cannot parse score {'x' * len(score)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_scored_rows(path, label_column="label", keep_rows=True)
+        assert_no_child_left()
+
+    def test_write_leaves_no_child(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        probcal.data.write_csv(tmp_path / "out.csv", ["x"], [[np.arange(3.0)]] * 4)
+        assert len(forks) == 1
+        assert (tmp_path / "out.csv").read_bytes() == b"x\r\n" + b"0\r\n1\r\n2\r\n" * 4
+        assert_no_child_left()
+
+    def test_the_child_flushes_no_inherited_buffer_and_runs_no_exit_handler(self, tmp_path):
+        # stdout to a pipe is block-buffered: a child that flushed its copy would print the line twice
+        probe = textwrap.dedent(
+            """
+            import atexit, sys
+            import numpy as np
+            from probcal.data import write_csv
+            atexit.register(print, "exit handler")
+            print("before the fork")
+            write_csv(sys.argv[1], ["x"], [[np.arange(3.0)]] * 4)
+            """
+        )
+        source = str(Path(probcal.data.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "out.csv"
+        result = subprocess.run([sys.executable, "-c", probe, str(out)], capture_output=True, env=env, check=True)
+        assert result.stdout == b"before the fork\nexit handler\n"
+        assert out.read_bytes() == b"x\r\n" + b"0\r\n1\r\n2\r\n" * 4
 
 
 def _render(cells) -> str:

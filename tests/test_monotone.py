@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -403,6 +404,21 @@ class TestIsotonicCalibrator:
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             IsotonicCalibrator().predict(0.5)
+
+    def test_fit_peaks_below_36_bytes_a_row(self):
+        # 2e5 distinct scores: the fit held 40 bytes a row while np.diff(start, append=...) made the
+        # group counts from a concatenated copy of the group starts, with all the sorted scores alive
+        n = 200_000
+        rng = np.random.default_rng(23)
+        scores = rng.random(n)
+        labels = (rng.random(n) < scores**2).astype(np.int64)
+        tracemalloc.start()
+        try:
+            IsotonicCalibrator().fit(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * n
 
     @settings(max_examples=60, deadline=None)
     @given(

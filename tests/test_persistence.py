@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -174,6 +175,26 @@ class TestWrittenPieces:
         pieces = list(probcal.serialize.iterdumps({"v": values}))
         assert "".join(pieces) == dumps_whole({"v": values})
         assert max(piece.count(",") for piece in pieces) <= 4
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the two-process block map needs os.fork")
+class TestTwoProcessModelFiles:
+    def test_kde_model_bytes_equal_the_in_process_write(self, tmp_path, monkeypatch):
+        data = generate_oracle(OracleSpec(curve="square"), 200, 5)
+        model = KDECalibrator().fit(data.scores, data.labels)
+        monkeypatch.setattr(probcal.serialize, "_BLOCK_VALUES", 5)  # each score list spans about 20 blocks
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        save_model(model, tmp_path / "forked.json")
+        assert len(forks) == 2  # one per class's score list
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.delattr(os, "fork")
+        save_model(model, tmp_path / "in-process.json")
+        forked = (tmp_path / "forked.json").read_bytes()
+        assert forked == (tmp_path / "in-process.json").read_bytes()
+        as_lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in model.to_dict().items()}
+        assert forked == (dumps_whole(as_lists) + "\n").encode()
 
 
 class TestArrayPayloads:
