@@ -22,6 +22,7 @@ from ._validation import (
     check_iteration, class_counts, model_field, require_count, scored_pair, warn_unconverged
 )
 from .base import BaseCalibrator, _digamma, _gammaln
+from .data import _map_blocks
 
 _SILVERMAN_FLOOR = 1e-3
 _BLOCK_QUERIES = 1 << 14  # queries per block of KDECalibrator.predict
@@ -204,17 +205,16 @@ class StickBreakingPosterior:
         return remaining * np.r_[ev, 1.0]
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        mean = self.components[:, 0]
-        kappa = self.components[:, 1]
-        shape = self.components[:, 2]
-        rate = self.components[:, 3]
+        mean, kappa, shape, rate = self.components.T
         df = 2.0 * shape
         scale = np.sqrt(rate * (kappa + 1.0) / (shape * kappa))
         # Student-t pdf; its normaliser is Gamma((df+1)/2) / (Gamma(df/2) sqrt(df pi))
-        u = (np.asarray(x)[:, None] - mean) / scale
         log_norm = _gammaln(0.5 * df + 0.5) - _gammaln(0.5 * df) - 0.5 * (np.log(df) + np.log(np.pi))
+        # one row of queries per component; the weighted rows are summed in order, with no BLAS call
+        mean, df, scale, log_norm = (v[:, None] for v in (mean, df, scale, log_norm))
+        u = (np.asarray(x) - mean) / scale
         pdf = np.exp(log_norm - (df + 1) / 2 * np.log1p(u * u / df)) / scale
-        return pdf @ self.expected_weights()
+        return np.sum(pdf * self.expected_weights()[:, None], axis=0)
 
 
 def _fit_class_mixture(
@@ -233,11 +233,11 @@ def _fit_class_mixture(
     b0 = max(float(np.var(x, ddof=1)), 1e-6)
     log_2pi = np.log(2.0 * np.pi)
 
-    phi = rng.dirichlet(np.ones(truncation), size=n)
-    # every sweep writes into these buffers; each reduction keeps the call and the
-    # contiguous shape it has on fresh arrays, so its summation order is unchanged
-    log_lik, work = np.empty_like(phi), np.empty_like(phi)
-    row_max, row_sum = np.empty((n, 1)), np.empty((n, 1))
+    # component-major: row t holds each sample's responsibility for component t, so every
+    # n x T step and reduction runs along rows of n contiguous values
+    phi = np.ascontiguousarray(rng.dirichlet(np.ones(truncation), size=n).T)
+    work = np.empty_like(phi)  # the sweep's only other n x T buffer, for phi * x
+    row_max, row_sum = np.empty(n), np.empty(n)
 
     x2 = x * x
     gamma = np.empty((truncation - 1, 2))  # (0, 2) at truncation 1: every stick sum is 0
@@ -247,10 +247,10 @@ def _fit_class_mixture(
     iteration = 0
 
     for iteration in range(1, max_iter + 1):
-        # global updates from the responsibilities
-        counts = phi.sum(axis=0)
-        sum_x = phi.T @ x
-        sum_x2 = phi.T @ x2
+        # global updates from the responsibilities, by numpy reductions (no BLAS call)
+        counts = phi.sum(axis=1)
+        sum_x = np.multiply(phi, x, out=work).sum(axis=1)
+        sum_x2 = np.multiply(phi, x2, out=phi).sum(axis=1)  # in place: phi is rebuilt below
         xbar = np.where(counts > 0, sum_x / np.maximum(counts, 1e-300), 0.0)
         scatter = np.maximum(sum_x2 - counts * xbar * xbar, 0.0)
 
@@ -274,22 +274,20 @@ def _fit_class_mixture(
         e_log_pi[1:] += np.cumsum(e_log_1mv)
         e_lambda = aq / bq
         e_log_lambda = psi_aq - np.log(bq)
-        # log_lik = e_log_pi + 0.5 e_log_lambda - 0.5 log 2pi - 0.5 (e_lambda (x - mq)^2 + 1/kq),
-        # the last 0.5 moved onto the T-long terms: scaling by 0.5 is exact away from subnormals
-        np.square(np.subtract(x[:, None], mq, out=work), out=work)
-        np.add(np.multiply(work, 0.5 * e_lambda, out=work), 0.5 / kq, out=work)
-        np.subtract(e_log_pi + 0.5 * e_log_lambda - 0.5 * log_2pi, work, out=log_lik)
-        # the row max as a running maximum over the columns: max does not depend on order
-        np.copyto(row_max, log_lik[:, :1])
-        for t in range(1, truncation):
-            np.maximum(row_max, log_lik[:, t : t + 1], out=row_max)
-        np.exp(np.subtract(log_lik, row_max, out=phi), out=phi)
-        np.divide(phi, phi.sum(axis=1, keepdims=True, out=row_sum), out=phi)
+        # phi = log_lik = e_log_pi + 0.5 e_log_lambda - 0.5 log 2pi - 0.5 / kq - 0.5 e_lambda (x - mq)^2,
+        # every term but the last a T-long column; then exp(log_lik - row max), normalised per sample.
+        # Each step works in place, which moves half the memory of writing to a second array
+        np.square(np.subtract(x, mq[:, None], out=phi), out=phi)
+        np.multiply(phi, (0.5 * e_lambda)[:, None], out=phi)
+        np.subtract((e_log_pi + 0.5 * e_log_lambda - 0.5 * log_2pi - 0.5 / kq)[:, None], phi, out=phi)
+        np.max(phi, axis=0, out=row_max)
+        np.exp(np.subtract(phi, row_max, out=phi), out=phi)
+        phi /= np.sum(phi, axis=0, out=row_sum)
 
-        # evidence lower bound with all parameters current
-        data_term = float(np.sum(np.multiply(phi, log_lik, out=work)))
-        np.log(np.maximum(phi, 1e-300, out=work), out=work)
-        entropy = -float(np.sum(np.multiply(phi, work, out=work)))
+        # evidence lower bound with all parameters current. Each sample's phi sums to 1 and
+        # log phi = log_lik - row_max - log row_sum, so data term + entropy
+        # = sum(phi * log_lik) - sum(phi * log phi) = sum(row_max + log row_sum)
+        likelihood = float(np.sum(np.add(row_max, np.log(row_sum, out=row_sum), out=row_sum)))
         stick_prior = float(np.sum(np.log(alpha) + (alpha - 1.0) * e_log_1mv))
         stick_q = float(
             np.sum(
@@ -320,7 +318,7 @@ def _fit_class_mixture(
                 - aq
             )
         )
-        elbo = data_term + entropy + stick_prior - stick_q + component_prior - component_q
+        elbo = likelihood + stick_prior - stick_q + component_prior - component_q
         if not np.isfinite(elbo):
             raise RuntimeError(f"evidence lower bound became non-finite at iteration {iteration}")
         elbo_history.append(elbo)
@@ -347,12 +345,13 @@ class DPMCalibrator(BaseCalibrator):
     mixture of Gaussians with a Normal-Gamma base measure and fitted by
     coordinate-ascent variational inference. Responsibilities start from a
     seeded random assignment, so fits are reproducible bit for bit given
-    the seed. The two classes are fitted at the same time on two threads,
-    each from its own stream, and give the bits of a serial fit. Fitting
-    stops when the evidence lower bound improves by less than ``tol`` or
-    after ``max_iter`` sweeps. The truncation is an integer and may not
-    exceed the smaller class size: more components than samples add
-    nothing, and each class holds three class size x truncation arrays.
+    the seed. The two classes are fitted at the same time in two processes
+    (a forked child fits the negative class), each from its own stream,
+    and give the bits of a serial fit. Fitting stops when the evidence
+    lower bound improves by less than ``tol`` or after ``max_iter``
+    sweeps. The truncation is an integer and may not exceed the smaller
+    class size: more components than samples add nothing, and each class
+    holds two class size x truncation arrays.
 
     Prediction plugs the two posterior-predictive densities into the
     posterior ratio with the empirical positive prior; if both densities
@@ -388,18 +387,15 @@ class DPMCalibrator(BaseCalibrator):
                 f"truncation must not exceed the smaller class size, got {self.truncation} "
                 f"for {m} positive / {n_neg} negative"
             )
-        from concurrent.futures import ThreadPoolExecutor
-
         streams = map(np.random.default_rng, np.random.SeedSequence(self.seed).spawn(2))
-        # one thread per class; numpy releases the interpreter lock in the n x T steps
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fits = [
-                pool.submit(_fit_class_mixture, y[z == label], self.truncation, self.alpha,
-                            self.max_iter, self.tol, rng)
-                for label, rng in zip((1, 0), streams)
-            ]
-        # results in class order, so a failure surfaces as the serial loop raised it
-        self.positive_, self.negative_ = (fit.result() for fit in fits)
+        classes = [(y[z == label], rng) for label, rng in zip((1, 0), streams)]
+
+        def fit_class(data):
+            return _fit_class_mixture(data[0], self.truncation, self.alpha, self.max_iter, self.tol, data[1])
+
+        # a forked child fits the negative class while this process fits the positive one; the
+        # results come in class order, so a failure surfaces as the serial loop raised it
+        self.positive_, self.negative_ = _map_blocks(fit_class, classes)
         for name, posterior in (("positive", self.positive_), ("negative", self.negative_)):
             if not posterior.converged:
                 history = posterior.elbo_history  # one sweep measures no change

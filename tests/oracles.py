@@ -262,12 +262,122 @@ def expected_weights_by_loop(sticks) -> np.ndarray:
 
 
 def dpm_sweeps_with_temporaries(x, truncation, alpha, max_iter, tol, rng):
-    """One class's stick-breaking mixture fit, each sweep building fresh n x T arrays.
+    """One class's stick-breaking mixture fit, each sweep building fresh T x n arrays.
 
-    This was the library's ``density._fit_class_mixture`` before its sweep
-    reused preallocated buffers; the arithmetic is kept as it was, so the
-    library must match it bit for bit. It takes the library's own digamma and
-    log-gamma, one digamma call per argument where the library batches them.
+    The arithmetic of the library's ``density._fit_class_mixture`` without its
+    preallocated buffers, so the library must match it bit for bit:
+    responsibilities are component-major, the sums over samples are numpy
+    reductions, and the ELBO's data term plus entropy is sum(row max + log row
+    sum). It takes the library's own digamma and log-gamma, one digamma call
+    per argument where the library batches them.
+    """
+    from probcal.base import _digamma, _gammaln
+    from probcal.density import StickBreakingPosterior
+
+    n = x.size
+    mu0 = float(np.mean(x))
+    kappa0 = 0.1
+    a0 = 1.0
+    b0 = max(float(np.var(x, ddof=1)), 1e-6)
+    log_2pi = np.log(2.0 * np.pi)
+
+    # in C order, as the library holds it: how a sum over an axis rounds follows the layout
+    phi = rng.dirichlet(np.ones(truncation), size=n).T.copy()
+
+    x2 = x * x
+    gamma = np.empty((truncation - 1, 2))
+    elbo_history = []
+    previous = -np.inf
+    converged = False
+    iteration = 0
+
+    for iteration in range(1, max_iter + 1):
+        counts = phi.sum(axis=1)
+        sum_x = (phi * x).sum(axis=1)
+        sum_x2 = (phi * x2).sum(axis=1)
+        xbar = np.where(counts > 0, sum_x / np.maximum(counts, 1e-300), 0.0)
+        scatter = np.maximum(sum_x2 - counts * xbar * xbar, 0.0)
+
+        tail = np.concatenate([np.cumsum(counts[::-1])[-2::-1], [0.0]])
+        gamma[:, 0] = 1.0 + counts[:-1]
+        gamma[:, 1] = alpha + tail[:-1]
+        kq = kappa0 + counts
+        mq = (kappa0 * mu0 + sum_x) / kq
+        aq = a0 + 0.5 * counts
+        bq = b0 + 0.5 * (scatter + kappa0 * counts * (xbar - mu0) ** 2 / kq)
+
+        digamma_total = _digamma(gamma[:, 0] + gamma[:, 1])
+        e_log_v = _digamma(gamma[:, 0]) - digamma_total
+        e_log_1mv = _digamma(gamma[:, 1]) - digamma_total
+        e_log_pi = np.concatenate([e_log_v, [0.0]])
+        e_log_pi[1:] += np.cumsum(e_log_1mv)
+        e_lambda = aq / bq
+        e_log_lambda = _digamma(aq) - np.log(bq)
+        constant = e_log_pi + 0.5 * e_log_lambda - 0.5 * log_2pi - 0.5 / kq
+        log_lik = constant[:, None] - (0.5 * e_lambda)[:, None] * (x - mq[:, None]) ** 2
+        row_max = log_lik.max(axis=0)
+        phi = np.exp(log_lik - row_max)
+        row_sum = phi.sum(axis=0)
+        phi = phi / row_sum
+
+        likelihood = float(np.sum(row_max + np.log(row_sum)))
+        stick_prior = float(np.sum(np.log(alpha) + (alpha - 1.0) * e_log_1mv))
+        log_beta = _gammaln(gamma[:, 0]) + _gammaln(gamma[:, 1]) - _gammaln(gamma[:, 0] + gamma[:, 1])
+        stick_q = float(
+            np.sum(
+                -log_beta
+                + (gamma[:, 0] - 1.0) * e_log_v
+                + (gamma[:, 1] - 1.0) * e_log_1mv
+            )
+        )
+        e_lambda_dev0 = e_lambda * (mq - mu0) ** 2 + 1.0 / kq
+        component_prior = float(
+            np.sum(
+                0.5 * (np.log(kappa0) - log_2pi)
+                + 0.5 * e_log_lambda
+                - 0.5 * kappa0 * e_lambda_dev0
+                + a0 * np.log(b0)
+                - math.lgamma(a0)
+                + (a0 - 1.0) * e_log_lambda
+                - b0 * e_lambda
+            )
+        )
+        component_q = float(
+            np.sum(
+                0.5 * (np.log(kq) - log_2pi)
+                - 0.5
+                + aq * np.log(bq)
+                - _gammaln(aq)
+                + (aq - 0.5) * e_log_lambda
+                - aq
+            )
+        )
+        elbo = likelihood + stick_prior - stick_q + component_prior - component_q
+        if not np.isfinite(elbo):
+            raise RuntimeError(f"evidence lower bound became non-finite at iteration {iteration}")
+        elbo_history.append(elbo)
+        if elbo - previous < tol and iteration > 1:
+            converged = True
+            break
+        previous = elbo
+
+    return StickBreakingPosterior(
+        sticks=gamma.copy(),
+        components=np.column_stack([mq, kq, aq, bq]),
+        elbo=elbo_history[-1],
+        elbo_history=elbo_history,
+        n_iter=iteration,
+        converged=converged,
+    )
+
+
+def dpm_sweeps_row_major(x, truncation, alpha, max_iter, tol, rng):
+    """One class's stick-breaking mixture fit in the sample-major (n, T) layout, with the
+    evidence lower bound's data term and entropy summed explicitly.
+
+    This was the library's sweep before it went component-major and took those
+    two terms as one log-sum-exp; ``phi.T @ x`` goes through BLAS. The fit is the
+    same up to rounding, so the library is compared with it within a tolerance.
     """
     from probcal.base import _digamma, _gammaln
     from probcal.density import StickBreakingPosterior
@@ -365,6 +475,7 @@ def dpm_sweeps_with_temporaries(x, truncation, alpha, max_iter, tol, rng):
         n_iter=iteration,
         converged=converged,
     )
+
 
 def frequency_edges_by_loop(scores, n_bins: int) -> np.ndarray:
     """Equal-frequency histogram edges, one group boundary at a time.

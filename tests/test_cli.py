@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import io
 import json
 import os
@@ -932,8 +933,11 @@ class TestArgumentErrors:
 
     def test_run_wrapper_raises_system_exit(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["probcal"])
-        with pytest.raises(SystemExit) as excinfo:
-            run()
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                run()
+        finally:
+            gc.unfreeze()  # run() froze this process's objects; the other tests run unfrozen
         assert excinfo.value.code == EXIT_INPUT
         capsys.readouterr()
 
@@ -968,6 +972,47 @@ class TestModuleEntryPoint:
         result = self.run_module("fit", "--method", "histogram", "--out", str(tmp_path / "m.json"))
         assert result.returncode == EXIT_INPUT
         assert "required: --in" in result.stderr
+
+    def test_run_freezes_the_imported_objects_before_main(self):
+        source = str(Path(probcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        probe = (
+            "import gc, probcal.cli as cli\n"
+            "print(gc.get_freeze_count())\n"
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+            "cli.run()"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+        assert result.returncode == EXIT_OK, result.stderr
+        before, in_main = map(int, result.stdout.split())
+        assert before == 0 and in_main > 0
+
+
+class TestSameBytesUnderEveryBLASKernel:
+    def test_dpm_fit_and_apply(self, tmp_path):
+        # numpy's OpenBLAS picks its kernels by CPU at load; OPENBLAS_CORETYPE forces one. The
+        # DPM's fit and predict make no BLAS call, so the model and predictions keep their bytes.
+        source = str(Path(probcal.__file__).resolve().parents[1])
+        scored = tmp_path / "scored.csv"
+        argv = ["simulate", "--kind", "oracle", "--curve", "square", "--n", "2000", "--seed", "1"]
+        assert main([*argv, "--out", str(scored)]) == EXIT_OK
+        outputs = {}
+        for coretype in (None, "Prescott", "Haswell"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            model, applied = tmp_path / f"{coretype}.json", tmp_path / f"{coretype}.csv"
+            for command in (
+                ["fit", "--method", "dpm", "--in", str(scored), "--out", str(model)],
+                ["apply", "--model", str(model), "--in", str(scored), "--out", str(applied)],
+            ):
+                result = subprocess.run(
+                    [sys.executable, "-m", "probcal.cli", *command], capture_output=True, env=env
+                )
+                assert result.returncode == EXIT_OK, result.stderr
+            outputs[coretype] = model.read_bytes(), applied.read_bytes()
+        assert outputs["Prescott"] == outputs[None] and outputs["Haswell"] == outputs[None]
 
 
 class TestImportFootprint:
