@@ -14,7 +14,6 @@ warnings print as one line each.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 import warnings
 
@@ -319,9 +318,6 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    # one command, then exit: what the imports made is skipped by every later collection (at
-    # exit, in a forked worker); at worst a cycle that was already garbage stays until exit
-    gc.freeze()
     raise SystemExit(main())
 
 

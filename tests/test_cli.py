@@ -1,6 +1,5 @@
 import ast
 import csv
-import gc
 import io
 import json
 import os
@@ -933,11 +932,8 @@ class TestArgumentErrors:
 
     def test_run_wrapper_raises_system_exit(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["probcal"])
-        try:
-            with pytest.raises(SystemExit) as excinfo:
-                run()
-        finally:
-            gc.unfreeze()  # run() froze this process's objects; the other tests run unfrozen
+        with pytest.raises(SystemExit) as excinfo:
+            run()
         assert excinfo.value.code == EXIT_INPUT
         capsys.readouterr()
 
@@ -972,20 +968,6 @@ class TestModuleEntryPoint:
         result = self.run_module("fit", "--method", "histogram", "--out", str(tmp_path / "m.json"))
         assert result.returncode == EXIT_INPUT
         assert "required: --in" in result.stderr
-
-    def test_run_freezes_the_imported_objects_before_main(self):
-        source = str(Path(probcal.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
-        probe = (
-            "import gc, probcal.cli as cli\n"
-            "print(gc.get_freeze_count())\n"
-            "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
-            "cli.run()"
-        )
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-        assert result.returncode == EXIT_OK, result.stderr
-        before, in_main = map(int, result.stdout.split())
-        assert before == 0 and in_main > 0
 
 
 class TestSameBytesUnderEveryBLASKernel:
