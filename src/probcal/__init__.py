@@ -38,14 +38,7 @@ from .metrics import (
 )
 from .monotone import IsotonicCalibrator, PlattCalibrator, pool_adjacent_violators
 from .serialize import load_model, save_model
-from .synth import (
-    LogisticScorer,
-    OracleSpec,
-    fit_logistic,
-    generate_oracle,
-    generate_xor,
-    true_theta,
-)
+from .synth import OracleSpec, generate_oracle, generate_xor, true_theta
 
 __version__ = "0.1.0"
 
@@ -56,7 +49,6 @@ __all__ = [
     "HistogramCalibrator",
     "IsotonicCalibrator",
     "KDECalibrator",
-    "LogisticScorer",
     "NotFittedError",
     "OracleSpec",
     "PlattCalibrator",
@@ -69,7 +61,6 @@ __all__ = [
     "default_bin_count",
     "ece",
     "evaluate",
-    "fit_logistic",
     "generate_oracle",
     "generate_xor",
     "hoeffding_bound",

@@ -117,8 +117,8 @@ def _map_blocks(work, items):
     it at most one result ahead. Each result must be a pure function of its item, and
     the child iterates its own copy of ``items``, which must hold no open file between
     items. The child leaves by ``os._exit`` (no atexit handler, no stdio flush) and is
-    always reaped; its exceptions are raised here, and its end without a result raises
-    OSError."""
+    always reaped, and killed first when this generator ends before its last reply; its
+    exceptions are raised here, and its end without a result raises OSError."""
     items = iter(items)
     head = list(islice(items, 2))
     items = chain(head, items)
@@ -156,8 +156,10 @@ def _map_blocks(work, items):
                 if not ok:
                     raise result
                 yield result
-    finally:  # the pipe is closed, so a child still at work ends at its next reply
-        if status is None:
+        status = os.waitpid(pid, 0)[1]  # every reply read: the child ends by itself
+    finally:
+        if status is None:  # an early end: no reply is wanted any more, so the child stops now
+            os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
 
 

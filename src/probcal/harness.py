@@ -246,7 +246,8 @@ def verify_ece_rate(
     mean_ece = [p.summary["mean_ece"] for p in points]
     if min(mean_ece) <= 0:
         raise ValueError("mean ECE is 0, so its log-log slope is undefined; oracle is degenerate")
-    slope = float(np.polyfit(np.log(sizes), np.log(mean_ece), 1)[0])
+    x, y = (v - v.mean() for v in (np.log(sizes), np.log(mean_ece)))
+    slope = float((x * y).sum() / (x * x).sum())  # the least-squares slope, centred
     low, high = _SLOPE_WINDOW
     assertion = Assertion(
         f"log-log ECE slope within [{low:g}, {high:g}]", low <= slope <= high, slope, high

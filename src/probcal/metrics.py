@@ -146,7 +146,7 @@ def _level_auc(codes: np.ndarray, z: np.ndarray, n_levels: int) -> float:
     2U, from per-level positives times (2 * negatives below + negatives tied)."""
     pos = np.bincount(codes[z == 1], minlength=n_levels)
     neg = np.bincount(codes, minlength=n_levels) - pos
-    twice_u = int(pos @ (2 * np.cumsum(neg) - neg))
+    twice_u = int((pos * (2 * np.cumsum(neg) - neg)).sum())
     return float(twice_u) / (2.0 * int(pos.sum()) * int(neg.sum()))
 
 

@@ -10,26 +10,26 @@ from ._validation import check_iteration, class_counts, model_field, scored_pair
 from .base import BaseCalibrator, _expit
 
 
-def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float, what: str) -> tuple:
-    """Minimize ``objective`` by damped Newton steps from ``w``.
+def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float) -> tuple:
+    """Minimize the sigmoid fit's ``objective`` of two parameters by damped Newton steps from ``w``.
 
-    ``derivatives(w)`` returns the gradient and the Hessian. Each step is
-    halved until it meets the Armijo condition, at most down to 2^-20. The
-    fit stops once the gradient's max-norm is below ``tol`` or after
-    ``max_iter`` steps, and the gradient is always checked at the point
-    returned. Returns (w, iterations, gradient norm, converged), where
-    iterations counts gradient evaluations, capped at ``max_iter``. A fit
-    that does not converge warns as ``what``, at the line that called the
-    function calling this one.
+    ``derivatives(w)`` returns the gradient and the Hessian's entries (h00, h01, h11). Each
+    step solves the 2x2 system by Cramer's rule, in scalar arithmetic with no BLAS or LAPACK
+    call, and is halved until it meets the Armijo condition, at most down to 2^-20. The fit
+    stops once the gradient's max-norm is below ``tol`` or after ``max_iter`` steps, and the
+    gradient is always checked at the point returned. Returns (w, iterations, gradient norm,
+    converged), where iterations counts gradient evaluations, capped at ``max_iter``. A fit
+    that does not converge warns at the line that called the function calling this one.
     """
     value = objective(w)
     for iteration in range(max_iter + 1):
-        gradient, hessian = derivatives(w)
+        gradient, (h00, h01, h11) = derivatives(w)
         gradient_norm = float(np.abs(gradient).max())
         if gradient_norm < tol or iteration == max_iter:
             break
-        step = np.linalg.solve(hessian, gradient)
-        descent = float(gradient @ step)
+        g0, g1 = gradient
+        step = np.array([h11 * g0 - h01 * g1, h00 * g1 - h01 * g0]) / (h00 * h11 - h01 * h01)
+        descent = float(g0 * step[0] + g1 * step[1])
         stepsize = 1.0
         while stepsize >= 2.0**-20:
             if objective(w - stepsize * step) <= value - 1e-4 * stepsize * descent:
@@ -39,7 +39,7 @@ def _newton(objective, derivatives, w: np.ndarray, max_iter: int, tol: float, wh
         value = objective(w)
     n_iter, converged = min(iteration + 1, max_iter), gradient_norm < tol
     if not converged:
-        warn_unconverged(what, n_iter, "gradient norm", gradient_norm, tol, stacklevel=3)
+        warn_unconverged("sigmoid fit", n_iter, "gradient norm", gradient_norm, tol, stacklevel=3)
     return w, n_iter, gradient_norm, converged
 
 
@@ -134,6 +134,10 @@ class PlattCalibrator(BaseCalibrator):
             raise ValueError("sigmoid fitting needs both classes present")
 
         target = np.where(z == 1, (m + 1.0) / (m + 2.0), 1.0 / (n_neg + 2.0))
+        # the fit runs on centred scores: with raw ones, the Hessian's determinant cancels to 0
+        # (or below) once the scores hardly vary, say 1e4 equal ones, and the step is NaN
+        center = f.mean()
+        f = f - center
 
         def objective(w):
             s = w[0] * f + w[1]
@@ -147,15 +151,14 @@ class PlattCalibrator(BaseCalibrator):
             p = _expit(-(w[0] * f + w[1]))
             d = target - p
             c = p * (1.0 - p)
-            cross = np.dot(c, f)
-            hessian = np.array([[np.dot(c, f * f) + 1e-12, cross], [cross, c.sum() + 1e-12]])
-            return np.array([np.dot(d, f), d.sum()]), hessian
+            cf = c * f
+            return np.array([(d * f).sum(), d.sum()]), ((cf * f).sum() + 1e-12, cf.sum(), c.sum() + 1e-12)
 
         start = np.array([0.0, np.log((n_neg + 1.0) / (m + 1.0))])
         w, self.n_iter_, self.gradient_norm_, self.converged_ = _newton(
-            objective, derivatives, start, self.max_iter, self.tol, "sigmoid fit"
+            objective, derivatives, start, self.max_iter, self.tol
         )
-        self.slope_, self.intercept_ = float(w[0]), float(w[1])
+        self.slope_, self.intercept_ = float(w[0]), float(w[1] - w[0] * center)
         return self
 
     def predict(self, scores):

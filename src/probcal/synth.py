@@ -1,4 +1,4 @@
-"""Synthetic data with known ground truth, plus a small logistic base learner.
+"""Synthetic data with known ground truth.
 
 The oracle generator draws scores uniformly on [0, 1] and labels from
 Bernoulli(c(score)) for a named truth curve c, so the exact per-bin positive
@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_iteration, require_count
+from ._validation import require_count
 from .data import FeatureDataset, ScoredDataset
 from .base import _expit
-from .monotone import _newton
 
 CURVES = ("identity", "square", "logistic", "constant")
 
@@ -101,69 +100,3 @@ def generate_xor(n: int, noise_sd: float = 0.3, seed=0) -> FeatureDataset:
     features = centers + rng.normal(0.0, noise_sd, size=centers.shape)
     order = rng.permutation(n)
     return FeatureDataset(features[order], labels[order])
-
-
-def _expand(features: np.ndarray, feature_map: str) -> np.ndarray:
-    n, d = features.shape
-    columns = [np.ones((n, 1)), features]
-    if feature_map == "quadratic":
-        for i in range(d):
-            for j in range(i, d):
-                columns.append((features[:, i] * features[:, j])[:, None])
-    return np.hstack(columns)
-
-
-@dataclass(frozen=True)
-class LogisticScorer:
-    """Fitted logistic model: score(x) = sigmoid(w . expand(x))."""
-
-    coef: np.ndarray
-    feature_map: str
-
-    def __call__(self, features) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        return _expit(_expand(x, self.feature_map) @ self.coef)
-
-
-def fit_logistic(
-    data: FeatureDataset,
-    feature_map: str = "linear",
-    l2: float = 1e-4,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> LogisticScorer:
-    """Ridge-penalized logistic regression by Newton's method.
-
-    feature_map "linear" uses the raw coordinates; "quadratic" appends all
-    degree-2 monomials. The intercept is not penalized. Stands in for any
-    external base classifier: it returns a score function mapping feature
-    rows to probabilities in (0, 1).
-    """
-    if feature_map not in ("linear", "quadratic"):
-        raise ValueError(f"feature_map must be 'linear' or 'quadratic', got {feature_map!r}")
-    if not 0 <= l2 < np.inf:
-        raise ValueError(f"l2 must be finite and >= 0, got {l2}")
-    check_iteration(max_iter, tol)
-    z = data.labels.astype(np.float64)
-    if not 0 < z.sum() < z.size:
-        raise ValueError("logistic fitting needs both classes present")
-    x = _expand(data.features, feature_map)
-    n, p = x.shape
-    penalty = np.full(p, l2)
-    penalty[0] = 0.0
-
-    def objective(weights: np.ndarray) -> float:
-        s = x @ weights
-        nll = float(np.sum(np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - z * s))
-        return nll + 0.5 * float(penalty @ (weights * weights))
-
-    def derivatives(weights: np.ndarray) -> tuple:
-        probabilities = _expit(x @ weights)
-        curvature = np.maximum(probabilities * (1.0 - probabilities), 1e-12)
-        hessian = (x * curvature[:, None]).T @ x + np.diag(penalty + 1e-12)
-        return x.T @ (probabilities - z) + penalty * weights, hessian
-
-    w = _newton(objective, derivatives, np.zeros(p), max_iter, tol, "logistic fit")[0]
-    return LogisticScorer(coef=w, feature_map=feature_map)

@@ -9,7 +9,6 @@ PUBLIC_NAMES = [
     "HistogramCalibrator",
     "IsotonicCalibrator",
     "KDECalibrator",
-    "LogisticScorer",
     "NotFittedError",
     "OracleSpec",
     "PlattCalibrator",
@@ -23,7 +22,6 @@ PUBLIC_NAMES = [
     "default_bin_count",
     "ece",
     "evaluate",
-    "fit_logistic",
     "generate_oracle",
     "generate_xor",
     "hoeffding_bound",

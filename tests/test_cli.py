@@ -971,30 +971,68 @@ class TestModuleEntryPoint:
 
 
 class TestSameBytesUnderEveryBLASKernel:
-    def test_dpm_fit_and_apply(self, tmp_path):
-        # numpy's OpenBLAS picks its kernels by CPU at load; OPENBLAS_CORETYPE forces one. The
-        # DPM's fit and predict make no BLAS call, so the model and predictions keep their bytes.
+    """numpy's OpenBLAS picks its kernels by CPU at load; OPENBLAS_CORETYPE forces one. No fit,
+    predict or verify path calls BLAS (``TestNoBLASInSource``), so every output keeps its bytes."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, commands, written):
+        """Run ``commands`` in ``tmp_path`` with OPENBLAS_CORETYPE unset, Prescott and Haswell,
+        and require the same bytes in each file of ``written`` every time."""
         source = str(Path(probcal.__file__).resolve().parents[1])
-        scored = tmp_path / "scored.csv"
-        argv = ["simulate", "--kind", "oracle", "--curve", "square", "--n", "2000", "--seed", "1"]
-        assert main([*argv, "--out", str(scored)]) == EXIT_OK
+        scored = ["simulate", "--kind", "oracle", "--curve", "square", "--n", "2000", "--seed", "1"]
+        assert main([*scored, "--out", str(tmp_path / "scored.csv")]) == EXIT_OK
         outputs = {}
         for coretype in (None, "Prescott", "Haswell"):
             env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
             env.pop("OPENBLAS_CORETYPE", None)
             if coretype:
                 env["OPENBLAS_CORETYPE"] = coretype
-            model, applied = tmp_path / f"{coretype}.json", tmp_path / f"{coretype}.csv"
-            for command in (
-                ["fit", "--method", "dpm", "--in", str(scored), "--out", str(model)],
-                ["apply", "--model", str(model), "--in", str(scored), "--out", str(applied)],
-            ):
+            for command in commands:
                 result = subprocess.run(
-                    [sys.executable, "-m", "probcal.cli", *command], capture_output=True, env=env
+                    [sys.executable, "-m", "probcal.cli", *command], capture_output=True, env=env, cwd=tmp_path
                 )
                 assert result.returncode == EXIT_OK, result.stderr
-            outputs[coretype] = model.read_bytes(), applied.read_bytes()
+            outputs[coretype] = [(tmp_path / name).read_bytes() for name in written]
         assert outputs["Prescott"] == outputs[None] and outputs["Haswell"] == outputs[None]
+
+    @staticmethod
+    def fit_and_apply(method):
+        return [
+            ["fit", "--method", method, "--in", "scored.csv", "--out", "model.json"],
+            ["apply", "--model", "model.json", "--in", "scored.csv", "--out", "applied.csv"],
+        ]
+
+    def test_dpm_fit_and_apply(self, tmp_path):
+        self.assert_same_bytes(tmp_path, self.fit_and_apply("dpm"), ["model.json", "applied.csv"])
+
+    def test_platt_fit_and_apply(self, tmp_path):
+        self.assert_same_bytes(tmp_path, self.fit_and_apply("platt"), ["model.json", "applied.csv"])
+
+    def test_ece_rate(self, tmp_path):
+        argv = ["verify", "ece-rate", "--n-grid", "100,10000", "--bins", "5", "--trials", "3", "--seed", "1"]
+        self.assert_same_bytes(tmp_path, [[*argv, "--json-out", "ece.json"]], ["ece.json"])
+
+
+class TestNoBLASInSource:
+    """No BLAS or LAPACK call in probcal's source: no matrix product ``@`` and no numpy
+    function that reaches either library, so no output depends on the BLAS kernel."""
+
+    NAMES = {"dot", "matmul", "linalg", "polyfit", "lstsq", "einsum", "tensordot"}
+
+    def test_no_matrix_product_or_linear_algebra(self):
+        found = []
+        for path in sorted(Path(probcal.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.alias):  # import numpy.linalg; from numpy import dot
+                    names = set(node.name.split("."))
+                elif isinstance(node, ast.ImportFrom):  # from numpy.linalg import solve
+                    names = set((node.module or "").split("."))
+                else:
+                    names = {"@"} if isinstance(getattr(node, "op", None), ast.MatMult) else set()
+                found += [f"{path.name}:{node.lineno}: {name}" for name in sorted(names & (self.NAMES | {"@"}))]
+        assert found == []
 
 
 class TestImportFootprint:

@@ -18,12 +18,11 @@ from probcal.harness import (
 )
 from probcal.metrics import evaluate, reliability
 from probcal.monotone import PlattCalibrator
-from probcal.synth import OracleSpec, fit_logistic, generate_oracle, generate_xor
+from probcal.synth import OracleSpec, generate_oracle, generate_xor
 
 IDENTITY = OracleSpec()
 FOUR = ([0.1, 0.4, 0.6, 0.9], [0, 0, 1, 1])
 ORACLE = generate_oracle(IDENTITY, 60, 3)
-XOR = generate_xor(40, seed=0)
 
 # entry point: (call with the count, a count it accepts, a count below the least, its message)
 ENTRY_POINTS = {
@@ -41,7 +40,6 @@ ENTRY_POINTS = {
         lambda v: DPMCalibrator(truncation=2, max_iter=v).fit(ORACLE.scores, ORACLE.labels),
         3, 0, "max_iter must be >= 1, got 0",
     ),
-    "fit_logistic max_iter": (lambda v: fit_logistic(XOR, max_iter=v), 3, 0, "max_iter must be >= 1, got 0"),
     "reliability num_bins": (lambda v: reliability(*FOUR, num_bins=v), 2, 0, "num_bins must be >= 1, got 0"),
     "evaluate num_bins": (lambda v: evaluate(*FOUR, num_bins=v), 2, -1, "num_bins must be >= 1, got -1"),
     "generate_oracle n": (lambda v: generate_oracle(IDENTITY, v, 0), 10, 0, "n must be >= 1, got 0"),

@@ -571,6 +571,25 @@ class TestDPMSameBits:
             os.waitpid(-1, os.WNOHANG)
         assert model.positive_ is None and model.negative_ is None
 
+    def test_a_failing_positive_class_stops_the_negative_fit(self, monkeypatch):
+        # this process fits the positive class and the forked child the negative one: when the
+        # positive fit fails at once, the child is killed, not waited for to the end of its fit
+        scores, labels = two_cluster_data(n=40)
+        scores, labels = scores[:70], labels[:70]  # 40 positive, 30 negative
+
+        def flaky(x, *args):
+            if x.size == 40:
+                raise RuntimeError("positive class failed")
+            time.sleep(10.0)  # a slow negative-class fit
+
+        monkeypatch.setattr(probcal.density, "_fit_class_mixture", flaky)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="^positive class failed$"):
+            DPMCalibrator(truncation=2, max_iter=5).fit(scores, labels)
+        assert time.perf_counter() - start < 2.0
+        with pytest.raises(ChildProcessError):  # the killed child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_truncation_type_is_checked_before_any_class_fit(self, monkeypatch):
         scores, labels = two_cluster_data()
         with warnings.catch_warnings():
