@@ -14,7 +14,7 @@ Monte-Carlo simulation against synthetic oracles with known truth curves.
 
 from .base import BaseCalibrator, NotFittedError
 from .binning import HistogramCalibrator, default_bin_count
-from .data import FeatureDataset, ScoredDataset, load_scored_csv
+from .data import ScoredDataset, load_scored_csv
 from .density import DPMCalibrator, KDECalibrator, silverman_bandwidth
 from .harness import (
     calibration_size_sweep,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseCalibrator",
     "DPMCalibrator",
-    "FeatureDataset",
     "HistogramCalibrator",
     "IsotonicCalibrator",
     "KDECalibrator",

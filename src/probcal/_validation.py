@@ -64,15 +64,11 @@ def warn_unconverged(what: str, n_iter: int, measure: str, value, tol: float, st
     warnings.warn(message, RuntimeWarning, stacklevel=stacklevel + 1)
 
 
-def check_same_length(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"{what} must have equal length, got {len(a)} and {len(b)}")
-
-
 def scored_pair(scores, labels, name: str = "scores") -> tuple[np.ndarray, np.ndarray]:
     """``as_scores(scores, name)`` and ``as_labels(labels)``, checked to have equal length."""
     y, z = as_scores(scores, name), as_labels(labels)
-    check_same_length(y, z, f"{name} and labels")
+    if len(y) != len(z):
+        raise ValueError(f"{name} and labels must have equal length, got {len(y)} and {len(z)}")
     return y, z
 
 

@@ -22,7 +22,6 @@ from .data import format_cells, load_scored_csv, read_scored_rows, write_csv
 from .density import DPMCalibrator, KDECalibrator
 from .harness import (
     calibration_size_sweep,
-    oracle_generator,
     verify_auc_loss,
     verify_ece_rate,
     verify_mce_bound,
@@ -141,7 +140,7 @@ def cmd_fit(args) -> int:
     data = load_scored_csv(args.infile, score_column=args.score_column, label_column=args.label_column)
     try:
         calibrator.fit(data.scores, data.labels)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: the fit's floats left their range
         raise FitError(str(exc)) from exc
     save_model(calibrator, args.outfile)
     print(f"method: {args.method}")
@@ -208,9 +207,9 @@ def cmd_simulate(args) -> int:
         data = generate_oracle(_oracle_spec(options), args.n, args.seed)
         header, columns = ["score", "label"], [data.scores, data.labels]
     else:
-        data = generate_xor(args.n, seed=args.seed, **options)
-        header, columns = ["x1", "x2", "label"], [data.features[:, 0], data.features[:, 1], data.labels]
-    blocks = ([column[i : i + _BLOCK_ROWS] for column in columns] for i in range(0, len(data), _BLOCK_ROWS))
+        features, labels = generate_xor(args.n, seed=args.seed, **options)
+        header, columns = ["x1", "x2", "label"], [features[:, 0], features[:, 1], labels]
+    blocks = ([column[i : i + _BLOCK_ROWS] for column in columns] for i in range(0, args.n, _BLOCK_ROWS))
     write_csv(args.outfile, header, blocks)
     print(f"{args.n} rows written to {args.outfile}")
     return EXIT_OK
@@ -223,7 +222,7 @@ def cmd_verify(args) -> int:
         "ece-rate": verify_ece_rate,
         "auc-loss": verify_auc_loss,
         "theta-conc": verify_theta_concentration,
-        "size-sweep": lambda spec, **kw: calibration_size_sweep(oracle_generator(spec), **kw),
+        "size-sweep": calibration_size_sweep,
     }
     options = _options(args, CHECKS[args.check][1] + VERIFY_FLAGS)
     report = routines[args.check](_oracle_spec(options), **options)

@@ -5,26 +5,30 @@ from __future__ import annotations
 import csv
 import os
 import pickle
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from ._validation import as_labels, check_same_length, scored_pair
+from ._validation import scored_pair
 
 
-class _Rows:
-    """The row protocol of both datasets: each dataclass field is an array with one entry (or
-    row) per sample. ``_checked`` returns the fields validated, in order; each is then stored
-    as a read-only view, so no data is copied and the caller's own arrays stay writable."""
+@dataclass(frozen=True)
+class ScoredDataset:
+    """An ordered collection of (score, label) pairs, validated and read-only from construction:
+    each array is stored as a read-only view, so no data is copied and the caller's own arrays
+    stay writable."""
+
+    scores: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        for column, arr in zip(fields(self), self._checked()):
+        for name, arr in zip(("scores", "labels"), scored_pair(self.scores, self.labels)):
             arr = arr.view()
             arr.setflags(write=False)
-            object.__setattr__(self, column.name, arr)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_samples(self) -> int:
@@ -33,17 +37,6 @@ class _Rows:
     def __len__(self) -> int:
         return self.n_samples
 
-
-@dataclass(frozen=True)
-class ScoredDataset(_Rows):
-    """An ordered collection of (score, label) pairs, validated and read-only from construction."""
-
-    scores: np.ndarray
-    labels: np.ndarray
-
-    def _checked(self) -> tuple:
-        return scored_pair(self.scores, self.labels)
-
     @property
     def n_pos(self) -> int:
         return int(np.count_nonzero(self.labels))
@@ -51,24 +44,6 @@ class ScoredDataset(_Rows):
     @property
     def n_neg(self) -> int:
         return self.n_samples - self.n_pos
-
-
-@dataclass(frozen=True)
-class FeatureDataset(_Rows):
-    """Feature vectors of fixed dimension with binary labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def _checked(self) -> tuple:
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {feats.shape}")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
-        labels = as_labels(self.labels)
-        check_same_length(feats, labels, "features and labels")
-        return feats, labels
 
 
 def read_scored_rows(

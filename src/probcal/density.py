@@ -48,9 +48,9 @@ def silverman_bandwidth(scores) -> float:
     return h if h > 0.0 else _SILVERMAN_FLOOR
 
 
-def _positive_field(payload, key: str) -> float:
-    """A model file's number that a fit always makes > 0."""
-    value = float(model_field(payload, key, low=0.0))
+def _positive_field(payload, key: str, high: float = math.inf) -> float:
+    """A model file's number that a fit always makes > 0 and at most ``high``."""
+    value = float(model_field(payload, key, low=0.0, high=high))
     if value == 0.0:
         raise ValueError(f"model field {key!r} must be > 0, got 0")
     return value
@@ -170,7 +170,8 @@ class KDECalibrator(BaseCalibrator):
         negatives = np.sort(model_field(payload, "negatives", 1, 0.0, 1.0))
         if positives.size < 2 or negatives.size < 2:
             raise ValueError("model fields 'positives' and 'negatives' must each hold at least 2 scores")
-        h0, h1 = _positive_field(payload, "h0"), _positive_field(payload, "h1")
+        # Silverman's rule on scores in [0, 1] never gives more than about 0.66
+        h0, h1 = _positive_field(payload, "h0", 1.0), _positive_field(payload, "h1", 1.0)
         if shared and h0 != h1:
             raise ValueError("model fields 'h0' and 'h1' must be equal when 'shared_bandwidth' is true")
         model = cls(shared)._set_state(positives, negatives, h0, h1)
@@ -320,7 +321,7 @@ def _fit_class_mixture(
         )
         elbo = likelihood + stick_prior - stick_q + component_prior - component_q
         if not np.isfinite(elbo):
-            raise RuntimeError(f"evidence lower bound became non-finite at iteration {iteration}")
+            raise FloatingPointError(f"evidence lower bound became non-finite at iteration {iteration}")
         elbo_history.append(elbo)
         if elbo - previous < tol and iteration > 1:
             converged = True

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,11 +107,6 @@ def default_test_size(n_cal: int) -> int:
     return max(10 * n_cal, DEFAULT_MIN_TEST)
 
 
-def oracle_generator(spec: OracleSpec) -> Callable:
-    """Adapter: a (size, seed) -> ScoredDataset generator drawing from the oracle."""
-    return partial(generate_oracle, spec)
-
-
 def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = "std") -> dict:
     """``mean_<name>``, then ``std_<name>`` (ddof=1) or ``se_<name>`` (std / sqrt(n)),
     for each report field in the order given; one report has spread 0."""
@@ -139,31 +133,31 @@ def _calibrated_bins(model: HistogramCalibrator, test, num_bins: int | None, wit
     return bins, _level_auc(codes, test.labels, levels.size) if with_auc else None
 
 
-def _trials(generate: Callable, n_cal: int, n_bins: int | None, trials: int, seed: int, path: tuple,
+def _trials(spec: OracleSpec, n_cal: int, n_bins: int | None, trials: int, seed: int, path: tuple,
             measure: Callable) -> tuple:
     """``measure(t, cal, model, test_stream)`` for trials t = 0..trials-1 of one grid point.
 
     Trial t spawns two independent streams from SeedSequence(seed, spawn_key=(*path, t)),
-    draws its calibration set with ``generate(n_cal, stream)`` from the first and fits the
-    histogram calibrator on it. The second stream is for ``measure``: a test set it draws
-    there is dropped when it returns, so no test set outlives its trial.
+    draws its calibration set from the oracle ``spec`` with the first and fits the histogram
+    calibrator on it. The second stream is for ``measure``: a test set it draws there is
+    dropped when it returns, so no test set outlives its trial.
     """
     results = []
     for t in range(trials):
         cal_ss, test_ss = np.random.SeedSequence(seed, spawn_key=(*path, t)).spawn(2)
-        cal = generate(n_cal, cal_ss)
+        cal = generate_oracle(spec, n_cal, cal_ss)
         model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
         results.append(measure(t, cal, model, test_ss))
     return tuple(results)
 
 
-def _errors(generate: Callable, n_test: int, num_bins: int | None = None, with_auc: bool = False) -> Callable:
+def _errors(spec: OracleSpec, n_test: int, num_bins: int | None = None, with_auc: bool = False) -> Callable:
     """The measure of mce-bound, ece-rate and size-sweep: MCE and ECE on ``n_test`` fresh
     rows in ``num_bins`` bins (default: as fitted) and, ``with_auc``, the calibrated AUC,
     None for a one-class test set."""
 
     def measure(t, cal, model, test_stream) -> TrialReport:
-        test = generate(n_test, test_stream)
+        test = generate_oracle(spec, n_test, test_stream)
         two_class = 0 < test.n_pos < test.n_samples
         bins, cal_auc = _calibrated_bins(model, test, num_bins or model.n_bins_, with_auc and two_class)
         return TrialReport(t, len(cal), model.n_bins_, mce(bins), ece(bins), auc_calibrated=cal_auc)
@@ -190,9 +184,8 @@ def verify_mce_bound(
     """
     require_count(1, trials=trials, n_test=n_test)
     bound = mce_bound(n_cal, n_bins, delta)
-    generate = oracle_generator(spec)
     n_test = default_test_size(n_cal) if n_test is None else n_test
-    reports = _trials(generate, n_cal, n_bins, trials, seed, (), _errors(generate, n_test))
+    reports = _trials(spec, n_cal, n_bins, trials, seed, (), _errors(spec, n_test))
     within = float(np.mean([r.mce <= bound for r in reports]))
     summary = {
         "n_cal": float(n_cal),
@@ -236,11 +229,10 @@ def verify_ece_rate(
         raise ValueError("n_grid needs at least two positive sizes")
     if sizes[-1] < 100 * sizes[0]:
         raise ValueError("n_grid must span at least two decades")
-    generate = oracle_generator(spec)
     points = []
     for grid_index, n_cal in enumerate(sizes):
-        measure = _errors(generate, default_test_size(n_cal))
-        reports = _trials(generate, n_cal, n_bins, trials, seed, (grid_index,), measure)
+        measure = _errors(spec, default_test_size(n_cal))
+        reports = _trials(spec, n_cal, n_bins, trials, seed, (grid_index,), measure)
         summary = {"n_cal": float(n_cal), **_spread(reports, ("ece", "mce"))}
         points.append(SweepPoint(float(n_cal), reports, summary))
     mean_ece = [p.summary["mean_ece"] for p in points]
@@ -281,12 +273,11 @@ def verify_auc_loss(
             "per-bin noise would swamp the average-loss guarantee"
         )
     require_count(2, " for a standard error", trials=trials)
-    generate = oracle_generator(spec)
     n_test = default_test_size(n_cal)
 
     def measure(t, cal, model, test_stream) -> TrialReport:
         # no MCE or ECE: the loss check reports neither
-        test = generate(n_test, test_stream)
+        test = generate_oracle(spec, n_test, test_stream)
         raw = cal_auc = loss = None
         if 0 < test.n_pos < test.n_samples:
             cal_auc = _calibrated_bins(model, test, None, True)[1]
@@ -297,7 +288,7 @@ def verify_auc_loss(
     points = []
     assertions = []
     for grid_index, b in enumerate(bins_sorted):
-        reports = _trials(generate, n_cal, b, trials, seed, (grid_index,), measure)
+        reports = _trials(spec, n_cal, b, trials, seed, (grid_index,), measure)
         # each trial computes both AUCs or neither, so these trials are also those with either
         defined = [r for r in reports if r.auc_loss is not None]
         if not defined:
@@ -351,7 +342,7 @@ def verify_theta_concentration(
             )
         return model.theta_ - true_theta(spec, model.edges_)
 
-    deviations = np.array(_trials(oracle_generator(spec), n_cal, n_bins, trials, seed, (), deviation))
+    deviations = np.array(_trials(spec, n_cal, n_bins, trials, seed, (), deviation))
     absolute = np.abs(deviations)
     # the trials are reported once, on the first point; they measure no MCE or ECE
     reports = tuple(
@@ -380,7 +371,7 @@ def verify_theta_concentration(
 
 
 def calibration_size_sweep(
-    data_generator: Callable,
+    spec: OracleSpec,
     sizes: Sequence[int] = (100, 1_000, 10_000),
     trials: int = 10,
     seed: int = 0,
@@ -389,7 +380,7 @@ def calibration_size_sweep(
 ) -> SweepReport:
     """Measure MCE/ECE/AUC as the calibration set grows.
 
-    ``data_generator(n, seed)`` must return a ScoredDataset. The bin count
+    Each trial draws its calibration and test sets from the oracle. The bin count
     defaults to the cube-root rule per size; MCE and ECE use 10 reliability
     bins at every size. Mean MCE and ECE must be non-increasing along the
     size axis; a single adjacent inversion is tolerated if it stays within
@@ -403,10 +394,10 @@ def calibration_size_sweep(
         raise ValueError("need at least two sizes")
     require_count(1, n_test=n_test, n_bins=n_bins)
     require_count(2, trials=trials)
-    measure = _errors(data_generator, n_test, _SWEEP_NUM_BINS, with_auc=True)
+    measure = _errors(spec, n_test, _SWEEP_NUM_BINS, with_auc=True)
     points = []
     for grid_index, n_cal in enumerate(sizes):
-        reports = _trials(data_generator, n_cal, n_bins, trials, seed, (grid_index,), measure)
+        reports = _trials(spec, n_cal, n_bins, trials, seed, (grid_index,), measure)
         auc_values = [r.auc_calibrated for r in reports if r.auc_calibrated is not None]
         summary = {
             "n_cal": float(n_cal),

@@ -39,12 +39,12 @@ def dumps(obj) -> str:
     return "".join(iterdumps(obj))
 
 
-_BLOCK_VALUES = 1 << 14  # floats of a float list or array formatted per piece of iterdumps
+_BLOCK_VALUES = 1 << 14  # floats of an array formatted per piece of iterdumps
 
 
 def iterdumps(obj, indent: int = 0):
-    """The text of ``dumps(obj)`` at nesting depth ``indent``, in pieces; a float list or
-    1-D float64 array comes in blocks."""
+    """The text of ``dumps(obj)`` at nesting depth ``indent``, in pieces; a 1-D float64 array
+    comes in blocks."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -57,12 +57,11 @@ def iterdumps(obj, indent: int = 0):
     elif isinstance(obj, (list, tuple, np.ndarray)):
         if isinstance(obj, np.ndarray) and (obj.ndim != 1 or obj.dtype != np.float64):
             raise TypeError(f"cannot serialize a {obj.ndim}-D {obj.dtype} array")
-        if len(obj) and (isinstance(obj, np.ndarray) or set(map(type, obj)) == {float}):
+        if len(obj) and isinstance(obj, np.ndarray):
             comma = f",\n{inner}"
 
             def render(start: int) -> str:
-                block = obj[start : start + _BLOCK_VALUES]
-                block = block.tolist() if isinstance(block, np.ndarray) else block
+                block = obj[start : start + _BLOCK_VALUES].tolist()
                 text = comma.join(format_cells(block))
                 if "n" in text:  # only "nan" and "inf" contain an n: null them one by one
                     text = comma.join(map(format_float, block))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import require_count
-from .data import FeatureDataset, ScoredDataset
+from .data import ScoredDataset
 from .base import _expit
 
 CURVES = ("identity", "square", "logistic", "constant")
@@ -82,10 +82,11 @@ _XOR_CORNERS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
 _XOR_LABELS = np.array([1, 0, 1, 0], dtype=np.int64)
 
 
-def generate_xor(n: int, noise_sd: float = 0.3, seed=0) -> FeatureDataset:
-    """Four Gaussian blobs at the corners (+-1, +-1); same-sign corners are
-    class 1. Corner counts are allocated deterministically so the classes
-    are balanced within one sample; row order is shuffled (seeded)."""
+def generate_xor(n: int, noise_sd: float = 0.3, seed=0) -> tuple[np.ndarray, np.ndarray]:
+    """(features, labels): n rows of 2-D features from four Gaussian blobs at the corners
+    (+-1, +-1), and int64 labels, 1 at the same-sign corners. Corner counts are allocated
+    deterministically so the classes are balanced within one sample; row order is
+    shuffled (seeded)."""
     require_count(4, n=n)
     if not 0 <= noise_sd < np.inf:
         raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd}")
@@ -99,4 +100,4 @@ def generate_xor(n: int, noise_sd: float = 0.3, seed=0) -> FeatureDataset:
     labels = np.repeat(_XOR_LABELS, per_corner)
     features = centers + rng.normal(0.0, noise_sd, size=centers.shape)
     order = rng.permutation(n)
-    return FeatureDataset(features[order], labels[order])
+    return features[order], labels[order]

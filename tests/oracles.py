@@ -33,7 +33,7 @@ def auc_by_pair_enumeration(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
-def fit_logistic(data, feature_map: str = "linear"):
+def fit_logistic(features, labels, feature_map: str = "linear"):
     """Ridge logistic regression (penalty 1e-4, intercept free) by Newton steps halved until the
     loss falls: the base learner of the XOR examples. ``feature_map`` "quadratic" appends every
     degree-2 monomial. Returns the score function from feature rows to probabilities."""
@@ -45,7 +45,7 @@ def fit_logistic(data, feature_map: str = "linear"):
         pairs = itertools.combinations_with_replacement(range(x.shape[1]), 2) if feature_map == "quadratic" else ()
         return np.column_stack([np.ones(len(x)), x, *(x[:, i] * x[:, j] for i, j in pairs)])
 
-    x, z = expand(data.features), data.labels.astype(np.float64)
+    x, z = expand(features), np.asarray(labels, dtype=np.float64)
     penalty = np.r_[0.0, np.full(x.shape[1] - 1, 1e-4)]
     loss = lambda w: np.logaddexp(0.0, x @ w).sum() - z @ (x @ w) + 0.5 * penalty @ (w * w)
     w = np.zeros(x.shape[1])

@@ -22,7 +22,6 @@ from probcal.binning import HistogramCalibrator
 from probcal.density import DPMCalibrator, KDECalibrator
 from probcal.harness import (
     calibration_size_sweep,
-    oracle_generator,
     verify_auc_loss,
     verify_ece_rate,
     verify_mce_bound,
@@ -188,10 +187,10 @@ def _metric_triple(predictions, labels):
 
 def test_09_nonmonotone_calibration_recovers_xor(capsys, xor_split):
     start = time.perf_counter()
-    train, test = xor_split
-    scorer = fit_logistic(train, feature_map="linear")
-    s_train, s_test = scorer(train.features), scorer(test.features)
-    base_auc = auc(s_test, test.labels)
+    (x_train, z_train), (x_test, z_test) = xor_split
+    scorer = fit_logistic(x_train, z_train, feature_map="linear")
+    s_train, s_test = scorer(x_train), scorer(x_test)
+    base_auc = auc(s_test, z_test)
     assert 0.45 <= base_auc <= 0.60, f"base AUC {base_auc}"
 
     results = {}
@@ -201,8 +200,8 @@ def test_09_nonmonotone_calibration_recovers_xor(capsys, xor_split):
         ("dpm", DPMCalibrator()),
         ("platt", PlattCalibrator()),
     ):
-        model.fit(s_train, train.labels)
-        results[name] = _metric_triple(model.predict(s_test), test.labels)
+        model.fit(s_train, z_train)
+        results[name] = _metric_triple(model.predict(s_test), z_test)
 
     for name in ("histogram", "kde", "dpm"):
         assert results[name][0] >= 0.80, f"{name} AUC {results[name][0]}"
@@ -217,10 +216,10 @@ def test_09_nonmonotone_calibration_recovers_xor(capsys, xor_split):
 
 
 def test_10_strong_scores_survive_calibration(capsys, xor_split):
-    train, test = xor_split
-    scorer = fit_logistic(train, feature_map="quadratic")
-    s_train, s_test = scorer(train.features), scorer(test.features)
-    base_auc = auc(s_test, test.labels)
+    (x_train, z_train), (x_test, z_test) = xor_split
+    scorer = fit_logistic(x_train, z_train, feature_map="quadratic")
+    s_train, s_test = scorer(x_train), scorer(x_test)
+    base_auc = auc(s_test, z_test)
     assert base_auc >= 0.97
 
     worst_drop, worst_ece = 0.0, 0.0
@@ -231,8 +230,8 @@ def test_10_strong_scores_survive_calibration(capsys, xor_split):
         KDECalibrator(),
         DPMCalibrator(),
     ):
-        model.fit(s_train, train.labels)
-        cal_auc, _, cal_ece = _metric_triple(model.predict(s_test), test.labels)
+        model.fit(s_train, z_train)
+        cal_auc, _, cal_ece = _metric_triple(model.predict(s_test), z_test)
         assert base_auc - cal_auc <= 0.02, f"{type(model).__name__} lost {base_auc - cal_auc}"
         assert cal_ece <= 0.05, f"{type(model).__name__} ECE {cal_ece}"
         worst_drop = max(worst_drop, base_auc - cal_auc)
@@ -243,7 +242,7 @@ def test_10_strong_scores_survive_calibration(capsys, xor_split):
 
 def test_11_error_shrinks_with_calibration_size(capsys):
     report = calibration_size_sweep(
-        oracle_generator(IDENTITY), sizes=(100, 1_000, 10_000), trials=10, seed=0
+        IDENTITY, sizes=(100, 1_000, 10_000), trials=10, seed=0
     )
     assert report.passed, [a.name for a in report.assertions if not a.passed]
     small = report.points[0].summary["mean_mce"]

@@ -5,7 +5,6 @@ import probcal
 PUBLIC_NAMES = [
     "BaseCalibrator",
     "DPMCalibrator",
-    "FeatureDataset",
     "HistogramCalibrator",
     "IsotonicCalibrator",
     "KDECalibrator",

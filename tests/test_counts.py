@@ -10,7 +10,6 @@ from probcal.density import DPMCalibrator
 from probcal.harness import (
     calibration_size_sweep,
     mce_bound,
-    oracle_generator,
     verify_auc_loss,
     verify_ece_rate,
     verify_mce_bound,
@@ -99,21 +98,21 @@ ENTRY_POINTS = {
         2, 1, "trials must be >= 2, got 1",
     ),
     "calibration_size_sweep sizes": (
-        lambda v: calibration_size_sweep(oracle_generator(IDENTITY), sizes=(v, 100), trials=2, n_test=100),
+        lambda v: calibration_size_sweep(IDENTITY, sizes=(v, 100), trials=2, n_test=100),
         10, 0, "sizes must be >= 1, got 0",
     ),
     "calibration_size_sweep n_test": (
-        lambda v: calibration_size_sweep(oracle_generator(IDENTITY), sizes=(10, 100), trials=2, n_test=v),
+        lambda v: calibration_size_sweep(IDENTITY, sizes=(10, 100), trials=2, n_test=v),
         100, 0, "n_test must be >= 1, got 0",
     ),
     "calibration_size_sweep n_bins": (
         lambda v: calibration_size_sweep(
-            oracle_generator(IDENTITY), sizes=(10, 100), trials=2, n_test=100, n_bins=v
+            IDENTITY, sizes=(10, 100), trials=2, n_test=100, n_bins=v
         ),
         2, 0, "n_bins must be >= 1, got 0",
     ),
     "calibration_size_sweep trials": (
-        lambda v: calibration_size_sweep(oracle_generator(IDENTITY), sizes=(10, 100), trials=v, n_test=100),
+        lambda v: calibration_size_sweep(IDENTITY, sizes=(10, 100), trials=v, n_test=100),
         2, 1, "trials must be >= 2, got 1",
     ),
 }

@@ -19,7 +19,6 @@ from oracles import as_labels_three_pass
 from probcal import DPMCalibrator, HistogramCalibrator, IsotonicCalibrator, KDECalibrator, PlattCalibrator
 from probcal._validation import as_labels, as_scores
 from probcal.data import (
-    FeatureDataset,
     ScoredDataset,
     _blocks,
     _map_blocks,
@@ -175,35 +174,10 @@ def test_every_pair_entry_point_gives_the_same_message(entry, bad):
     assert type(raised.value) is ValueError and str(raised.value) == message.format(name=name)
 
 
-class TestFeatureDataset:
-    def test_shape_properties(self):
-        data = FeatureDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
-        assert data.n_samples == 4
-
-    def test_rejects_one_dimensional_features(self):
-        with pytest.raises(ValueError, match="2-D"):
-            FeatureDataset(np.zeros(4), np.array([0, 1, 0, 1]))
-
-    def test_rejects_nonfinite_features(self):
-        feats = np.zeros((2, 2))
-        feats[1, 1] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            FeatureDataset(feats, np.array([0, 1]))
-
-
-
-@pytest.mark.parametrize(
-    "dataset, field, values",
-    [
-        (ScoredDataset, "scores", np.array([0.1, 0.9])),
-        (FeatureDataset, "features", np.array([[0.1, 0.2], [0.3, 0.4]])),
-    ],
-    ids=["scored", "feature"],
-)
-def test_stored_arrays_are_read_only_views_of_the_callers(dataset, field, values):
-    labels = np.array([0, 1])
-    data = dataset(values, labels)
-    for given, stored in ((values, getattr(data, field)), (labels, data.labels)):
+def test_stored_arrays_are_read_only_views_of_the_callers():
+    values, labels = np.array([0.1, 0.9]), np.array([0, 1])
+    data = ScoredDataset(values, labels)
+    for given, stored in ((values, data.scores), (labels, data.labels)):
         assert given.flags.writeable
         assert not stored.flags.writeable
         assert np.shares_memory(given, stored)

@@ -20,7 +20,6 @@ from probcal.harness import (
     default_test_size,
     hoeffding_bound,
     mce_bound,
-    oracle_generator,
     verify_auc_loss,
     verify_ece_rate,
     verify_mce_bound,
@@ -110,12 +109,10 @@ class TestArgumentsAreCheckedFirst:
             ({"n_bins": 0}, "n_bins must be >= 1, got 0"),
         ],
     )
-    def test_size_sweep(self, kwargs, message):
-        def generate(n, seed):
-            raise AssertionError("no trial may start")
-
+    def test_size_sweep(self, kwargs, message, monkeypatch):
+        monkeypatch.setattr("probcal.harness.generate_oracle", None)  # no trial may start
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            calibration_size_sweep(generate, **{"trials": 2, **kwargs})
+            calibration_size_sweep(IDENTITY, **{"trials": 2, **kwargs})
 
 
 class TestVerifyMceBound:
@@ -315,27 +312,26 @@ class TestVerifyThetaConcentration:
 class TestCalibrationSizeSweep:
     def test_rejects_unsorted_sizes(self):
         with pytest.raises(ValueError, match="ascending"):
-            calibration_size_sweep(oracle_generator(IDENTITY), sizes=(1000, 100), trials=2)
+            calibration_size_sweep(IDENTITY, sizes=(1000, 100), trials=2)
 
     def test_rejects_single_size(self):
         with pytest.raises(ValueError, match="two sizes"):
-            calibration_size_sweep(oracle_generator(IDENTITY), sizes=(100,), trials=2)
+            calibration_size_sweep(IDENTITY, sizes=(100,), trials=2)
 
     def test_rejects_single_trial(self):
         with pytest.raises(ValueError, match="trials"):
-            calibration_size_sweep(oracle_generator(IDENTITY), sizes=(100, 1000), trials=1)
+            calibration_size_sweep(IDENTITY, sizes=(100, 1000), trials=1)
 
     def test_constant_oracle_calibrates_to_small_error(self):
         # truth is flat at 0.5, so per-bin noise is all that remains
-        generator = oracle_generator(OracleSpec(curve="constant", level=0.5))
         report = calibration_size_sweep(
-            generator, sizes=(100, 1000), trials=3, n_test=5000, n_bins=5
+            OracleSpec(curve="constant", level=0.5), sizes=(100, 1000), trials=3, n_test=5000, n_bins=5
         )
         assert report.points[-1].summary["mean_mce"] < 0.1
 
     def test_structure_and_assertion_labels(self):
         report = calibration_size_sweep(
-            oracle_generator(IDENTITY), sizes=(100, 1000), trials=3, n_test=5000
+            IDENTITY, sizes=(100, 1000), trials=3, n_test=5000
         )
         assert report.axis_name == "n_cal"
         assert len(report.points) == 2
@@ -347,9 +343,8 @@ class TestCalibrationSizeSweep:
                 assert key in point.summary
 
     def test_deterministic(self):
-        generator = oracle_generator(IDENTITY)
-        a = calibration_size_sweep(generator, sizes=(100, 1000), trials=2, n_test=2000)
-        b = calibration_size_sweep(generator, sizes=(100, 1000), trials=2, n_test=2000)
+        a = calibration_size_sweep(IDENTITY, sizes=(100, 1000), trials=2, n_test=2000)
+        b = calibration_size_sweep(IDENTITY, sizes=(100, 1000), trials=2, n_test=2000)
         assert [p.summary for p in a.points] == [p.summary for p in b.points]
 
 
@@ -441,7 +436,7 @@ class TestTrialStreamsAndAucWork:
 
     def test_size_sweep(self, harness_auc_calls, harness_summaries):
         report = calibration_size_sweep(
-            oracle_generator(SQUARE), sizes=(100, 1000), trials=2, seed=4, n_test=2000
+            SQUARE, sizes=(100, 1000), trials=2, seed=4, n_test=2000
         )
         assert len(harness_auc_calls) == 2 * 2
         assert harness_summaries == [10] * 2 * 2
@@ -504,8 +499,7 @@ class TestTrialWorkAndTestSetLifetime:
                 lambda: verify_auc_loss(SQUARE, n_cal=2500, bin_grid=(5, 10), trials=2), 4, id="auc-loss"
             ),
             pytest.param(
-                # oracle_generator reads the patched generate_oracle when it is called
-                lambda: calibration_size_sweep(oracle_generator(SQUARE), sizes=(100, 1000), trials=2, n_test=2000),
+                lambda: calibration_size_sweep(SQUARE, sizes=(100, 1000), trials=2, n_test=2000),
                 4,
                 id="size-sweep",
             ),
@@ -654,7 +648,7 @@ class TestSummaryContract:
 
     def test_size_sweep(self):
         report = calibration_size_sweep(
-            oracle_generator(SQUARE), sizes=(100, 1000), trials=3, n_test=2000, seed=3
+            SQUARE, sizes=(100, 1000), trials=3, n_test=2000, seed=3
         )
         for point in report.points:
             assert list(point.summary) == [

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import expit
 
 from oracles import bin_rate_by_quadrature, fit_logistic
-from probcal.data import FeatureDataset
 from probcal.metrics import auc
 from probcal.synth import OracleSpec, generate_oracle, generate_xor, true_theta
 
@@ -123,29 +122,30 @@ class TestTrueTheta:
 
 class TestGenerateXor:
     def test_zero_noise_gives_exact_corners(self):
-        data = generate_xor(8, noise_sd=0.0, seed=0)
-        corners = {tuple(row) for row in data.features}
+        features, _ = generate_xor(8, noise_sd=0.0, seed=0)
+        corners = {tuple(row) for row in features}
         assert corners == {(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)}
 
     def test_labels_follow_corner_sign_product(self):
-        data = generate_xor(400, noise_sd=0.0, seed=1)
-        for (x1, x2), label in zip(data.features, data.labels):
+        features, labels = generate_xor(400, noise_sd=0.0, seed=1)
+        assert features.shape == (400, 2) and labels.dtype == np.int64
+        for (x1, x2), label in zip(features, labels):
             assert label == (1 if x1 * x2 > 0 else 0)
 
     def test_classes_balanced_within_one(self):
         for n in (2000, 2001, 2002, 2003):
-            data = generate_xor(n, seed=2)
-            assert abs(data.labels.sum() - (n - data.labels.sum())) <= 1
+            _, labels = generate_xor(n, seed=2)
+            assert abs(labels.sum() - (n - labels.sum())) <= 1
 
     def test_deterministic(self):
         a = generate_xor(100, seed=5)
         b = generate_xor(100, seed=5)
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_noise_spreads_the_blobs(self):
-        data = generate_xor(1000, noise_sd=0.3, seed=3)
+        features, _ = generate_xor(1000, noise_sd=0.3, seed=3)
         # distances from the nearest corner should look like 2-D normal noise
-        nearest = np.abs(np.abs(data.features) - 1.0)
+        nearest = np.abs(np.abs(features) - 1.0)
         assert 0.1 < nearest.std() < 0.5
 
     def test_rejects_tiny_n(self):
@@ -163,42 +163,40 @@ class TestFitLogistic:
     learner of ``oracles``: a linear model cannot rank it, a quadratic one separates it."""
 
     def test_scores_are_interior_probabilities(self):
-        data = generate_xor(400, seed=0)
-        scores = fit_logistic(data)(data.features)
+        features, labels = generate_xor(400, seed=0)
+        scores = fit_logistic(features, labels)(features)
         assert np.all(scores > 0)
         assert np.all(scores < 1)
 
     def test_linear_map_cannot_rank_xor(self):
-        train = generate_xor(2000, seed=9)
-        test = generate_xor(2000, seed=509)
-        scorer = fit_logistic(train, feature_map="linear")
-        held_out = auc(scorer(test.features), test.labels)
+        (x_train, z_train), (x_test, z_test) = generate_xor(2000, seed=9), generate_xor(2000, seed=509)
+        scorer = fit_logistic(x_train, z_train, feature_map="linear")
+        held_out = auc(scorer(x_test), z_test)
         assert 0.45 <= held_out <= 0.6
 
     def test_quadratic_map_separates_xor(self):
-        train = generate_xor(2000, seed=9)
-        test = generate_xor(2000, seed=509)
-        scorer = fit_logistic(train, feature_map="quadratic")
-        held_out = auc(scorer(test.features), test.labels)
+        (x_train, z_train), (x_test, z_test) = generate_xor(2000, seed=9), generate_xor(2000, seed=509)
+        scorer = fit_logistic(x_train, z_train, feature_map="quadratic")
+        held_out = auc(scorer(x_test), z_test)
         assert held_out >= 0.97
 
     def test_ridge_keeps_separable_fit_finite(self):
         features = np.array([[-2.0], [-1.0], [1.0], [2.0]])
-        scores = fit_logistic(FeatureDataset(features, np.array([0, 0, 1, 1])))(features)
+        scores = fit_logistic(features, np.array([0, 0, 1, 1]))(features)
         assert np.all((scores > 0) & (scores < 1))  # a finite slope: no score rounds to 0 or 1
 
     def test_one_feature_row_gives_one_score(self):
-        data = generate_xor(200, seed=4)
-        scorer = fit_logistic(data, feature_map="quadratic")
-        single = scorer(data.features[0])
+        features, labels = generate_xor(200, seed=4)
+        scorer = fit_logistic(features, labels, feature_map="quadratic")
+        single = scorer(features[0])
         assert single.shape == (1,)
-        assert single[0] == scorer(data.features[:1])[0]
+        assert single[0] == scorer(features[:1])[0]
 
     def test_rejects_unknown_feature_map(self):
-        data = generate_xor(100, seed=0)
+        features, labels = generate_xor(100, seed=0)
         with pytest.raises(ValueError, match="feature_map"):
-            fit_logistic(data, feature_map="cubic")
+            fit_logistic(features, labels, feature_map="cubic")
 
     def test_deterministic(self):
-        data = generate_xor(300, seed=6)
-        assert np.array_equal(fit_logistic(data)(data.features), fit_logistic(data)(data.features))
+        features, labels = generate_xor(300, seed=6)
+        assert np.array_equal(fit_logistic(features, labels)(features), fit_logistic(features, labels)(features))
