@@ -1,14 +1,20 @@
-"""A standing fuzzer of the command line: random flag values and small CSV files, run in
-process through ``main``.
+"""A standing fuzzer of the command line: random flag values and small CSV files, each
+flag of fit, simulate and eval at extreme values, and model files mutated field by field,
+run in process through ``main``.
 
 Every run must end in a documented exit code with at most one line on stderr and no
-traceback. Example sizes stay bounded: every size flag is always given, at most 5000, and
-at most 3 trials, and a CSV has at most 20 rows, so each example runs in well under a second.
+traceback; numpy's float warnings may come before the line of a flag or model case. Every
+``apply`` that succeeds writes calibrated cells in [0, 1]. Example sizes stay bounded:
+every size flag is always given, at most 5000, and at most 3 trials, a CSV has at most 20
+rows, and the flag and model cases run on 300 rows with at most 20 DPM sweeps, so each
+example runs in well under a second.
 """
 
 import contextlib
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -19,16 +25,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probcal.data
-from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, main
-from probcal.synth import CURVES
+from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, FIT_FLAGS, METHODS, main
+from probcal.synth import CURVES, OracleSpec, generate_oracle
 
 
-def _run(argv) -> int:
-    """``main(argv)``'s exit code, once its stderr is checked: at most one line, no traceback."""
+def _run(argv, warnings_first: bool = False) -> int:
+    """``main(argv)``'s exit code, once its stderr is checked: at most one line, no traceback;
+    with ``warnings_first``, any number of ``warning:`` lines may come before that line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert err.getvalue().count("\n") <= 1
+    lines = err.getvalue().splitlines(keepends=True)
+    if warnings_first:
+        lines = [line for line in lines if not line.startswith("warning: ")]
+    assert "".join(lines).count("\n") <= 1
     assert "Traceback" not in err.getvalue()
     return code
 
@@ -182,3 +192,102 @@ def test_csv_input_ends_in_a_documented_exit_and_apply_keeps_each_row(content, b
             assert written[0] == header + ["calibrated"]
             assert [cells[:-1] for cells in written[1:]] == [cells for cells in rows if cells]
             assert all(0.0 <= float(cells[-1]) <= 1.0 for cells in written[1:])
+
+
+# the flag and model cases: 300 rows of the square oracle, plus the scores 0 and 1 at the ends
+EXTREMES = ["0", "-1", "1e308", "5e-324", "nan", "inf", ""]
+SHORT_DPM = ["--max-iter", "20"]  # the default 500 sweeps would dominate the run
+
+
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory) -> Path:
+    data = generate_oracle(OracleSpec(curve="square"), 298, 1)
+    rows = [*zip(data.scores.tolist(), data.labels.tolist()), (0.0, 0), (1.0, 1)]
+    path = tmp_path_factory.mktemp("fuzz") / "scored.csv"
+    path.write_text("score,label\n" + "".join(f"{score!r},{label}\n" for score, label in rows))
+    return path
+
+
+def _applies_in_range(model: Path, scored: Path) -> int:
+    """``apply`` of the model to ``scored``; when it succeeds, every calibrated cell lies in [0, 1]."""
+    out = model.with_suffix(".csv")
+    code = _run(["apply", "--model", str(model), "--in", str(scored), "--out", str(out)], warnings_first=True)
+    assert code in (EXIT_OK, EXIT_INPUT)
+    if code == EXIT_OK:
+        cells = [float(row[-1]) for row in csv.reader(out.read_text().splitlines()[1:])]
+        assert len(cells) == 300 and all(0.0 <= cell <= 1.0 for cell in cells), model.name
+    return code
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("flag", [option for option, *_ in FIT_FLAGS])
+def test_fit_flag_at_extremes_ends_in_a_documented_exit(method, flag, scored, tmp_path):
+    for value in EXTREMES:
+        short = SHORT_DPM if method == "dpm" and flag != "--max-iter" else []
+        model = tmp_path / "model.json"
+        argv = ["fit", "--method", method, "--in", str(scored), "--out", str(model), flag, value, *short]
+        code = _run(argv, warnings_first=True)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_FIT), argv
+        if code == EXIT_OK:
+            assert _applies_in_range(model, scored) == EXIT_OK, argv
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [("oracle", "--n"), ("oracle", "--seed"), ("oracle", "--level"), ("xor", "--n"), ("xor", "--seed"),
+     ("xor", "--noise-sd")],
+)
+def test_simulate_flag_at_extremes_ends_in_a_documented_exit(kind, flag, tmp_path):
+    for value in EXTREMES:
+        given = {"--n": "300", flag: value, **({"--curve": "constant"} if flag == "--level" else {})}
+        argv = ["simulate", "--kind", kind, "--out", str(tmp_path / "d.csv"), *itertools.chain(*given.items())]
+        assert _run(argv, warnings_first=True) in (EXIT_OK, EXIT_INPUT), argv
+
+
+@pytest.mark.parametrize("flag", ["--bins", "--scheme"])
+def test_eval_flag_at_extremes_ends_in_a_documented_exit(flag, scored, tmp_path):
+    for value in EXTREMES:
+        argv = ["eval", "--in", str(scored), flag, value, "--out", str(tmp_path / "e.csv")]
+        assert _run(argv, warnings_first=True) in (EXIT_OK, EXIT_INPUT), argv
+
+
+_DELETED = object()
+
+
+def _mutations(value):
+    """(name, mutated value) of each mutation of a field holding ``value``; ``_DELETED`` deletes it."""
+    yield from (("null", None), ("string", "x"), ("-1", -1), ("0", 0), ("1e308", 1e308), ("[]", []))
+    if isinstance(value, list):
+        yield from (("reversed", value[::-1]), ("doubled", value + value))
+    elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        yield "doubled", value + value
+    yield "deleted", _DELETED
+
+
+def _fields(payload: dict, path=()):
+    """The key path of every field, and of every field of a nested object."""
+    for key, value in payload.items():
+        yield (*path, key)
+        if isinstance(value, dict):
+            yield from _fields(value, (*path, key))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_mutated_model_file_ends_in_a_documented_exit(method, scored, tmp_path):
+    fitted = tmp_path / "fitted.json"
+    short = SHORT_DPM if method == "dpm" else []
+    argv = ["fit", "--method", method, "--in", str(scored), "--out", str(fitted), *short]
+    assert _run(argv, warnings_first=True) == EXIT_OK
+    payload = json.loads(fitted.read_text())
+    for path in _fields(payload):
+        *parents, key = path
+        for name, value in _mutations(functools.reduce(dict.__getitem__, path, payload)):
+            mutated = json.loads(fitted.read_text())
+            holder = functools.reduce(dict.__getitem__, parents, mutated)
+            if value is _DELETED:
+                del holder[key]
+            else:
+                holder[key] = value
+            model = tmp_path / f"{'.'.join(path)}-{name}.json"
+            model.write_text(json.dumps(mutated))
+            _applies_in_range(model, scored)

@@ -51,7 +51,8 @@ COMMANDS = (
     ("eval", "eval --in {w}/scored.csv --model {w}/kde.json --out {w}/eval.csv --reliability-out {w}/bins.csv",
      ("eval.csv", "bins.csv")),
     *(
-        (f"verify:{check}", f"verify {check} {flags} --seed 1 --csv-out {{w}}/{check}.csv --json-out {{w}}/{check}.json",
+        (f"verify:{check}",
+         f"verify {check} {flags} --seed 1 --csv-out {{w}}/{check}.csv --json-out {{w}}/{check}.json",
          (f"{check}.csv", f"{check}.json"))
         for check, flags in (
             ("mce-bound", "--n 200 --bins 5 --trials 3 --test-size 2000"),
