@@ -140,7 +140,7 @@ def cmd_fit(args) -> int:
     data = load_scored_csv(args.infile, score_column=args.score_column, label_column=args.label_column)
     try:
         calibrator.fit(data.scores, data.labels)
-    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: the fit's floats left their range
+    except (ValueError, OverflowError, FloatingPointError) as exc:  # the last two: floats left their range
         raise FitError(str(exc)) from exc
     save_model(calibrator, args.outfile)
     print(f"method: {args.method}")
