@@ -14,8 +14,6 @@ def as_scores(values, name: str = "scores") -> np.ndarray:
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{name} must be numeric, got dtype {arr.dtype}")
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):

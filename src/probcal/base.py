@@ -2,7 +2,8 @@
 
 Calibrators follow the familiar fit/predict pattern: ``fit(scores, labels)``
 learns a map from uncalibrated scores to probabilities, ``predict(scores)``
-applies it. Fitted state lives in attributes with a trailing underscore.
+applies it to a 1-D array and returns a float64 array of the same length.
+Fitted state lives in attributes with a trailing underscore.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ._validation import as_scores
 
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # fdlibm's split of log 2
 _EXP_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13, 0, -1))
@@ -49,7 +48,8 @@ def _digamma(x) -> np.ndarray:
     """Digamma of a 1-d array of positive values: the recurrence psi(x) = psi(x + 10) -
     sum 1/(x + j), then the asymptotic series of psi(x + 10) through its y**-14 term."""
     y = x + 10.0
-    z = 1.0 / (y * y)
+    with np.errstate(over="ignore"):  # y * y is inf above 1e154, and 1 / inf the right limit
+        z = 1.0 / (y * y)
     series = _PSI_SERIES[0]
     for c in _PSI_SERIES[1:]:
         series = series * z + c
@@ -69,14 +69,3 @@ class BaseCalibrator:
     def _require_fitted(self, attribute: str) -> None:
         if getattr(self, attribute, None) is None:
             raise NotFittedError(f"{type(self).__name__} is not fitted; call fit first")
-
-    @staticmethod
-    def _prepare_queries(scores) -> tuple[np.ndarray, bool]:
-        """Validate query scores; remember whether the input was scalar."""
-        queries = np.asarray(scores)  # once: np.ndim of a list would convert it again
-        return as_scores(queries), queries.ndim == 0
-
-    @staticmethod
-    def _finish(result: np.ndarray, scalar: bool):
-        return float(result[0]) if scalar else result
-

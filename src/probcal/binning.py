@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._validation import model_field, require_count, scored_pair
+from ._validation import as_scores, model_field, require_count, scored_pair
 from .base import BaseCalibrator
 from .metrics import SCHEME_FREQUENCY, SCHEME_WIDTH, SCHEMES, _bin_indices
 
@@ -114,8 +114,7 @@ class HistogramCalibrator(BaseCalibrator):
 
     def predict(self, scores):
         self._require_fitted("edges_")
-        queries, scalar = self._prepare_queries(scores)
-        return self._finish(self.values_[_bin_indices(self.edges_, queries)], scalar)
+        return self.values_[_bin_indices(self.edges_, as_scores(scores))]
 
     def to_dict(self) -> dict:
         self._require_fitted("edges_")

@@ -76,7 +76,7 @@ _CURVE = ("--curve", "curve", CURVES)
 FIT_FLAGS = (
     ("--bins", "n_bins", int, "histogram bin count (default: cube-root rule)"),
     ("--truncation", "truncation", int, "mixture truncation level for dpm"),
-    ("--alpha", "alpha", float, "stick-breaking concentration for dpm"),
+    ("--alpha", "alpha", float, "dpm stick-breaking concentration, in [1e-300, 1e300]"),
     ("--max-iter", "max_iter", int),
     ("--tol", "tol", float),
     _SEED,
@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     with warnings.catch_warnings():  # restores the caller's warning display on return
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        # one write per line: a forked DPM fit's child writes its warnings to the same stderr
+        warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
         try:
             args = build_parser().parse_args(argv)
             return args.handler(args)

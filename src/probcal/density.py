@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._validation import (
-    check_iteration, class_counts, model_field, require_count, scored_pair, warn_unconverged
+    as_scores, check_iteration, class_counts, model_field, require_count, scored_pair, warn_unconverged
 )
 from .base import BaseCalibrator, _digamma, _gammaln
 from .data import _map_blocks
@@ -124,7 +124,7 @@ class KDECalibrator(BaseCalibrator):
 
     def predict(self, scores):
         self._require_fitted("positives_")
-        queries, scalar = self._prepare_queries(scores)
+        queries = as_scores(scores)
         out = np.empty_like(queries)
         for start in range(0, queries.size, _BLOCK_QUERIES):
             block = queries[start : start + _BLOCK_QUERIES]
@@ -137,7 +137,7 @@ class KDECalibrator(BaseCalibrator):
             out[start : start + block.size] = _posterior_ratio(
                 self.bandwidth_neg_ * s_pos, self.bandwidth_pos_ * s_neg, self.prior_
             )
-        return self._finish(out, scalar)
+        return out
 
     def to_dict(self) -> dict:
         self._require_fitted("positives_")
@@ -378,8 +378,8 @@ class DPMCalibrator(BaseCalibrator):
 
     def fit(self, scores, labels) -> "DPMCalibrator":
         require_count(1, truncation=self.truncation)
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 1e-300 <= self.alpha <= 1e300:  # beyond, the sweep's lgamma or 1 / alpha overflows
+            raise ValueError(f"alpha must lie in [1e-300, 1e300], got {self.alpha}")
         check_iteration(self.max_iter, self.tol)
         y, z = scored_pair(scores, labels)
         total, m, n_neg = _two_per_class(z)
@@ -408,11 +408,10 @@ class DPMCalibrator(BaseCalibrator):
 
     def predict(self, scores):
         self._require_fitted("positive_")
-        queries, scalar = self._prepare_queries(scores)
+        queries = as_scores(scores)
         q1 = self.positive_.density(queries)
         q0 = self.negative_.density(queries)
-        out = _posterior_ratio(self.prior_ * q1, (1.0 - self.prior_) * q0, self.prior_)
-        return self._finish(out, scalar)
+        return _posterior_ratio(self.prior_ * q1, (1.0 - self.prior_) * q0, self.prior_)
 
     @staticmethod
     def _class_payload(posterior: StickBreakingPosterior) -> dict:

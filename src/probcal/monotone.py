@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._validation import check_iteration, class_counts, model_field, scored_pair, warn_unconverged
+from ._validation import as_scores, check_iteration, class_counts, model_field, scored_pair, warn_unconverged
 from .base import BaseCalibrator, _expit
 
 
@@ -163,8 +163,7 @@ class PlattCalibrator(BaseCalibrator):
 
     def predict(self, scores):
         self._require_fitted("slope_")
-        queries, scalar = self._prepare_queries(scores)
-        return self._finish(_expit(-(self.slope_ * queries + self.intercept_)), scalar)
+        return _expit(-(self.slope_ * as_scores(scores) + self.intercept_))
 
     def to_dict(self) -> dict:
         self._require_fitted("slope_")
@@ -219,10 +218,9 @@ class IsotonicCalibrator(BaseCalibrator):
 
     def predict(self, scores):
         self._require_fitted("breakpoints_")
-        queries, scalar = self._prepare_queries(scores)
-        idx = np.searchsorted(self.breakpoints_, queries, side="right") - 1
-        idx = np.clip(idx, 0, len(self.breakpoints_) - 1)
-        return self._finish(self.values_[idx], scalar)
+        idx = np.searchsorted(self.breakpoints_, as_scores(scores), side="right") - 1
+        idx = np.clip(idx, 0, len(self.breakpoints_) - 1)  # the unclipped indices go before the lookup
+        return self.values_[idx]
 
     def to_dict(self) -> dict:
         self._require_fitted("breakpoints_")

@@ -237,8 +237,8 @@ def plug_in_estimate(scores, labels, calibrator, query):
 
     Bins are right-open with the last closed at 1. A query in an empty bin
     is answered from the nearest nonempty bin (ties to the lower one),
-    since both class likelihoods vanish there. Returns a float for a
-    scalar query and an array otherwise.
+    since both class likelihoods vanish there. Returns an array, one
+    estimate per entry of the 1-D ``query``.
     """
     edges = [float(e) for e in calibrator.edges_]
     n_bins = len(edges) - 1
@@ -266,8 +266,6 @@ def plug_in_estimate(scores, labels, calibrator, query):
         alternative = Fraction(n_neg, len(scores)) * (Fraction(total[j] - positive[j], n_neg) / width)
         return float(numerator / (numerator + alternative))
 
-    if np.ndim(query) == 0:
-        return estimate(query)
     return np.array([estimate(q) for q in np.asarray(query)], dtype=np.float64)
 
 

@@ -37,8 +37,8 @@ class TestEqualFrequencyFit:
         assert model.theta_.tolist() == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
         assert model.counts_.tolist() == [3, 3]
         # the interior edge belongs to the bin on its right
-        assert model.predict(0.35) == pytest.approx(2 / 3)
-        assert model.predict(0.3499) == pytest.approx(1 / 3)
+        assert model.predict([0.35])[0] == pytest.approx(2 / 3)
+        assert model.predict([0.3499])[0] == pytest.approx(1 / 3)
 
     def test_default_bin_count_used_when_unset(self):
         rng = np.random.default_rng(0)
@@ -49,21 +49,22 @@ class TestEqualFrequencyFit:
 
     def test_queries_at_domain_ends(self):
         model = fit_hist([0.2, 0.4, 0.6, 0.8], [0, 0, 1, 1], n_bins=2)
-        assert model.predict(0.0) == 0.0
-        assert model.predict(1.0) == 1.0
+        assert model.predict([0.0])[0] == 0.0
+        assert model.predict([1.0])[0] == 1.0
 
     def test_vector_and_scalar_queries(self):
         model = fit_hist([0.2, 0.4, 0.6, 0.8], [0, 0, 1, 1], n_bins=2)
         out = model.predict(np.array([0.1, 0.9]))
-        assert out.shape == (2,)
-        assert isinstance(model.predict(0.1), float)
+        assert out.shape == (2,) and out.dtype == np.float64
+        with pytest.raises(ValueError, match=r"must be one-dimensional, got shape \(\)"):
+            model.predict(0.1)
 
     def test_tied_scores_collapse_edges(self):
         # all scores identical: no interior midpoint survives, one bin remains
         model = fit_hist([0.5] * 6, [0, 1, 0, 1, 1, 1], n_bins=3)
         assert model.n_bins_ == 1
         assert model.counts_.tolist() == [6]
-        assert model.predict(0.5) == pytest.approx(4 / 6)
+        assert model.predict([0.5])[0] == pytest.approx(4 / 6)
 
     def test_partial_tie_collapse_keeps_stats_consistent(self):
         # ties span the first tentative boundary; the surviving edges still
@@ -171,25 +172,25 @@ class TestEqualWidthFit:
         # bins 1 and 2 empty; bin 1 is nearer to bin 0, bin 2 nearer to bin 3
         model = fit_hist([0.05, 0.1, 0.9, 0.95], [0, 0, 1, 1], n_bins=4, scheme="width")
         assert model.counts_.tolist() == [2, 0, 0, 2]
-        assert model.predict(0.3) == 0.0  # nearest nonempty is bin 0
-        assert model.predict(0.6) == 1.0  # nearest nonempty is bin 3
+        assert model.predict([0.3])[0] == 0.0  # nearest nonempty is bin 0
+        assert model.predict([0.6])[0] == 1.0  # nearest nonempty is bin 3
 
     def test_equidistant_empty_bin_prefers_lower(self):
         model = fit_hist([0.1, 0.2, 0.9], [0, 0, 1], n_bins=3, scheme="width")
         assert model.counts_.tolist() == [2, 0, 1]
         # middle bin sits one step from both neighbours; lower wins
-        assert model.predict(0.5) == 0.0
+        assert model.predict([0.5])[0] == 0.0
 
     def test_scores_at_one_fall_in_last_bin(self):
         model = fit_hist([0.2, 1.0], [0, 1], n_bins=2, scheme="width")
         assert model.counts_.tolist() == [1, 1]
-        assert model.predict(1.0) == 1.0
+        assert model.predict([1.0])[0] == 1.0
 
 
 class TestValidationAndState:
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            HistogramCalibrator().predict(0.5)
+            HistogramCalibrator().predict([0.5])
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="need at least one sample"):
@@ -211,8 +212,8 @@ class TestValidationAndState:
 
     def test_rejects_query_outside_unit_interval(self):
         model = fit_hist([0.1, 0.9], [0, 1], n_bins=1)
-        with pytest.raises(ValueError):
-            model.predict(1.5)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            model.predict([1.5])
 
     def test_fit_returns_self(self):
         model = HistogramCalibrator(n_bins=1)
@@ -225,7 +226,7 @@ class TestPlugInIdentity:
         labels = np.array([0, 0, 1, 0, 1, 1])
         model = fit_hist(scores, labels, n_bins=2)
         for q in (0.0, 0.2, 0.35, 0.5, 1.0):
-            assert plug_in_estimate(scores, labels, model, q) == model.predict(q)
+            assert np.array_equal(plug_in_estimate(scores, labels, model, [q]), model.predict([q]))
 
     def test_exact_equality_on_grid(self):
         rng = np.random.default_rng(4)
@@ -243,14 +244,14 @@ class TestPlugInIdentity:
         labels = np.array([0, 0, 1, 1])
         model = fit_hist(scores, labels, n_bins=4, scheme="width")
         for q in (0.3, 0.6):
-            assert plug_in_estimate(scores, labels, model, q) == model.predict(q)
+            assert np.array_equal(plug_in_estimate(scores, labels, model, [q]), model.predict([q]))
 
     def test_requires_both_classes(self):
         scores = np.array([0.2, 0.8])
         labels = np.array([1, 1])
         model = fit_hist(scores, labels, n_bins=1)
         with pytest.raises(ValueError, match="both classes"):
-            plug_in_estimate(scores, labels, model, 0.5)
+            plug_in_estimate(scores, labels, model, [0.5])
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -167,24 +167,26 @@ class TestFit:
         out = tmp_path / "m.json"
         code = main(["fit", "--method", "dpm", f"--alpha={alpha}", "--in", str(scored_csv), "--out", str(out)])
         assert code == EXIT_FIT
-        assert capsys.readouterr().err == f"fit error: alpha must be finite and > 0, got {float(alpha)}\n"
+        assert capsys.readouterr().err == f"fit error: alpha must lie in [1e-300, 1e300], got {float(alpha)}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "alpha, message",
-        [
-            ("1e306", "fit error: math range error"),  # the log-gammas of the stick sums overflow
-            ("5e-324", "fit error: evidence lower bound became non-finite at iteration "),
-        ],
-    )
-    def test_extreme_dpm_alpha_is_a_fit_error(self, scored_csv, tmp_path, alpha, message, capsys):
+    # past the range the sweep's log-gammas (above) or its 1 / alpha (below) overflow
+    @pytest.mark.parametrize("alpha", ["1e306", "5e-324"])
+    def test_extreme_dpm_alpha_is_a_fit_error(self, scored_csv, tmp_path, alpha, capfd):
         out = tmp_path / "m.json"
         code = main(["fit", "--method", "dpm", "--alpha", alpha, "--max-iter", "20",
                      "--in", str(scored_csv), "--out", str(out)])
         assert code == EXIT_FIT
-        *warned, last = capsys.readouterr().err.splitlines()  # numpy's overflow warnings come first
-        assert last.startswith(message) and all(line.startswith("warning: ") for line in warned)
+        assert capfd.readouterr().err == f"fit error: alpha must lie in [1e-300, 1e300], got {float(alpha)}\n"
         assert not out.exists()
+
+    def test_large_dpm_alpha_fits_with_empty_stderr(self, scored_csv, tmp_path, capfd):
+        # the digamma's y * y overflows to inf, whose reciprocal is the right limit: no warning.
+        # capfd, not capsys: the forked child that fits the negative class writes to fd 2
+        code = main(["fit", "--method", "dpm", "--alpha", "1e200", "--max-iter", "20",
+                     "--in", str(scored_csv), "--out", str(tmp_path / "m.json")])
+        assert code == EXIT_OK
+        assert capfd.readouterr().err == ""
 
     def test_dpm_truncation_above_the_smaller_class_is_a_fit_error(self, scored_csv, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -208,6 +210,41 @@ class TestFit:
         assert err.startswith("warning: sigmoid fit stopped after 1 iterations")
         assert err.count("\n") == 1
         assert warnings.showwarning is shown
+
+    def test_warnings_of_both_dpm_processes_stay_whole_lines(self, scored_csv):
+        # both processes of the DPM fit wait for one instant, then warn in a burst. Run in a
+        # child, so that the forked process's writes to the shared stderr are seen: a line
+        # written in two pieces splices with the other process's lines
+        runs, burst = 5, 100
+        probe = (
+            "import sys, time, warnings\n"
+            "import probcal.density\n"
+            "from probcal.cli import main\n"
+            "fit, start = probcal.density._fit_class_mixture, [0.0]\n"
+            "def warned(x, *args):\n"
+            "    while time.monotonic() < start[0]:\n"
+            "        pass\n"
+            f"    for _ in range({burst}):\n"
+            "        warnings.warn(f'fit of {x.size} scores', RuntimeWarning)\n"
+            "    return fit(x, *args)\n"
+            "probcal.density._fit_class_mixture = warned\n"
+            "warnings.simplefilter('always')\n"
+            "for _ in range(int(sys.argv[1])):\n"
+            "    start[0] = time.monotonic() + 0.05  # the child is forked before then\n"
+            "    argv = ['fit', '--method', 'dpm', '--max-iter', '2', '--tol', '1e300']\n"
+            "    assert main(argv + ['--in', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        )
+        source = str(Path(probcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(runs), str(scored_csv), str(scored_csv.with_suffix(".json"))],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.split("\n")
+        assert lines.pop() == ""  # the text ends in a newline
+        assert len(lines) == 2 * burst * runs
+        assert all(line.startswith("warning: fit of ") and line.endswith(" scores") for line in lines), lines
 
 
 class TestApply:

@@ -104,22 +104,22 @@ class TestKDEFit:
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            KDECalibrator().predict(0.5)
+            KDECalibrator().predict([0.5])
 
 
 class TestKDEPredict:
     def test_window_covering_only_positives(self):
         model = kde_from_parts([0.5, 0.55, 0.6, 0.65], [0.05, 0.1], 0.2, prior=2 / 3)
-        assert model.predict(0.55) == 1.0
+        assert model.predict([0.55])[0] == 1.0
 
     def test_window_edges_count_inclusively(self):
         # 0.5 sits at 0.3 + h and 0.1 at 0.3 - h; both contribute 0.5
         model = kde_from_parts([0.5, 0.55, 0.6, 0.65], [0.05, 0.1], 0.2, prior=2 / 3)
-        assert model.predict(0.3) == 0.5
+        assert model.predict([0.3])[0] == 0.5
 
     def test_empty_window_returns_prior(self):
         model = kde_from_parts([0.5, 0.55, 0.6, 0.65], [0.05, 0.1], 0.2, prior=2 / 3)
-        assert model.predict(0.95) == pytest.approx(2 / 3)
+        assert model.predict([0.95])[0] == pytest.approx(2 / 3)
 
     def test_shared_bandwidth_equals_nadaraya_watson(self):
         rng = np.random.default_rng(0)
@@ -132,7 +132,7 @@ class TestKDEPredict:
         h = model.bandwidth_pos_
         for q in rng.random(25):
             expected = nadaraya_watson_direct(pos, neg, q, h)
-            assert model.predict(q) == pytest.approx(expected, abs=1e-12)
+            assert model.predict([q])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_invariant_under_dataset_duplication(self):
         pos = [0.4, 0.55, 0.7]
@@ -229,7 +229,7 @@ class TestBlockedKDEPredict:
     def test_scalar_query_through_one_block(self, monkeypatch):
         model = kde_from_parts([0.2, 0.3], [0.7, 0.8], 0.2, 0.5)
         monkeypatch.setattr(probcal.density, "_BLOCK_QUERIES", 1)
-        assert model.predict(0.25) == 1.0
+        assert model.predict([0.25])[0] == 1.0
 
 
 class TestDPM:
@@ -278,8 +278,8 @@ class TestDPM:
     def test_well_separated_classes_confident_at_the_modes(self):
         scores, labels = two_cluster_data(seed=4, pos_center=0.9, neg_center=0.1)
         model = DPMCalibrator(seed=0).fit(scores, labels)
-        assert model.predict(0.9) >= 0.95
-        assert model.predict(0.1) <= 0.05
+        assert model.predict([0.9])[0] >= 0.95
+        assert model.predict([0.1])[0] <= 0.05
 
     def test_identical_class_posteriors_give_half(self):
         scores, labels = two_cluster_data(seed=6)
@@ -306,7 +306,7 @@ class TestDPM:
         payload["prior"] = 0.6
         model = DPMCalibrator.from_dict(payload)
         with np.errstate(over="ignore"):
-            assert model.predict(0.5) == pytest.approx(0.6)
+            assert model.predict([0.5])[0] == pytest.approx(0.6)
 
     def test_student_t_components_match_direct_formula(self):
         scores, labels = two_cluster_data(seed=9, n=60)
@@ -379,11 +379,21 @@ class TestDPM:
             with pytest.raises(ValueError, match="tol"):
                 DPMCalibrator(tol=tol).fit(scores, labels)
 
-    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0])
+    # also finite values the sweep cannot carry: below the range 1 / alpha overflows in the
+    # digamma, above it the log-gamma of the stick sums overflows
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0, 0.0, 5e-324, 1e-301, 1e301, 1e306])
     def test_rejects_non_finite_or_negative_alpha(self, alpha):
         scores, labels = two_cluster_data()
-        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[1e-300, 1e300\], got"):
             DPMCalibrator(alpha=alpha).fit(scores, labels)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e200, 1e300])
+    def test_alpha_at_and_inside_the_range_ends_fits_without_warning(self, alpha):
+        scores, labels = two_cluster_data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow, and the fit converges
+            model = DPMCalibrator(alpha=alpha, truncation=3).fit(scores, labels)
+        assert np.all(np.isfinite(model.predict(np.linspace(0.0, 1.0, 11))))
 
     def test_warns_per_class_when_iteration_budget_too_small(self):
         scores, labels = two_cluster_data()
@@ -417,7 +427,7 @@ class TestDPM:
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            DPMCalibrator().predict(0.5)
+            DPMCalibrator().predict([0.5])
 
     def test_round_trip_preserves_predictions(self):
         scores, labels = two_cluster_data(seed=11, n=60)

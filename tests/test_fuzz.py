@@ -3,11 +3,11 @@ flag of fit, simulate and eval at extreme values, and model files mutated field 
 run in process through ``main``.
 
 Every run must end in a documented exit code with at most one line on stderr and no
-traceback; numpy's float warnings may come before the line of a flag or model case. Every
-``apply`` that succeeds writes calibrated cells in [0, 1]. Example sizes stay bounded:
-every size flag is always given, at most 5000, and at most 3 trials, a CSV has at most 20
-rows, and the flag and model cases run on 300 rows with at most 20 DPM sweeps, so each
-example runs in well under a second.
+traceback; a fit's non-convergence warnings, and no other warning, may come before the line
+of a flag or model case. Every ``apply`` that succeeds writes calibrated cells in [0, 1].
+Example sizes stay bounded: every size flag is always given, at most 5000, and at most 3
+trials, a CSV has at most 20 rows, and the flag and model cases run on 300 rows with at most
+20 DPM sweeps, so each example runs in well under a second.
 """
 
 import contextlib
@@ -31,13 +31,13 @@ from probcal.synth import CURVES, OracleSpec, generate_oracle
 
 def _run(argv, warnings_first: bool = False) -> int:
     """``main(argv)``'s exit code, once its stderr is checked: at most one line, no traceback;
-    with ``warnings_first``, any number of ``warning:`` lines may come before that line."""
+    with ``warnings_first``, any number of non-convergence ``warning:`` lines may come before it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     lines = err.getvalue().splitlines(keepends=True)
     if warnings_first:
-        lines = [line for line in lines if not line.startswith("warning: ")]
+        lines = [line for line in lines if not (line.startswith("warning: ") and " stopped after " in line)]
     assert "".join(lines).count("\n") <= 1
     assert "Traceback" not in err.getvalue()
     return code
@@ -226,7 +226,8 @@ def test_fit_flag_at_extremes_ends_in_a_documented_exit(method, flag, scored, tm
         short = SHORT_DPM if method == "dpm" and flag != "--max-iter" else []
         model = tmp_path / "model.json"
         argv = ["fit", "--method", method, "--in", str(scored), "--out", str(model), flag, value, *short]
-        code = _run(argv, warnings_first=True)
+        # a DPM alpha the sweep cannot carry is refused before the sweep: no warning comes first
+        code = _run(argv, warnings_first=(method, flag) != ("dpm", "--alpha"))
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_FIT), argv
         if code == EXIT_OK:
             assert _applies_in_range(model, scored) == EXIT_OK, argv

@@ -216,8 +216,8 @@ class TestPlattCalibrator:
         model = PlattCalibrator()
         model.slope_, model.intercept_ = -4.0, 2.0
         # 1 / (1 + exp(-4 * 1 + 2)) = 1 / (1 + e^-2)
-        assert model.predict(1.0) == pytest.approx(0.8807970779778823, abs=1e-12)
-        assert model.predict(0.5) == pytest.approx(0.5)
+        assert model.predict([1.0])[0] == pytest.approx(0.8807970779778823, abs=1e-12)
+        assert model.predict([0.5])[0] == pytest.approx(0.5)
 
     def test_fit_recovers_increasing_map(self):
         rng = np.random.default_rng(0)
@@ -313,7 +313,7 @@ class TestPlattCalibrator:
             warnings.simplefilter("error")
             model = PlattCalibrator().fit(np.full(n, score), labels)
         assert model.converged_ and abs(model.slope_) < 1e-12
-        assert model.predict(score) == pytest.approx(target.mean(), rel=1e-9)
+        assert model.predict([score])[0] == pytest.approx(target.mean(), rel=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -359,7 +359,7 @@ class TestPlattCalibrator:
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            PlattCalibrator().predict(0.5)
+            PlattCalibrator().predict([0.5])
 
     def test_refit_is_deterministic(self):
         rng = np.random.default_rng(4)
@@ -376,10 +376,10 @@ class TestIsotonicCalibrator:
         model = IsotonicCalibrator().fit(
             np.array([0.1, 0.4, 0.7]), np.array([0, 1, 1])
         )
-        assert model.predict(0.05) == 0.0  # below first breakpoint clamps down
-        assert model.predict(0.1) == 0.0
-        assert model.predict(0.55) == 1.0  # value of greatest breakpoint <= query
-        assert model.predict(0.95) == 1.0
+        assert model.predict([0.05])[0] == 0.0  # below first breakpoint clamps down
+        assert model.predict([0.1])[0] == 0.0
+        assert model.predict([0.55])[0] == 1.0  # value of greatest breakpoint <= query
+        assert model.predict([0.95])[0] == 1.0
 
     def test_ties_pool_before_fitting(self):
         scores = np.array([0.5, 0.5, 0.2])
@@ -432,7 +432,7 @@ class TestIsotonicCalibrator:
 
     def test_single_sample(self):
         model = IsotonicCalibrator().fit(np.array([0.4]), np.array([1]))
-        assert model.predict(0.9) == 1.0
+        assert model.predict([0.9])[0] == 1.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -440,7 +440,7 @@ class TestIsotonicCalibrator:
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            IsotonicCalibrator().predict(0.5)
+            IsotonicCalibrator().predict([0.5])
 
     def test_fit_peaks_below_36_bytes_a_row(self):
         # 2e5 distinct scores: the fit held 40 bytes a row while np.diff(start, append=...) made the
