@@ -18,7 +18,7 @@ import sys
 import warnings
 
 from .binning import HistogramCalibrator
-from .data import format_cells, load_scored_csv, read_scored_rows, write_csv
+from .data import check_output_path, format_cells, load_scored_csv, read_scored_rows, write_csv
 from .density import DPMCalibrator, KDECalibrator
 from .harness import (
     calibration_size_sweep,
@@ -225,6 +225,8 @@ def cmd_verify(args) -> int:
         "size-sweep": calibration_size_sweep,
     }
     options = _options(args, CHECKS[args.check][1] + VERIFY_FLAGS)
+    for flag, path in (("--csv-out", args.csv_out), ("--json-out", args.json_out)):
+        check_output_path(path, flag)  # before the first trial, not after the last
     report = routines[args.check](_oracle_spec(options), **options)
     if report.slope is not None:
         print(f"slope: {report.slope:.4f}")

@@ -307,6 +307,12 @@ def _render(columns) -> str:
     return "".join(map(line.format, *map(_cells, columns)))
 
 
+def check_output_path(path, flag: str) -> None:
+    """Refuse, naming ``flag``, an output ``path`` that is a directory or lies in no existing one."""
+    if path is not None and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise ValueError(f"{flag} {path}: {'is a directory' if os.path.isdir(path) else 'no such directory'}")
+
+
 def write_csv(path, header: list[str], blocks) -> None:
     """Write a header line, then each block of rows, given as the list of its columns
     (rendered by ``_map_blocks``, so ``blocks`` must hold no open file)."""

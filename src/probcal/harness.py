@@ -16,12 +16,11 @@ compares against the closed-form guarantee:
                            MCE and ECE.
 
 All five run their trials through one runner, ``_trials``, which draws
-and fits and then calls the routine's own measure. A measure draws the
-trial's held-out test set (theta-conc draws none, it integrates the truth
-curve) and drops it when it returns, so no test set outlives its trial.
-Trial t's streams derive from the master seed and a spawn key ``(t,)`` or
-``(grid_index, t)``, so trial t draws the same data however many trials
-run and in whatever order.
+and fits and then calls the routine's own measure. Trial t's streams derive
+from the master seed and a spawn key ``(t,)`` or ``(grid_index, t)``, so
+trial t draws the same data however many trials run and in whatever order.
+A measure draws its test set in blocks and keeps one byte per row for the
+fitted level and one for the label, yet reports the figures of the whole set.
 """
 
 from __future__ import annotations
@@ -35,13 +34,14 @@ import numpy as np
 from ._validation import require_count
 from .binning import HistogramCalibrator
 from .data import write_csv
-from .metrics import _bin_indices, _level_auc, _summarize, auc, ece, mce
+from .metrics import ReliabilityBin, _bin_indices, _level_auc, ece, mce
 from .serialize import write_json
 from .synth import OracleSpec, generate_oracle, true_theta
 
 DEFAULT_MIN_TEST = 100_000
 _SLOPE_WINDOW = (-0.65, -0.35)  # verify_ece_rate's acceptance window for the log-log slope
 _SWEEP_NUM_BINS = 10  # calibration_size_sweep's reliability bins, the same at every size
+_BLOCK_ROWS = 1 << 16  # test rows drawn, coded and counted at a time
 
 
 @dataclass(frozen=True)
@@ -119,18 +119,69 @@ def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = 
     return summary
 
 
-def _calibrated_bins(model: HistogramCalibrator, test, num_bins: int | None, with_auc: bool) -> tuple:
-    """``reliability`` in ``num_bins`` bins (None: skipped) and, if asked, ``auc`` of
-    ``model.predict(test.scores)``, bit for bit: a stable argsort of each row's
-    small-integer value rank is a radix sort with the float order's permutation, and
-    the AUC is counted per value."""
+def _score_blocks(n_test: int, test_stream):
+    """(rows, scores) per block of at most ``_BLOCK_ROWS`` test rows: the stream's first draws."""
+    draw = np.random.default_rng(test_stream).random
+    for start in range(0, n_test, _BLOCK_ROWS):
+        yield slice(start, start + _BLOCK_ROWS), draw(min(_BLOCK_ROWS, n_test - start))
+
+
+def _test_blocks(spec: OracleSpec, n_test: int, test_stream):
+    """(rows, scores, labels as bool) per block of ``generate_oracle(spec, n_test, test_stream)``, bit
+    for bit: its label uniforms, the next ``n_test`` draws, come from a copy advanced past the scores."""
+    draw = np.random.Generator(np.random.PCG64(test_stream).advance(int(n_test))).random  # takes no np.int64
+    for rows, scores in _score_blocks(n_test, test_stream):
+        yield rows, scores, draw(scores.size) < spec.probability(scores)
+
+
+def _coded_test_set(spec: OracleSpec, model: HistogramCalibrator, n_test: int, test_stream) -> tuple:
+    """(levels, codes, labels): ``model``'s values ascending, and per test row, in arrays allocated
+    before the first draw, the rank of its value among them (uint8 up to 256 levels) and its label."""
     levels, rank = np.unique(model.values_, return_inverse=True)
-    codes = rank.astype(np.min_scalar_type(levels.size - 1))[_bin_indices(model.edges_, test.scores)]
-    bins = None
-    if num_bins is not None:
-        members = np.array_split(np.argsort(codes, kind="stable"), num_bins)
-        bins = _summarize(levels[codes], test.labels, members)
-    return bins, _level_auc(codes, test.labels, levels.size) if with_auc else None
+    codes, labels = np.empty(n_test, np.min_scalar_type(levels.size - 1)), np.empty(n_test, bool)
+    for rows, scores, labels[rows] in _test_blocks(spec, n_test, test_stream):
+        codes[rows] = rank[_bin_indices(model.edges_, scores)]
+    return levels, codes, labels
+
+
+def _frequency_bins(levels: np.ndarray, codes: np.ndarray, labels: np.ndarray, num_bins: int) -> list:
+    """``reliability(levels[codes], labels, num_bins)``, bit for bit: its bins cut the stable sort of
+    the codes, where level k spans places starts[k] to starts[k + 1] and a bin averages its levels,
+    each repeated by its run in it; a block's i-th row of level k is at starts[k] + i + earlier rows."""
+    n = codes.size
+    starts = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=levels.size))))
+    cuts = [j * (n // num_bins) + min(j, n % num_bins) for j in range(num_bins + 1)]  # np.array_split's
+    seen, pos = starts[:-1].copy(), np.zeros(len(cuts), dtype=np.int64)  # positives before each cut
+    for start in range(0, n, _BLOCK_ROWS):
+        block = codes[start : start + _BLOCK_ROWS]
+        order = np.argsort(block, kind="stable")
+        per_level = np.bincount(block, minlength=levels.size)
+        place = (seen - np.cumsum(per_level) + per_level)[block[order]] + np.arange(block.size)
+        pos += np.searchsorted(place[labels[start : start + _BLOCK_ROWS][order]], cuts)
+        seen += per_level
+    bins, pos = [], pos.tolist()
+    for j in range(min(num_bins, n)):  # bins beyond the n-th are empty
+        lo, hi = cuts[j], cuts[j + 1]
+        first, last = np.searchsorted(starts, lo, "right") - 1, np.searchsorted(starts, hi)
+        mean = np.repeat(levels[first:last], np.diff(np.clip(starts[first : last + 1], lo, hi))).mean()
+        bins.append(ReliabilityBin(j, hi - lo, float(mean), (pos[j + 1] - pos[j]) / (hi - lo), (hi - lo) / n))
+    return bins + [ReliabilityBin(j, 0, math.nan, math.nan, 0.0) for j in range(n, num_bins)]
+
+
+def _raw_auc(test_stream, labels: np.ndarray) -> float:
+    """``auc`` of the test scores and ``labels``, bit for bit, from two more passes over the scores."""
+    neg, filled = np.empty(labels.size - np.count_nonzero(labels)), 0
+    for rows, scores in _score_blocks(labels.size, test_stream):
+        chosen = scores[~labels[rows]]
+        neg[filled : filled + chosen.size], filled = chosen, filled + chosen.size
+    neg.sort()
+    twice_u = 0  # per positive: (#neg below) + (#neg at or below); only one that ties a negative needs both
+    for rows, scores in _score_blocks(labels.size, test_stream):
+        pos = np.sort(scores[labels[rows]])
+        below = np.searchsorted(neg, pos)
+        tied = neg[np.minimum(below, neg.size - 1)] == pos
+        twice_u += int(below.sum() + below[~tied].sum() + np.searchsorted(neg, pos[tied], "right").sum())
+    return float(twice_u) / (2.0 * (labels.size - neg.size) * neg.size)
 
 
 def _trials(spec: OracleSpec, n_cal: int, n_bins: int | None, trials: int, seed: int, path: tuple,
@@ -139,8 +190,8 @@ def _trials(spec: OracleSpec, n_cal: int, n_bins: int | None, trials: int, seed:
 
     Trial t spawns two independent streams from SeedSequence(seed, spawn_key=(*path, t)),
     draws its calibration set from the oracle ``spec`` with the first and fits the histogram
-    calibrator on it. The second stream is for ``measure``: a test set it draws there is
-    dropped when it returns, so no test set outlives its trial.
+    calibrator on it. The second stream is for ``measure``, which draws its test set from it
+    block by block and keeps only the codes and labels of its rows, until it returns.
     """
     results = []
     for t in range(trials):
@@ -157,9 +208,10 @@ def _errors(spec: OracleSpec, n_test: int, num_bins: int | None = None, with_auc
     None for a one-class test set."""
 
     def measure(t, cal, model, test_stream) -> TrialReport:
-        test = generate_oracle(spec, n_test, test_stream)
-        two_class = 0 < test.n_pos < test.n_samples
-        bins, cal_auc = _calibrated_bins(model, test, num_bins or model.n_bins_, with_auc and two_class)
+        levels, codes, labels = _coded_test_set(spec, model, n_test, test_stream)
+        bins = _frequency_bins(levels, codes, labels, num_bins or model.n_bins_)
+        two_class = 0 < np.count_nonzero(labels) < n_test
+        cal_auc = _level_auc(codes, labels, levels.size) if with_auc and two_class else None
         return TrialReport(t, len(cal), model.n_bins_, mce(bins), ece(bins), auc_calibrated=cal_auc)
 
     return measure
@@ -275,15 +327,13 @@ def verify_auc_loss(
     require_count(2, " for a standard error", trials=trials)
     n_test = default_test_size(n_cal)
 
-    def measure(t, cal, model, test_stream) -> TrialReport:
-        # no MCE or ECE: the loss check reports neither
-        test = generate_oracle(spec, n_test, test_stream)
-        raw = cal_auc = loss = None
-        if 0 < test.n_pos < test.n_samples:
-            cal_auc = _calibrated_bins(model, test, None, True)[1]
-            raw = auc(test.scores, test.labels)
-            loss = raw - cal_auc
-        return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan, raw, cal_auc, loss)
+    def measure(t, cal, model, test_stream) -> TrialReport:  # no MCE or ECE: the loss check reports neither
+        levels, codes, labels = _coded_test_set(spec, model, n_test, test_stream)
+        if not 0 < np.count_nonzero(labels) < n_test:
+            return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan)
+        cal_auc = _level_auc(codes, labels, levels.size)  # first: the other order peaks 4 MB higher
+        raw = _raw_auc(test_stream, labels)
+        return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan, raw, cal_auc, raw - cal_auc)
 
     points = []
     assertions = []

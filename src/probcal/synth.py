@@ -38,9 +38,10 @@ class OracleSpec:
             raise ValueError(f"constant level must lie in [0, 1], got {self.level}")
 
     def probability(self, y):
+        """c(y) as float64; for the identity curve that is ``y`` itself, sharing its memory."""
         y = np.asarray(y, dtype=np.float64)
         if self.curve == "identity":
-            return y.copy()
+            return y
         if self.curve == "square":
             return y * y
         if self.curve == "logistic":

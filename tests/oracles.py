@@ -599,3 +599,33 @@ def dumps_whole(obj, indent: int = 0) -> str:
         rows = [f"{inner}{dumps_whole(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def calibrated_bins(model, test, num_bins, with_auc: bool) -> tuple:
+    """``reliability`` in ``num_bins`` bins (None: skipped) and, if asked, ``auc`` of
+    ``model.predict(test.scores)``, bit for bit, from the whole test set: a stable argsort of
+    each row's small-integer value rank is a radix sort with the float order's permutation,
+    and the AUC is counted per value. The whole-array reference for the harness's streamed
+    measure."""
+    from probcal.metrics import _bin_indices, _level_auc, _summarize
+
+    levels, rank = np.unique(model.values_, return_inverse=True)
+    codes = rank.astype(np.min_scalar_type(levels.size - 1))[_bin_indices(model.edges_, test.scores)]
+    bins = None
+    if num_bins is not None:
+        members = np.array_split(np.argsort(codes, kind="stable"), num_bins)
+        bins = _summarize(levels[codes], test.labels, members)
+    return bins, _level_auc(codes, test.labels, levels.size) if with_auc else None
+
+
+def whole_test_set_measure(spec, model, n_test: int, test_stream, num_bins: int) -> tuple:
+    """(reliability bins, calibrated AUC, raw AUC) of a trial's test set drawn whole: by
+    ``generate_oracle``, then ``calibrated_bins``, then ``auc``; both AUCs are None when the
+    set holds one class."""
+    from probcal.metrics import auc
+    from probcal.synth import generate_oracle
+
+    test = generate_oracle(spec, n_test, test_stream)
+    two_class = 0 < test.n_pos < test.n_samples
+    bins, calibrated = calibrated_bins(model, test, num_bins, two_class)
+    return bins, calibrated, auc(test.scores, test.labels) if two_class else None

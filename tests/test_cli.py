@@ -913,6 +913,20 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and "no-such-dir" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("check", ["mce-bound", "ece-rate", "auc-loss", "theta-conc", "size-sweep"])
+    @pytest.mark.parametrize("flag, other", [("--json-out", "--csv-out"), ("--csv-out", "--json-out")])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_verify_checks_both_paths_before_the_first_trial(
+        self, check, flag, other, where, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("probcal.harness.generate_oracle", None)  # no trial may start
+        bad = tmp_path / "nodir" / "a.out" if where == "missing directory" else tmp_path
+        good = tmp_path / "good.out"
+        assert main(["verify", check, "--trials", "2", other, str(good), flag, str(bad)]) == EXIT_INPUT
+        reason = "no such directory" if where == "missing directory" else "is a directory"
+        assert capsys.readouterr() == ("", f"error: {flag} {bad}: {reason}\n")
+        assert not good.exists()
+
 
 class TestOutOfMemory:
     """A size too large for memory is an input error on one line, not exit 1 with a traceback.

@@ -17,6 +17,8 @@ import io
 import itertools
 import json
 import math
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,21 +28,54 @@ from hypothesis import strategies as st
 
 import probcal.data
 from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, FIT_FLAGS, METHODS, main
+from probcal.data import _map_blocks
 from probcal.synth import CURVES, OracleSpec, generate_oracle
 
 
+def _main_with_stderr(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and the text written meanwhile to stderr by this process and by
+    any child it forks: ``sys.stderr`` writes straight to fd 2, and fd 2 goes to a file."""
+    saved = os.dup(2)
+    with tempfile.TemporaryFile() as captured:
+        os.dup2(captured.fileno(), 2)
+        try:
+            # unbuffered, so that a forked child's copy holds no text of this process to write again
+            with io.TextIOWrapper(io.FileIO(2, "w", closefd=False), "utf-8", write_through=True) as err:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+        finally:
+            os.dup2(saved, 2)
+            os.close(saved)
+        captured.seek(0)
+        return code, captured.read().decode("utf-8")
+
+
 def _run(argv, warnings_first: bool = False) -> int:
-    """``main(argv)``'s exit code, once its stderr is checked: at most one line, no traceback;
-    with ``warnings_first``, any number of non-convergence ``warning:`` lines may come before it."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    lines = err.getvalue().splitlines(keepends=True)
+    """``main(argv)``'s exit code, once its stderr, a forked child's included, is checked: at most
+    one line, no traceback; with ``warnings_first``, any number of non-convergence ``warning:``
+    lines may come before it."""
+    code, err = _main_with_stderr(argv)
+    lines = err.splitlines(keepends=True)
     if warnings_first:
         lines = [line for line in lines if not (line.startswith("warning: ") and " stopped after " in line)]
     assert "".join(lines).count("\n") <= 1
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     return code
+
+
+def test_run_sees_the_stderr_of_a_forked_child():
+    def forking_main(argv):
+        # _map_blocks computes its second item in a forked child, which leaves by os._exit
+        list(_map_blocks(sys.stderr.write, ["warning: from the parent\n", "warning: from the child\n"]))
+        return EXIT_OK
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(globals(), "main", forking_main)
+        code, err = _main_with_stderr([])
+        assert code == EXIT_OK
+        assert sorted(err.splitlines()) == ["warning: from the child", "warning: from the parent"]
+        with pytest.raises(AssertionError):
+            _run([])  # two lines, one more than a run may write
 
 
 # each kind of value as (plausible values, edge values)

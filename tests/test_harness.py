@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,14 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import calibrated_bins, whole_test_set_measure
+from probcal import harness
 from probcal.binning import HistogramCalibrator
 from probcal.data import ScoredDataset
 from probcal.harness import (
     Assertion,
     SweepPoint,
     SweepReport,
-    _calibrated_bins,
+    _coded_test_set,
+    _frequency_bins,
     _monotone_assertion,
+    _raw_auc,
+    _score_blocks,
+    _test_blocks,
     calibration_size_sweep,
     default_test_size,
     hoeffding_bound,
@@ -27,7 +35,7 @@ from probcal.harness import (
     write_sweep_csv,
     write_sweep_json,
 )
-from probcal.metrics import _level_auc, _summarize, auc, ece, mce, reliability
+from probcal.metrics import _level_auc, auc, ece, mce, reliability
 from probcal.synth import OracleSpec, generate_oracle, true_theta
 
 IDENTITY = OracleSpec()
@@ -350,19 +358,19 @@ class TestCalibrationSizeSweep:
 
 @pytest.fixture()
 def harness_auc_calls(monkeypatch):
-    """Record the length of every score vector the harness computes an AUC on,
-    raw (``auc``) or calibrated (``_level_auc`` over per-row level codes)."""
+    """Record the test-set size of every AUC the harness computes, raw (``_raw_auc``, over
+    the test scores drawn again) or calibrated (``_level_auc`` over per-row level codes)."""
     calls = []
 
-    def counting(scores, labels):
-        calls.append(len(scores))
-        return auc(scores, labels)
+    def counting_raw(test_stream, labels):
+        calls.append(len(labels))
+        return _raw_auc(test_stream, labels)
 
     def counting_levels(codes, labels, n_levels):
         calls.append(len(codes))
         return _level_auc(codes, labels, n_levels)
 
-    monkeypatch.setattr("probcal.harness.auc", counting)
+    monkeypatch.setattr("probcal.harness._raw_auc", counting_raw)
     monkeypatch.setattr("probcal.harness._level_auc", counting_levels)
     return calls
 
@@ -372,11 +380,11 @@ def harness_summaries(monkeypatch):
     """Record the bin count of every reliability summary the harness builds."""
     calls = []
 
-    def counting(p, z, members):
-        calls.append(len(members))
-        return _summarize(p, z, members)
+    def counting(levels, codes, labels, num_bins):
+        calls.append(num_bins)
+        return _frequency_bins(levels, codes, labels, num_bins)
 
-    monkeypatch.setattr("probcal.harness._summarize", counting)
+    monkeypatch.setattr("probcal.harness._frequency_bins", counting)
     return calls
 
 
@@ -461,30 +469,33 @@ class TestTrialStreamsAndAucWork:
             assert r.max_theta_error == float(np.abs(model.theta_ - limits).max())
 
 
-class _RecordingOracle:
-    """``generate_oracle`` that records the spawn key of every stream it draws from and keeps
-    a weak reference to each test set (a trial's second stream) it returns. Before drawing a
-    test set it records how many earlier test sets are still alive."""
+class _RecordingStreams:
+    """Patches ``generate_oracle`` (calibration sets) and ``_test_blocks`` (test sets) to record
+    the spawn key of every stream drawn from, in order, and a weak reference to each block of a
+    test set. Before a test set's first block it records how many earlier blocks are alive."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.keys = []
-        self.test_sets = []
+        self.blocks = []
         self.alive_at_draw = []
+        monkeypatch.setattr("probcal.harness.generate_oracle", self.oracle)
+        monkeypatch.setattr("probcal.harness._test_blocks", self.test_blocks)
 
-    def __call__(self, spec, n, stream):
+    def oracle(self, spec, n, stream):
         self.keys.append(stream.spawn_key)
-        is_test = stream.spawn_key[-1] == 1
-        if is_test:
-            self.alive_at_draw.append(sum(ref() is not None for ref in self.test_sets))
-        data = generate_oracle(spec, n, stream)
-        if is_test:
-            self.test_sets.append(weakref.ref(data))
-        return data
+        return generate_oracle(spec, n, stream)
+
+    def test_blocks(self, spec, n, stream):
+        self.keys.append(stream.spawn_key)
+        self.alive_at_draw.append(sum(ref() is not None for ref in self.blocks))
+        for rows, scores, labels in _test_blocks(spec, n, stream):
+            self.blocks += [weakref.ref(scores), weakref.ref(labels)]
+            yield rows, scores, labels
 
 
 class TestTrialWorkAndTestSetLifetime:
-    """Each trial draws its calibration set, then (except in theta-conc) one test set, which
-    is dropped before the next trial draws its own."""
+    """Each trial draws its calibration set, then (except in theta-conc) one test set, block by
+    block; every block is dropped before the next trial draws its own."""
 
     @pytest.mark.parametrize(
         "run, test_sets",
@@ -506,34 +517,62 @@ class TestTrialWorkAndTestSetLifetime:
         ],
     )
     def test_no_test_set_outlives_its_trial(self, run, test_sets, monkeypatch):
-        recorder = _RecordingOracle()
-        monkeypatch.setattr("probcal.harness.generate_oracle", recorder)
+        recorder = _RecordingStreams(monkeypatch)
         run()
         assert recorder.alive_at_draw == [0] * test_sets
+        assert recorder.blocks and not any(ref() is not None for ref in recorder.blocks)
 
     def test_mce_bound_draws_a_calibration_and_a_test_set_per_trial(self, monkeypatch):
-        recorder = _RecordingOracle()
-        monkeypatch.setattr("probcal.harness.generate_oracle", recorder)
+        recorder = _RecordingStreams(monkeypatch)
         verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=3, n_test=2000)
         assert recorder.keys == [(t, stream) for t in range(3) for stream in (0, 1)]
 
     def test_theta_concentration_draws_only_calibration_sets(self, monkeypatch):
-        recorder = _RecordingOracle()
-        monkeypatch.setattr("probcal.harness.generate_oracle", recorder)
+        recorder = _RecordingStreams(monkeypatch)
         verify_theta_concentration(SQUARE, n_cal=1000, n_bins=5, epsilon_grid=(0.05,), trials=3)
         assert recorder.keys == [(t, 0) for t in range(3)]
 
 
 def _assert_same_as_predict(model, test, num_bins):
-    """The harness's code path gives the bins and AUC of ``model.predict``, bit for bit,
-    and with the bins skipped (``num_bins`` None) the same AUC and no bins."""
+    """The whole-array oracle gives the bins and AUC of ``model.predict``, bit for bit, and
+    with the bins skipped (``num_bins`` None) the same AUC and no bins."""
     predicted = model.predict(test.scores)
     two_class = 0 < test.n_pos < test.n_samples
-    bins, calibrated_auc = _calibrated_bins(model, test, num_bins, two_class)
+    bins, calibrated_auc = calibrated_bins(model, test, num_bins, two_class)
     # repr is exact for floats and shows NaN, which == would not match
     assert repr(bins) == repr(reliability(predicted, test.labels, num_bins=num_bins))
     assert calibrated_auc == (auc(predicted, test.labels) if two_class else None)
-    assert _calibrated_bins(model, test, None, two_class) == (None, calibrated_auc)
+    assert calibrated_bins(model, test, None, two_class) == (None, calibrated_auc)
+
+
+def _streamed_measure(spec, model, n_test, stream, num_bins) -> tuple:
+    """The harness's (bins, calibrated AUC, raw AUC) of one test set, computed as its measures
+    compute them; both AUCs are None for a one-class set."""
+    levels, codes, labels = _coded_test_set(spec, model, n_test, stream)
+    two_class = 0 < np.count_nonzero(labels) < n_test
+    return (
+        _frequency_bins(levels, codes, labels, num_bins),
+        _level_auc(codes, labels, levels.size) if two_class else None,
+        _raw_auc(stream, labels) if two_class else None,
+    )
+
+
+def _assert_streamed_as_whole(spec, model, n_test, stream, num_bins, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_BLOCK_ROWS", block)
+        streamed = repr(_streamed_measure(spec, model, n_test, stream, num_bins))
+    whole = repr(whole_test_set_measure(spec, model, n_test, stream, num_bins))
+    # compared outside the assert: pytest's diff of two reprs of thousands of bins takes minutes
+    at = len(os.path.commonprefix([streamed, whole]))
+    assert at == len(streamed) == len(whole), f"streamed {streamed[at:at + 80]!r}, whole {whole[at:at + 80]!r}"
+
+
+SPECS = [
+    IDENTITY, SQUARE, OracleSpec(curve="logistic"),
+    # one-class test sets, and a constant rate
+    OracleSpec(curve="constant", level=0.0), OracleSpec(curve="constant", level=1.0),
+    OracleSpec(curve="constant", level=0.3),
+]
 
 
 class TestCalibratedBins:
@@ -569,18 +608,98 @@ class TestCalibratedBins:
         test = generate_oracle(IDENTITY, 50_000, 2)
         for num_bins in (model.n_bins_, 10):
             _assert_same_as_predict(model, test, num_bins)
+        stream = np.random.SeedSequence(2)
+        dtype = np.uint8 if n_bins == 200 else np.uint16
+        assert _coded_test_set(IDENTITY, model, 10, stream)[1].dtype == dtype
+        # 30,011 rows in blocks of 4,096: the last block is short; 40,000 bins: some are empty
+        for num_bins in (model.n_bins_, 10, 40_000):
+            _assert_streamed_as_whole(IDENTITY, model, 30_011, stream, num_bins, 4096)
+
+
+class TestStreamedTestSet:
+    """The harness's streamed measure of a test set against the whole-array oracle:
+    ``generate_oracle``, then ``calibrated_bins``, then ``auc``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_cal=st.integers(1, 60),
+        grid=st.integers(1, 12),
+        n_bins=st.integers(1, 15),
+        rate=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        spec=st.sampled_from(SPECS),
+        n_test=st.integers(1, 300),
+        metric_bins=st.integers(1, 400),
+        block=st.sampled_from([1, 2, 7, 64, 1 << 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_whole_test_set(
+        self, n_cal, grid, n_bins, rate, spec, n_test, metric_bins, block, seed
+    ):
+        # calibration scores on a grid tie and collapse bins, and a rate of 0 or 1 leaves one
+        # level; metric bins may outnumber the rows and the levels, leaving some empty; small
+        # blocks split the set, its last block short unless the size is a multiple
+        rng = np.random.default_rng(seed)
+        cal_scores = rng.integers(0, grid + 1, n_cal) / grid
+        cal_labels = (rng.random(n_cal) < rate).astype(int)
+        model = HistogramCalibrator(n_bins=min(n_bins, n_cal)).fit(cal_scores, cal_labels)
+        stream = np.random.SeedSequence(seed, spawn_key=(0, 1))
+        _assert_streamed_as_whole(spec, model, n_test, stream, metric_bins, block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_test=st.integers(2, 300),
+        grid=st.integers(1, 20),
+        block=st.sampled_from([1, 3, 64, 1 << 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raw_auc_counts_ties_as_auc_does(self, n_test, grid, block, seed):
+        # scores drawn again on a grid tie within and across classes, and with 0 and 1
+        def tied(n, stream):
+            for rows, scores in _score_blocks(n, stream):
+                yield rows, np.round(scores * grid) / grid
+
+        stream = np.random.SeedSequence(seed)
+        scores = np.round(np.random.default_rng(stream).random(n_test) * grid) / grid
+        labels = np.random.default_rng(seed + 1).random(n_test) < 0.5
+        labels[:2] = True, False  # both classes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_BLOCK_ROWS", block)
+            patch.setattr(harness, "_score_blocks", tied)
+            assert _raw_auc(stream, labels) == auc(scores, labels)
+
+    @pytest.mark.parametrize("spec", SPECS[:3], ids=["identity", "square", "logistic"])
+    def test_blocks_are_the_oracle_rows(self, spec):
+        # 1e5 rows in blocks of 65,536: the second block is short
+        stream = np.random.SeedSequence(5, spawn_key=(2, 1))
+        blocks = list(_test_blocks(spec, 100_000, stream))
+        assert [(rows.start, scores.size) for rows, scores, _ in blocks] == [(0, 65_536), (65_536, 34_464)]
+        whole = generate_oracle(spec, 100_000, stream)
+        assert np.array_equal(np.concatenate([scores for _, scores, _ in blocks]), whole.scores)
+        assert np.array_equal(np.concatenate([labels for *_, labels in blocks]), whole.labels == 1)
+
+
+def test_a_million_row_test_set_is_streamed_in_bounded_memory():
+    # ece-rate at n_cal 1e5 draws a 1e6-row test set. Drawn whole it peaks at 33.8 MiB of
+    # traced allocations (8 MB for each float64 array); streamed it keeps one byte per row
+    # for the level code and one for the label, and peaks at 11.1 MiB
+    tracemalloc.start()
+    try:
+        verify_ece_rate(SQUARE, n_bins=10, n_grid=(1000, 100_000), trials=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def _first_test_set_one_class(monkeypatch):
     """Trial 0's test set holds negatives only, at every grid point."""
 
-    def generate(spec, n, stream):
-        data = generate_oracle(spec, n, stream)
-        if stream.spawn_key[-2:] == (0, 1):  # trial 0's second stream, its test set
-            return ScoredDataset(data.scores, np.zeros(n, dtype=np.int64))
-        return data
+    def blocks(spec, n, stream):
+        for rows, scores, labels in _test_blocks(spec, n, stream):
+            # trial 0's second stream, its test set
+            yield rows, scores, np.zeros_like(labels) if stream.spawn_key[-2:] == (0, 1) else labels
 
-    monkeypatch.setattr("probcal.harness.generate_oracle", generate)
+    monkeypatch.setattr("probcal.harness._test_blocks", blocks)
 
 
 def _assert_spread(summary, reports, names, spread="std"):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,10 @@ from scipy.special import expit
 from oracles import bin_rate_by_quadrature, fit_logistic
 from probcal.metrics import auc
 from probcal.synth import OracleSpec, generate_oracle, generate_xor, true_theta
+
+# SHA-256 of generate_oracle(OracleSpec(), 1000, seed=4)'s score then label bytes: the identity
+# curve's probabilities share the scores' memory, and its draws must not change a byte for it
+IDENTITY_DIGEST = "589c8bf58b1a8a164bec606a787a4620ef559b7cd0e344ede3415f7bbb2cab69"
 
 
 class TestOracleSpec:
@@ -31,6 +36,10 @@ class TestOracleSpec:
     def test_rejects_unknown_curve(self):
         with pytest.raises(ValueError, match="curve"):
             OracleSpec(curve="cubic")
+
+    def test_identity_probability_is_its_float64_input(self):
+        scores = np.linspace(0.0, 1.0, 5)
+        assert OracleSpec().probability(scores) is scores
 
     def test_rejects_out_of_range_level(self):
         with pytest.raises(ValueError, match="level"):
@@ -64,6 +73,16 @@ class TestGenerateOracle:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             generate_oracle(OracleSpec(), 0, seed=0)
+
+    def test_identity_curve_bytes(self):
+        # the identity curve's probabilities are the scores themselves, not a copy of them
+        data = generate_oracle(OracleSpec(), 1000, seed=4)
+        rng = np.random.default_rng(4)
+        scores = rng.random(1000)
+        assert np.array_equal(data.scores, scores)
+        assert np.array_equal(data.labels, (rng.random(1000) < scores).astype(np.int64))
+        digest = hashlib.sha256(data.scores.tobytes() + data.labels.tobytes()).hexdigest()
+        assert digest == IDENTITY_DIGEST
 
 
 class TestTrueTheta:

@@ -53,8 +53,8 @@ def test_every_target_resolves_and_every_patch_is_undone(tracing):
             assert patched.__wrapped__ is modules[module_name][attr]
         for (cls, attr), original in methods.items():
             assert cls.__dict__[attr].__wrapped__ is original
-        # the harness calls the traced AUC under the name it imported
-        assert harness.auc.__wrapped__ is modules["probcal.metrics"]["auc"]
+        # eval calls the traced AUC under the name the CLI imported
+        assert sys.modules["probcal.cli"].auc.__wrapped__ is modules["probcal.metrics"]["auc"]
     finally:
         recorder.uninstall()
 
@@ -80,9 +80,11 @@ def test_traced_trials_and_auc_calls(tracing):
     metrics = tracing.layer_metrics(recorder)
     # theta-conc reports its trials once, on its first point
     assert metrics["harness.trials"] == (5, "count")
-    # auc-loss calls auc for the raw AUC of each of its trials; the harness
-    # counts the calibrated AUC from its per-level class counts
-    assert metrics["metrics.auc.calls"] == (2, "count")
+    # the harness streams its test sets: auc-loss counts the raw AUC over the test scores drawn
+    # again and the calibrated AUC from per-level class counts, so the tracer sees no AUC call
+    # and only the calibration sets drawn (2 of 100 rows, then 3 of 200)
+    assert metrics["metrics.auc.calls"] == (0, "count")
+    assert metrics["synth.generate_oracle.rows"] == (2 * 100 + 3 * 200, "count")
 
 
 def test_traced_dpm_fit_counts_the_sweeps_of_the_serial_fit(tracing):
