@@ -97,6 +97,9 @@ METHODS = {
     "kde-shared": (KDECalibrator, {"shared_bandwidth": True}, ()),
     "dpm": (DPMCalibrator, {}, ("truncation", "alpha", "max_iter", "tol", "seed")),
 }
+# output destinations as (parsed attribute, flag), checked in this order by ``main``
+OUTPUTS = (("outfile", "--out"), ("reliability_out", "--reliability-out"), ("csv_out", "--csv-out"),
+           ("json_out", "--json-out"))
 # simulate kind: the keywords its flags may set
 KINDS = {"oracle": ("curve", "level"), "xor": ("noise_sd",)}
 # verify check: (help, its own flags)
@@ -171,10 +174,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.model is not None and args.prediction_column is not None:
-        raise ValueError("--model and --prediction-column cannot be combined")
-    column = args.prediction_column or args.score_column
-    data = load_scored_csv(args.infile, score_column=column, label_column=args.label_column)
+    data = load_scored_csv(args.infile, score_column=args.score_column, label_column=args.label_column)
     predictions = data.scores if args.model is None else load_model(args.model).predict(data.scores)
     report = evaluate(predictions, data.labels, **_options(args, EVAL_FLAGS))
     # (--out column, stdout label, value), in the order of both
@@ -225,8 +225,6 @@ def cmd_verify(args) -> int:
         "size-sweep": calibration_size_sweep,
     }
     options = _options(args, CHECKS[args.check][1] + VERIFY_FLAGS)
-    for flag, path in (("--csv-out", args.csv_out), ("--json-out", args.json_out)):
-        check_output_path(path, flag)  # before the first trial, not after the last
     report = routines[args.check](_oracle_spec(options), **options)
     if report.slope is not None:
         print(f"slope: {report.slope:.4f}")
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--model", default=None, help="apply this model to the score column first")
     eval_cmd.add_argument("--score-column", default="score")
     eval_cmd.add_argument("--label-column", default="label")
-    eval_cmd.add_argument("--prediction-column", default=None, help="evaluate this column as-is (no model)")
     _add_flags(eval_cmd, EVAL_FLAGS)
     eval_cmd.add_argument("--out", dest="outfile", default=None, help="metrics CSV path")
     eval_cmd.add_argument("--reliability-out", default=None, help="per-bin CSV path")
@@ -304,6 +301,8 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
         try:
             args = build_parser().parse_args(argv)
+            for attribute, flag in OUTPUTS:  # before any input is read or trial started
+                check_output_path(getattr(args, attribute, None), flag)
             return args.handler(args)
         except SystemExit as exc:  # from argparse: 0 after --help, 2 (EXIT_INPUT) for a bad flag
             return exc.code or EXIT_OK

@@ -34,7 +34,7 @@ import numpy as np
 from ._validation import require_count
 from .binning import HistogramCalibrator
 from .data import write_csv
-from .metrics import ReliabilityBin, _bin_indices, _level_auc, ece, mce
+from .metrics import ReliabilityBin, _bin_indices, _level_auc, _twice_u, ece, mce
 from .serialize import write_json
 from .synth import OracleSpec, generate_oracle, true_theta
 
@@ -175,12 +175,8 @@ def _raw_auc(test_stream, labels: np.ndarray) -> float:
         chosen = scores[~labels[rows]]
         neg[filled : filled + chosen.size], filled = chosen, filled + chosen.size
     neg.sort()
-    twice_u = 0  # per positive: (#neg below) + (#neg at or below); only one that ties a negative needs both
-    for rows, scores in _score_blocks(labels.size, test_stream):
-        pos = np.sort(scores[labels[rows]])
-        below = np.searchsorted(neg, pos)
-        tied = neg[np.minimum(below, neg.size - 1)] == pos
-        twice_u += int(below.sum() + below[~tied].sum() + np.searchsorted(neg, pos[tied], "right").sum())
+    blocks = _score_blocks(labels.size, test_stream)
+    twice_u = sum(_twice_u(neg, np.sort(scores[labels[rows]])) for rows, scores in blocks)
     return float(twice_u) / (2.0 * (labels.size - neg.size) * neg.size)
 
 

@@ -127,18 +127,22 @@ def auc(scores, labels) -> float:
 
     Equals (1/(m*n)) * sum over positive-negative pairs of
     I(score_pos > score_neg) + 0.5 * I(score_pos == score_neg). Twice that
-    pair count (the Mann-Whitney U) is counted exactly in int64 by binary
-    search of each positive in the sorted negatives, O(N log N).
+    pair count (the Mann-Whitney U) is counted exactly by ``_twice_u``, O(N log N).
     """
     y, z = scored_pair(scores, labels)
     _, m, n_neg = class_counts(z)
     if m == 0 or n_neg == 0:
         raise ValueError("AUC is undefined without both classes present")
-    neg = np.sort(y[z == 0])
-    pos = np.sort(y[z == 1])
-    # per positive: (#neg below) + (#neg at or below) = 2 * wins + ties
-    twice_u = np.searchsorted(neg, pos, "left").sum() + np.searchsorted(neg, pos, "right").sum()
-    return float(twice_u) / (2.0 * m * n_neg)
+    return float(_twice_u(np.sort(y[z == 0]), np.sort(y[z == 1]))) / (2.0 * m * n_neg)
+
+
+def _twice_u(neg: np.ndarray, pos: np.ndarray) -> int:
+    """Twice the Mann-Whitney U of sorted positives ``pos`` against sorted, non-empty negatives
+    ``neg``, by binary search: per positive, 2 * (#neg below) + (#neg tied) = 2 * wins + ties.
+    Only a positive that ties a negative needs the second search."""
+    below = np.searchsorted(neg, pos)
+    tied = neg.take(below, mode="clip") == pos
+    return int(2 * below.sum() + np.searchsorted(neg, pos[tied], "right").sum() - below[tied].sum())
 
 
 def _level_auc(codes: np.ndarray, z: np.ndarray, n_levels: int) -> float:

@@ -650,15 +650,20 @@ class TestEval:
             rows = list(csv.reader(handle))
         assert len(rows) == 6  # header plus one row per bin
 
-    def test_prediction_column_evaluated_as_is(self, scored_csv, histogram_model, tmp_path, capsys):
+    def test_score_column_without_model_evaluated_as_is(self, scored_csv, histogram_model, tmp_path, capsys):
         applied = tmp_path / "applied.csv"
         main(["apply", "--model", str(histogram_model), "--in", str(scored_csv), "--out", str(applied)])
-        code = main(["eval", "--in", str(applied), "--prediction-column", "calibrated"])
+        capsys.readouterr()
+        code = main(["eval", "--in", str(applied), "--score-column", "calibrated"])
         assert code == EXIT_OK
+        as_is = capsys.readouterr().out
+        assert main(["eval", "--in", str(scored_csv), "--model", str(histogram_model)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(as_is)  # the same five lines, then the AUC loss
 
     def test_missing_column(self, scored_csv, capsys):
-        code = main(["eval", "--in", str(scored_csv), "--prediction-column", "nope"])
+        code = main(["eval", "--in", str(scored_csv), "--score-column", "nope"])
         assert code == EXIT_INPUT
+        assert "missing column 'nope'" in capsys.readouterr().err
 
     def test_one_class_labels_are_input_error(self, histogram_model, tmp_path, capsys):
         data = tmp_path / "one_class.csv"
@@ -683,13 +688,6 @@ class TestEval:
         assert main(["eval", "--in", str(scored_csv), "--model", str(histogram_model)]) == EXIT_OK
         assert len(calls) == 2  # raw scores and predictions
         capsys.readouterr()
-
-    def test_model_and_prediction_column_cannot_be_combined(self, scored_csv, histogram_model, capsys):
-        code = main(
-            ["eval", "--in", str(scored_csv), "--model", str(histogram_model), "--prediction-column", "score"]
-        )
-        assert code == EXIT_INPUT
-        assert capsys.readouterr().err == "error: --model and --prediction-column cannot be combined\n"
 
 
 class TestVerifyCommand:
@@ -927,6 +925,51 @@ class TestUnwritableOutput:
         assert capsys.readouterr() == ("", f"error: {flag} {bad}: {reason}\n")
         assert not good.exists()
 
+    # (argv without the output flags, the output flags each command takes)
+    COMMANDS = {
+        "fit": (["fit", "--method", "dpm", "--in", "in.csv"], ["--out"]),
+        "apply": (["apply", "--model", "m.json", "--in", "in.csv"], ["--out"]),
+        "eval": (["eval", "--in", "in.csv", "--model", "m.json"], ["--out", "--reliability-out"]),
+        "simulate": (["simulate", "--kind", "xor", "--n", "10"], ["--out"]),
+    }
+
+    @staticmethod
+    def _no_input(monkeypatch):
+        """Make every input reader and generator of the commands raise, so none may run."""
+
+        def read(*args, **kwargs):
+            raise AssertionError("input read before the output paths were checked")
+
+        for name in ("load_scored_csv", "read_scored_rows", "load_model", "generate_oracle", "generate_xor"):
+            monkeypatch.setattr(probcal.cli, name, read)
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in COMMANDS.items() for f in flags])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_every_command_checks_before_reading_input(self, command, flag, where, tmp_path, monkeypatch, capsys):
+        self._no_input(monkeypatch)
+        argv, flags = self.COMMANDS[command]
+        bad = tmp_path / "nodir" / "a.out" if where == "missing directory" else tmp_path
+        good = {other: tmp_path / f"{other[2:]}.csv" for other in flags if other != flag}
+        outputs = [arg for other, path in good.items() for arg in (other, str(path))]
+        assert main([*argv, *outputs, flag, str(bad)]) == EXIT_INPUT
+        reason = "no such directory" if where == "missing directory" else "is a directory"
+        assert capsys.readouterr() == ("", f"error: {flag} {bad}: {reason}\n")
+        assert not os.listdir(tmp_path)  # no output file, the good one included
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["eval", "--in", "in.csv", "--reliability-out", "{dir}", "--out", "{dir}"], "--out"),
+            (["verify", "mce-bound", "--json-out", "{dir}", "--csv-out", "{dir}"], "--csv-out"),
+        ],
+        ids=["eval", "verify"],
+    )
+    def test_of_two_bad_paths_the_first_in_table_order_is_named(self, argv, named, tmp_path, monkeypatch, capsys):
+        self._no_input(monkeypatch)
+        monkeypatch.setattr("probcal.harness.generate_oracle", None)  # no trial may start
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {named} {tmp_path}: is a directory\n")
+
 
 class TestOutOfMemory:
     """A size too large for memory is an input error on one line, not exit 1 with a traceback.
@@ -1013,7 +1056,7 @@ class TestPipeline:
         assert main(["simulate", "--kind", "oracle", "--n", "500", "--curve", "square", "--out", str(data)]) == EXIT_OK
         assert main(["fit", "--method", "kde", "--in", str(data), "--out", str(model)]) == EXIT_OK
         assert main(["apply", "--model", str(model), "--in", str(data), "--out", str(applied)]) == EXIT_OK
-        assert main(["eval", "--in", str(applied), "--prediction-column", "calibrated"]) == EXIT_OK
+        assert main(["eval", "--in", str(applied), "--score-column", "calibrated"]) == EXIT_OK
         capsys.readouterr()
 
 

@@ -219,8 +219,11 @@ def test_csv_input_ends_in_a_documented_exit_and_apply_keeps_each_row(content, b
         model.write_text(json.dumps(HISTOGRAM))
         fit = _run(["fit", "--method", "histogram", "--in", str(data), "--out", str(Path(tmp) / "fit.json")])
         applied = _run(["apply", "--model", str(model), "--in", str(data), "--out", str(out)])
-        evaluated = _run(["eval", "--in", str(data), "--prediction-column", "score"])
+        evaluated = _run(["eval", "--in", str(data), "--score-column", "score"])
         assert {fit, applied, evaluated} <= {EXIT_OK, EXIT_INPUT, EXIT_FIT}
+        if fit == EXIT_OK:  # eval reads the same two columns by the same rules; its AUC needs both classes
+            loaded = probcal.data.load_scored_csv(data)
+            assert evaluated == (EXIT_OK if loaded.n_pos and loaded.n_neg else EXIT_INPUT)
         if applied == EXIT_OK:
             header, *rows = csv.reader(io.StringIO(content.decode("utf-8"), newline=""))
             written = list(csv.reader(io.StringIO(out.read_bytes().decode("utf-8"), newline="")))

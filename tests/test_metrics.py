@@ -146,6 +146,26 @@ class TestReliability:
         assert ece(bins) == pytest.approx(expected, abs=1e-12)
 
 
+# score placements for the rankdata reference: level codes in [0, levels) to scores in [0, 1]
+def _evenly_spaced(codes, levels, rng):
+    return codes / levels
+
+
+def _signed_zeros(codes, levels, rng):
+    """About half the scores are zeros, and about half of those -0.0: a tie of -0.0 and 0.0."""
+    scores = np.maximum(codes - levels // 2, 0) / levels
+    scores[(scores == 0) & (rng.random(codes.size) < 0.5)] = -0.0
+    return scores
+
+
+def _adjacent_floats(codes, levels, rng):
+    """``levels`` adjacent floats down from just above 0.5, across the binade boundary there."""
+    grid = [np.nextafter(0.5, 1.0)]
+    for _ in range(levels - 1):
+        grid.append(np.nextafter(grid[-1], 0.0))
+    return np.array(grid)[codes]
+
+
 class TestAuc:
     def test_four_sample_worked_example(self):
         scores = np.array([0.2, 0.4, 0.4, 0.8])
@@ -182,12 +202,14 @@ class TestAuc:
         labels=st.lists(st.integers(0, 1), min_size=2, max_size=300),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_equals_rankdata_reference_exactly(self, levels, labels, seed):
+    @pytest.mark.parametrize("place", [_evenly_spaced, _signed_zeros, _adjacent_floats],
+                             ids=lambda place: place.__name__.strip("_").replace("_", " "))
+    def test_equals_rankdata_reference_exactly(self, place, levels, labels, seed):
         rng = np.random.default_rng(seed)
         labels = np.array(labels)
         labels[0], labels[-1] = 0, 1
         # few levels force long tie runs; many give mostly distinct scores
-        scores = rng.integers(0, levels, labels.size) / levels
+        scores = place(rng.integers(0, levels, labels.size), levels, rng)
         m = int(labels.sum())
         n_neg = labels.size - m
         ranks = rankdata(scores, method="average")
