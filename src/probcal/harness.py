@@ -19,8 +19,8 @@ All five run their trials through one runner, ``_trials``, which draws
 and fits and then calls the routine's own measure. Trial t's streams derive
 from the master seed and a spawn key ``(t,)`` or ``(grid_index, t)``, so
 trial t draws the same data however many trials run and in whatever order.
-A measure draws its test set in blocks and keeps one byte per row for the
-fitted level and one for the label, yet reports the figures of the whole set.
+A measure reads its test set in ``synth``'s oracle blocks, keeps one byte per
+row for the fitted level and one for the label, and reports the whole set's figures.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from .binning import HistogramCalibrator
 from .data import write_csv
 from .metrics import ReliabilityBin, _bin_indices, _level_auc, _twice_u, ece, mce
 from .serialize import write_json
-from .synth import OracleSpec, generate_oracle, true_theta
+from . import synth
+from .synth import OracleSpec, _oracle_blocks, _score_blocks, generate_oracle, true_theta
 
 DEFAULT_MIN_TEST = 100_000
 _SLOPE_WINDOW = (-0.65, -0.35)  # verify_ece_rate's acceptance window for the log-log slope
 _SWEEP_NUM_BINS = 10  # calibration_size_sweep's reliability bins, the same at every size
-_BLOCK_ROWS = 1 << 16  # test rows drawn, coded and counted at a time
 
 
 @dataclass(frozen=True)
@@ -119,27 +119,12 @@ def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = 
     return summary
 
 
-def _score_blocks(n_test: int, test_stream):
-    """(rows, scores) per block of at most ``_BLOCK_ROWS`` test rows: the stream's first draws."""
-    draw = np.random.default_rng(test_stream).random
-    for start in range(0, n_test, _BLOCK_ROWS):
-        yield slice(start, start + _BLOCK_ROWS), draw(min(_BLOCK_ROWS, n_test - start))
-
-
-def _test_blocks(spec: OracleSpec, n_test: int, test_stream):
-    """(rows, scores, labels as bool) per block of ``generate_oracle(spec, n_test, test_stream)``, bit
-    for bit: its label uniforms, the next ``n_test`` draws, come from a copy advanced past the scores."""
-    draw = np.random.Generator(np.random.PCG64(test_stream).advance(int(n_test))).random  # takes no np.int64
-    for rows, scores in _score_blocks(n_test, test_stream):
-        yield rows, scores, draw(scores.size) < spec.probability(scores)
-
-
 def _coded_test_set(spec: OracleSpec, model: HistogramCalibrator, n_test: int, test_stream) -> tuple:
     """(levels, codes, labels): ``model``'s values ascending, and per test row, in arrays allocated
     before the first draw, the rank of its value among them (uint8 up to 256 levels) and its label."""
     levels, rank = np.unique(model.values_, return_inverse=True)
     codes, labels = np.empty(n_test, np.min_scalar_type(levels.size - 1)), np.empty(n_test, bool)
-    for rows, scores, labels[rows] in _test_blocks(spec, n_test, test_stream):
+    for rows, scores, labels[rows] in _oracle_blocks(spec, n_test, test_stream):
         codes[rows] = rank[_bin_indices(model.edges_, scores)]
     return levels, codes, labels
 
@@ -152,12 +137,12 @@ def _frequency_bins(levels: np.ndarray, codes: np.ndarray, labels: np.ndarray, n
     starts = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=levels.size))))
     cuts = [j * (n // num_bins) + min(j, n % num_bins) for j in range(num_bins + 1)]  # np.array_split's
     seen, pos = starts[:-1].copy(), np.zeros(len(cuts), dtype=np.int64)  # positives before each cut
-    for start in range(0, n, _BLOCK_ROWS):
-        block = codes[start : start + _BLOCK_ROWS]
+    for start in range(0, n, synth._BLOCK_ROWS):  # read at call time: one constant sets both block sizes
+        block = codes[start : start + synth._BLOCK_ROWS]
         order = np.argsort(block, kind="stable")
         per_level = np.bincount(block, minlength=levels.size)
         place = (seen - np.cumsum(per_level) + per_level)[block[order]] + np.arange(block.size)
-        pos += np.searchsorted(place[labels[start : start + _BLOCK_ROWS][order]], cuts)
+        pos += np.searchsorted(place[labels[start : start + synth._BLOCK_ROWS][order]], cuts)
         seen += per_level
     bins, pos = [], pos.tolist()
     for j in range(min(num_bins, n)):  # bins beyond the n-th are empty

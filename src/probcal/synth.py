@@ -17,6 +17,7 @@ from .data import ScoredDataset
 from .base import _expit
 
 CURVES = ("identity", "square", "logistic", "constant")
+_BLOCK_ROWS = 1 << 16  # oracle rows drawn at a time
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,28 @@ class OracleSpec:
         return np.full_like(y, self.level)
 
 
+def _score_blocks(n: int, seed):
+    """(rows, scores) per block of at most ``_BLOCK_ROWS`` oracle rows: the seed's first n draws."""
+    draw = np.random.default_rng(seed).random
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, start + _BLOCK_ROWS), draw(min(_BLOCK_ROWS, n - start))
+
+
+def _oracle_blocks(spec: OracleSpec, n: int, seed):
+    """(rows, scores, labels as bool) per block of n oracle rows. Label i's uniform is the seed's
+    draw n + i, from a second generator advanced past the scores (O'Neill 2014)."""
+    draw = np.random.Generator(np.random.PCG64(seed).advance(int(n))).random  # advance takes no np.int64
+    for rows, scores in _score_blocks(n, seed):
+        yield rows, scores, draw(scores.size) < spec.probability(scores)
+
+
 def generate_oracle(spec: OracleSpec, n: int, seed) -> ScoredDataset:
-    """Draw n (score, label) pairs from the oracle; deterministic given seed."""
+    """Draw n (score, label) pairs from the oracle; deterministic given seed (an int or a SeedSequence).
+    Both arrays are allocated before the first draw, so a size too large for memory fails at once."""
     require_count(1, n=n)
-    rng = np.random.default_rng(seed)
-    scores = rng.random(n)
-    labels = (rng.random(n) < spec.probability(scores)).astype(np.int64)
+    scores, labels = np.empty(n), np.empty(n, np.int64)
+    for rows, block, positive in _oracle_blocks(spec, n, seed):
+        scores[rows], labels[rows] = block, positive
     return ScoredDataset(scores, labels)
 
 

@@ -618,14 +618,23 @@ def calibrated_bins(model, test, num_bins, with_auc: bool) -> tuple:
     return bins, _level_auc(codes, test.labels, levels.size) if with_auc else None
 
 
+def oracle_draw(spec, n: int, seed):
+    """``generate_oracle(spec, n, seed)`` drawn whole from one generator: n uniform scores, then n
+    uniforms each compared with the truth curve at its score. The reference for the blocked draw."""
+    from probcal.data import ScoredDataset
+
+    rng = np.random.default_rng(seed)
+    scores = rng.random(n)
+    return ScoredDataset(scores, (rng.random(n) < spec.probability(scores)).astype(np.int64))
+
+
 def whole_test_set_measure(spec, model, n_test: int, test_stream, num_bins: int) -> tuple:
     """(reliability bins, calibrated AUC, raw AUC) of a trial's test set drawn whole: by
-    ``generate_oracle``, then ``calibrated_bins``, then ``auc``; both AUCs are None when the
+    ``oracle_draw``, then ``calibrated_bins``, then ``auc``; both AUCs are None when the
     set holds one class."""
     from probcal.metrics import auc
-    from probcal.synth import generate_oracle
 
-    test = generate_oracle(spec, n_test, test_stream)
+    test = oracle_draw(spec, n_test, test_stream)
     two_class = 0 < test.n_pos < test.n_samples
     bins, calibrated = calibrated_bins(model, test, num_bins, two_class)
     return bins, calibrated, auc(test.scores, test.labels) if two_class else None

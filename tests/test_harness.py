@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import calibrated_bins, whole_test_set_measure
-from probcal import harness
+from probcal import harness, synth
 from probcal.binning import HistogramCalibrator
 from probcal.data import ScoredDataset
 from probcal.harness import (
@@ -22,8 +22,6 @@ from probcal.harness import (
     _frequency_bins,
     _monotone_assertion,
     _raw_auc,
-    _score_blocks,
-    _test_blocks,
     calibration_size_sweep,
     default_test_size,
     hoeffding_bound,
@@ -36,7 +34,7 @@ from probcal.harness import (
     write_sweep_json,
 )
 from probcal.metrics import _level_auc, auc, ece, mce, reliability
-from probcal.synth import OracleSpec, generate_oracle, true_theta
+from probcal.synth import OracleSpec, _oracle_blocks, _score_blocks, generate_oracle, true_theta
 
 IDENTITY = OracleSpec()
 SQUARE = OracleSpec(curve="square")
@@ -470,7 +468,7 @@ class TestTrialStreamsAndAucWork:
 
 
 class _RecordingStreams:
-    """Patches ``generate_oracle`` (calibration sets) and ``_test_blocks`` (test sets) to record
+    """Patches ``generate_oracle`` (calibration sets) and ``_oracle_blocks`` (test sets) to record
     the spawn key of every stream drawn from, in order, and a weak reference to each block of a
     test set. Before a test set's first block it records how many earlier blocks are alive."""
 
@@ -479,7 +477,7 @@ class _RecordingStreams:
         self.blocks = []
         self.alive_at_draw = []
         monkeypatch.setattr("probcal.harness.generate_oracle", self.oracle)
-        monkeypatch.setattr("probcal.harness._test_blocks", self.test_blocks)
+        monkeypatch.setattr("probcal.harness._oracle_blocks", self.test_blocks)
 
     def oracle(self, spec, n, stream):
         self.keys.append(stream.spawn_key)
@@ -488,7 +486,7 @@ class _RecordingStreams:
     def test_blocks(self, spec, n, stream):
         self.keys.append(stream.spawn_key)
         self.alive_at_draw.append(sum(ref() is not None for ref in self.blocks))
-        for rows, scores, labels in _test_blocks(spec, n, stream):
+        for rows, scores, labels in _oracle_blocks(spec, n, stream):
             self.blocks += [weakref.ref(scores), weakref.ref(labels)]
             yield rows, scores, labels
 
@@ -557,10 +555,45 @@ def _streamed_measure(spec, model, n_test, stream, num_bins) -> tuple:
     )
 
 
+class _CountingNumpy:
+    """numpy as the harness sees it, recording the size of each array it argsorts: one call per
+    block of ``_frequency_bins``, the harness's only argsort."""
+
+    def __init__(self):
+        self.sorted = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, a, **kwargs):
+        self.sorted.append(a.size)
+        return np.argsort(a, **kwargs)
+
+
+def _recording(blocks, sizes: list):
+    """``blocks``, appending each block's row count to ``sizes``."""
+
+    def recorded(*args):
+        for block in blocks(*args):
+            sizes.append(block[1].size)
+            yield block
+
+    return recorded
+
+
 def _assert_streamed_as_whole(spec, model, n_test, stream, num_bins, block):
+    # synth's block size sets the draw's blocks and _frequency_bins' count blocks alike
+    drawn, raw, counting = [], [], _CountingNumpy()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_BLOCK_ROWS", block)
-        streamed = repr(_streamed_measure(spec, model, n_test, stream, num_bins))
+        patch.setattr(synth, "_BLOCK_ROWS", block)
+        patch.setattr(harness, "_oracle_blocks", _recording(_oracle_blocks, drawn))
+        patch.setattr(harness, "_score_blocks", _recording(_score_blocks, raw))
+        patch.setattr(harness, "np", counting)
+        streamed = _streamed_measure(spec, model, n_test, stream, num_bins)
+    sizes = [min(block, n_test - start) for start in range(0, n_test, block)]
+    assert drawn == counting.sorted == sizes
+    assert raw == (2 * sizes if streamed[2] is not None else [])  # two passes for the raw AUC
+    streamed = repr(streamed)
     whole = repr(whole_test_set_measure(spec, model, n_test, stream, num_bins))
     # compared outside the assert: pytest's diff of two reprs of thousands of bins takes minutes
     at = len(os.path.commonprefix([streamed, whole]))
@@ -618,7 +651,7 @@ class TestCalibratedBins:
 
 class TestStreamedTestSet:
     """The harness's streamed measure of a test set against the whole-array oracle:
-    ``generate_oracle``, then ``calibrated_bins``, then ``auc``."""
+    ``oracle_draw``, then ``calibrated_bins``, then ``auc``."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -658,24 +691,16 @@ class TestStreamedTestSet:
             for rows, scores in _score_blocks(n, stream):
                 yield rows, np.round(scores * grid) / grid
 
+        sizes = []
         stream = np.random.SeedSequence(seed)
         scores = np.round(np.random.default_rng(stream).random(n_test) * grid) / grid
         labels = np.random.default_rng(seed + 1).random(n_test) < 0.5
         labels[:2] = True, False  # both classes
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "_BLOCK_ROWS", block)
-            patch.setattr(harness, "_score_blocks", tied)
+            patch.setattr(synth, "_BLOCK_ROWS", block)
+            patch.setattr(harness, "_score_blocks", _recording(tied, sizes))
             assert _raw_auc(stream, labels) == auc(scores, labels)
-
-    @pytest.mark.parametrize("spec", SPECS[:3], ids=["identity", "square", "logistic"])
-    def test_blocks_are_the_oracle_rows(self, spec):
-        # 1e5 rows in blocks of 65,536: the second block is short
-        stream = np.random.SeedSequence(5, spawn_key=(2, 1))
-        blocks = list(_test_blocks(spec, 100_000, stream))
-        assert [(rows.start, scores.size) for rows, scores, _ in blocks] == [(0, 65_536), (65_536, 34_464)]
-        whole = generate_oracle(spec, 100_000, stream)
-        assert np.array_equal(np.concatenate([scores for _, scores, _ in blocks]), whole.scores)
-        assert np.array_equal(np.concatenate([labels for *_, labels in blocks]), whole.labels == 1)
+        assert sizes == 2 * [min(block, n_test - start) for start in range(0, n_test, block)]
 
 
 def test_a_million_row_test_set_is_streamed_in_bounded_memory():
@@ -691,15 +716,60 @@ def test_a_million_row_test_set_is_streamed_in_bounded_memory():
     assert peak < 20 * 2**20
 
 
+# the checks at the benchmark's trial counts and every other default, identity curve, seed 1
+_VERIFY_MC = {
+    "mce-bound": lambda: verify_mce_bound(IDENTITY, trials=10, seed=1),
+    "ece-rate": lambda: verify_ece_rate(IDENTITY, trials=3, seed=1),
+    "auc-loss": lambda: verify_auc_loss(IDENTITY, trials=2, seed=1),
+    "theta-conc": lambda: verify_theta_concentration(IDENTITY, trials=50, seed=1),
+    "size-sweep": lambda: calibration_size_sweep(IDENTITY, trials=2, seed=1),
+}
+
+
+def _values_reversed(model):
+    model.values_ = model.values_[::-1].copy()
+
+
+def _raised(model):
+    model.theta_, model.values_ = model.theta_ + 0.02, model.values_ + 0.02
+
+
+@pytest.mark.parametrize(
+    "mutation, passed",
+    [
+        pytest.param(None, dict.fromkeys(_VERIFY_MC, True), id="sound"),
+        # the order of the bins' values is wrong; theta-conc reads theta_ alone, so it cannot see it
+        pytest.param(
+            _values_reversed,
+            dict.fromkeys(("mce-bound", "ece-rate", "auc-loss", "size-sweep"), False),
+            id="values-reversed",
+        ),
+        pytest.param(_raised, {"theta-conc": False}, id="raised-0.02"),
+    ],
+)
+def test_each_check_fails_when_its_guarantee_is_broken(mutation, passed, monkeypatch):
+    # every fit goes through _set_state, so the mutation reaches each trial's model
+    if mutation is not None:
+        set_state = HistogramCalibrator._set_state
+
+        def mutated(self, *args):
+            model = set_state(self, *args)
+            mutation(model)
+            return model
+
+        monkeypatch.setattr(HistogramCalibrator, "_set_state", mutated)
+    assert {check: _VERIFY_MC[check]().passed for check in passed} == passed
+
+
 def _first_test_set_one_class(monkeypatch):
     """Trial 0's test set holds negatives only, at every grid point."""
 
     def blocks(spec, n, stream):
-        for rows, scores, labels in _test_blocks(spec, n, stream):
+        for rows, scores, labels in _oracle_blocks(spec, n, stream):
             # trial 0's second stream, its test set
             yield rows, scores, np.zeros_like(labels) if stream.spawn_key[-2:] == (0, 1) else labels
 
-    monkeypatch.setattr("probcal.harness._test_blocks", blocks)
+    monkeypatch.setattr("probcal.harness._oracle_blocks", blocks)
 
 
 def _assert_spread(summary, reports, names, spread="std"):

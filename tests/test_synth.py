@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
-from oracles import bin_rate_by_quadrature, fit_logistic
+from oracles import bin_rate_by_quadrature, fit_logistic, oracle_draw
 from probcal.metrics import auc
-from probcal.synth import OracleSpec, generate_oracle, generate_xor, true_theta
+from probcal.synth import _BLOCK_ROWS, OracleSpec, _oracle_blocks, generate_oracle, generate_xor, true_theta
 
 # SHA-256 of generate_oracle(OracleSpec(), 1000, seed=4)'s score then label bytes: the identity
 # curve's probabilities share the scores' memory, and its draws must not change a byte for it
@@ -83,6 +85,38 @@ class TestGenerateOracle:
         assert np.array_equal(data.labels, (rng.random(1000) < scores).astype(np.int64))
         digest = hashlib.sha256(data.scores.tobytes() + data.labels.tobytes()).hexdigest()
         assert digest == IDENTITY_DIGEST
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # one row, a short or exact first block, one row past it, and a short third block
+        n=st.sampled_from([1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 5]),
+        spec=st.sampled_from([
+            OracleSpec(), OracleSpec(curve="square"), OracleSpec(curve="logistic"),
+            OracleSpec(curve="constant", level=0.0), OracleSpec(curve="constant", level=1.0),
+            OracleSpec(curve="constant", level=0.3),
+        ]),
+        seed=st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.builds(
+                lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=key),
+                st.integers(0, 2**32 - 1),
+                st.tuples(st.integers(0, 3), st.integers(0, 1)),
+            ),
+        ),
+    )
+    def test_blocks_and_arrays_are_the_whole_draw(self, n, spec, seed):
+        # generate_oracle and the blocks the harness reads, against scores and labels drawn whole
+        reference = oracle_draw(spec, n, seed)
+        data = generate_oracle(spec, n, seed)
+        assert data.labels.dtype == np.int64
+        assert np.array_equal(data.scores, reference.scores)
+        assert np.array_equal(data.labels, reference.labels)
+        blocks = list(_oracle_blocks(spec, n, seed))
+        assert [(rows.start, scores.size) for rows, scores, _ in blocks] == [
+            (start, min(_BLOCK_ROWS, n - start)) for start in range(0, n, _BLOCK_ROWS)
+        ]
+        assert np.array_equal(np.concatenate([scores for _, scores, _ in blocks]), reference.scores)
+        assert np.array_equal(np.concatenate([labels for *_, labels in blocks]), reference.labels == 1)
 
 
 class TestTrueTheta:
