@@ -20,7 +20,7 @@ import numpy as np
 
 from ._validation import as_scores, model_field, require_count, scored_pair
 from .base import BaseCalibrator
-from .metrics import SCHEME_FREQUENCY, SCHEME_WIDTH, SCHEMES, _bin_indices
+from .metrics import SCHEME_FREQUENCY, SCHEME_WIDTH, SCHEMES, _bin_indices, _cuts
 
 
 def default_bin_count(n_samples: int) -> int:
@@ -88,8 +88,7 @@ class HistogramCalibrator(BaseCalibrator):
             edges = np.linspace(0.0, 1.0, b + 1)
         else:
             ordered = np.sort(y)
-            # first rows of the groups 1..b-1 of np.array_split(ordered, b)
-            starts = np.arange(1, b) * (n // b) + np.minimum(np.arange(1, b), n % b)
+            starts = _cuts(n, b)[1:-1]  # the first rows of groups 1..b-1
             lo, hi = ordered[starts - 1], ordered[starts]
             # no edge where a tie spans a boundary; the cuts never decrease, so a mask drops
             # repeats (a plain np.unique imports numpy.ma: 15 ms and a megabyte)

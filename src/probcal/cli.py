@@ -4,7 +4,7 @@ Subcommands: fit, apply, eval, simulate, verify. A flag that feeds a library
 keyword has no default here: left unset, it is not passed, so the library's
 default applies; a flag the chosen fit method, simulate kind or oracle curve
 does not use is an input error. Only simulate, verify and ``fit --method dpm``
-take --seed.
+take --seed. verify calls the ``harness`` routine that ``CHECKS`` names.
 Exit codes, all set in ``main``: 0 success, 1 verification assertion failed,
 2 input error (bad or unused flag, unreadable or malformed input, unwritable
 output, a size too large for memory), 3 fit error. Errors and calibrator
@@ -20,15 +20,8 @@ import warnings
 from .binning import HistogramCalibrator
 from .data import check_output_path, format_cells, load_scored_csv, read_scored_rows, write_csv
 from .density import DPMCalibrator, KDECalibrator
-from .harness import (
-    calibration_size_sweep,
-    verify_auc_loss,
-    verify_ece_rate,
-    verify_mce_bound,
-    verify_theta_concentration,
-    write_sweep_csv,
-    write_sweep_json,
-)
+from . import harness
+from .harness import write_sweep_csv, write_sweep_json
 from .metrics import SCHEMES, auc, evaluate, write_reliability_csv
 from .monotone import IsotonicCalibrator, PlattCalibrator
 from .serialize import load_model, save_model
@@ -102,15 +95,17 @@ OUTPUTS = (("outfile", "--out"), ("reliability_out", "--reliability-out"), ("csv
            ("json_out", "--json-out"))
 # simulate kind: the keywords its flags may set
 KINDS = {"oracle": ("curve", "level"), "xor": ("noise_sd",)}
-# verify check: (help, its own flags)
+# verify check: (its harness routine, by name so that a rebinding on harness is called; help; its own flags)
 CHECKS = {
-    "mce-bound": ("high-probability MCE bound",
+    "mce-bound": ("verify_mce_bound", "high-probability MCE bound",
                   (_N_CAL, _BINS, ("--delta", "delta", float), _TRIALS, _TEST_SIZE)),
-    "ece-rate": ("ECE decay rate in the calibration size", (_BINS, ("--n-grid", "n_grid", _INTS), _TRIALS)),
-    "auc-loss": ("average AUC loss against 1/(2B)", (_N_CAL, ("--bin-grid", "bin_grid", _INTS), _TRIALS)),
-    "theta-conc": ("per-bin rate concentration vs Hoeffding",
+    "ece-rate": ("verify_ece_rate", "ECE decay rate in the calibration size",
+                 (_BINS, ("--n-grid", "n_grid", _INTS), _TRIALS)),
+    "auc-loss": ("verify_auc_loss", "average AUC loss against 1/(2B)",
+                 (_N_CAL, ("--bin-grid", "bin_grid", _INTS), _TRIALS)),
+    "theta-conc": ("verify_theta_concentration", "per-bin rate concentration vs Hoeffding",
                    (_N_CAL, _BINS, ("--epsilon-grid", "epsilon_grid", _REALS), _TRIALS)),
-    "size-sweep": ("MCE/ECE against calibration-set size",
+    "size-sweep": ("calibration_size_sweep", "MCE/ECE against calibration-set size",
                    (("--sizes", "sizes", _INTS), _TRIALS, _TEST_SIZE,
                     ("--bins", "n_bins", int, "fixed bin count (default: cube-root rule)"))),
 }
@@ -216,16 +211,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # built per call, so a routine rebound on this module (say, by a tracer) is the one called
-    routines = {
-        "mce-bound": verify_mce_bound,
-        "ece-rate": verify_ece_rate,
-        "auc-loss": verify_auc_loss,
-        "theta-conc": verify_theta_concentration,
-        "size-sweep": calibration_size_sweep,
-    }
-    options = _options(args, CHECKS[args.check][1] + VERIFY_FLAGS)
-    report = routines[args.check](_oracle_spec(options), **options)
+    routine, _, flags = CHECKS[args.check]
+    options = _options(args, flags + VERIFY_FLAGS)
+    report = getattr(harness, routine)(_oracle_spec(options), **options)
     if report.slope is not None:
         print(f"slope: {report.slope:.4f}")
     for point in report.points:
@@ -285,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run a Monte-Carlo bound verification")
     checks = verify.add_subparsers(dest="check", required=True)
-    for check, (text, flags) in CHECKS.items():
+    for check, (_, text, flags) in CHECKS.items():
         sub = checks.add_parser(check, help=text)
         _add_flags(sub, flags + VERIFY_FLAGS)
         sub.add_argument("--csv-out", default=None)

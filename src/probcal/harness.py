@@ -34,7 +34,7 @@ import numpy as np
 from ._validation import require_count
 from .binning import HistogramCalibrator
 from .data import write_csv
-from .metrics import ReliabilityBin, _bin_indices, _level_auc, _twice_u, ece, mce
+from .metrics import ReliabilityBin, _bin_indices, _cuts, _level_auc, _twice_u, ece, mce
 from .serialize import write_json
 from . import synth
 from .synth import OracleSpec, _oracle_blocks, _score_blocks, generate_oracle, true_theta
@@ -130,12 +130,12 @@ def _coded_test_set(spec: OracleSpec, model: HistogramCalibrator, n_test: int, t
 
 
 def _frequency_bins(levels: np.ndarray, codes: np.ndarray, labels: np.ndarray, num_bins: int) -> list:
-    """``reliability(levels[codes], labels, num_bins)``, bit for bit: its bins cut the stable sort of
-    the codes, where level k spans places starts[k] to starts[k + 1] and a bin averages its levels,
-    each repeated by its run in it; a block's i-th row of level k is at starts[k] + i + earlier rows."""
+    """``reliability(levels[codes], labels, num_bins)``, bit for bit: its bins cut the codes' stable sort
+    at the same ``_cuts``; level k spans places starts[k] to starts[k + 1], a bin averages its levels,
+    each repeated by its run in it, and a block's i-th row of level k is at starts[k] + i + earlier rows."""
     n = codes.size
     starts = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=levels.size))))
-    cuts = [j * (n // num_bins) + min(j, n % num_bins) for j in range(num_bins + 1)]  # np.array_split's
+    cuts = _cuts(n, num_bins).tolist()
     seen, pos = starts[:-1].copy(), np.zeros(len(cuts), dtype=np.int64)  # positives before each cut
     for start in range(0, n, synth._BLOCK_ROWS):  # read at call time: one constant sets both block sizes
         block = codes[start : start + synth._BLOCK_ROWS]

@@ -44,6 +44,12 @@ def _bin_indices(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _cuts(n: int, num_bins: int) -> np.ndarray:
+    """The num_bins + 1 boundaries, int64, of n sorted places cut into num_bins groups whose
+    sizes differ by at most one, the larger first: the one equal-frequency cut of fit and bins."""
+    return (j := np.arange(num_bins + 1, dtype=np.int64)) * (n // num_bins) + np.minimum(j, n % num_bins)
+
+
 @dataclass(frozen=True)
 class ReliabilityBin:
     """Per-bin summary; mean_prediction/positive_fraction are NaN when empty."""
@@ -78,9 +84,9 @@ def reliability(
     """Assign each prediction to one of num_bins bins and summarize them.
 
     Equal-frequency bins sort the predictions (stable, so ties split by
-    position) and cut the order into groups whose sizes differ by at most
-    one. Equal-width bins cut [0, 1] at i/num_bins; they are right-open with
-    the last closed at 1 and may be empty.
+    position) and cut the order at ``_cuts``, into groups whose sizes
+    differ by at most one, the larger first. Equal-width bins cut [0, 1]
+    at i/num_bins, right-open with the last closed at 1; they may be empty.
     """
     p, z = scored_pair(predictions, labels, "predictions")
     if p.size == 0:
@@ -90,7 +96,7 @@ def reliability(
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
 
     if scheme == SCHEME_FREQUENCY:
-        return _summarize(p, z, np.array_split(np.argsort(p, kind="stable"), num_bins))
+        return _summarize(p, z, np.split(np.argsort(p, kind="stable"), _cuts(p.size, num_bins)[1:-1]))
     idx = _bin_indices(np.linspace(0.0, 1.0, num_bins + 1), p)
     return _summarize(p, z, [np.flatnonzero(idx == j) for j in range(num_bins)])
 

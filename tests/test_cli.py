@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import probcal
 import probcal.cli
 import probcal.data
+import probcal.harness
 import probcal.serialize
 from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, main, run
 from probcal.serialize import format_float, load_model
@@ -1300,7 +1301,7 @@ class TestUnusedFlags:
     @pytest.mark.parametrize("curve", [None, "square"])
     def test_verify_level_without_the_constant_curve(self, check, curve, tmp_path, monkeypatch, capsys):
         recorder = Recorder(result=_empty_report())
-        monkeypatch.setattr(probcal.cli, VERIFY_ROUTINES[check], recorder)
+        monkeypatch.setattr(probcal.harness, VERIFY_ROUTINES[check], recorder)
         out = tmp_path / "report.json"
         curve_flags = [] if curve is None else ["--curve", curve]
         argv = ["verify", check, *curve_flags, "--level", "0.9", "--json-out", str(out)]
@@ -1329,7 +1330,7 @@ class TestUnusedFlags:
 
 
 class Recorder:
-    """Stands in for a library routine or class bound in probcal.cli and records each call."""
+    """Stands in for a library routine or class that probcal.cli calls, and records each call."""
 
     def __init__(self, target=None, result=None):
         self.target, self.result, self.calls = target, result, []
@@ -1355,6 +1356,7 @@ CHECK_FLAG_CASES = {
     "theta-conc": [N_CAL, BINS, ("--epsilon-grid", "0.1,0.25", "epsilon_grid", [0.1, 0.25]), TRIALS],
     "size-sweep": [("--sizes", "10,100", "sizes", [10, 100]), TRIALS, TEST_SIZE, BINS],
 }
+# each check's routine in probcal.harness, where cmd_verify looks it up by name
 VERIFY_ROUTINES = {
     "mce-bound": "verify_mce_bound",
     "ece-rate": "verify_ece_rate",
@@ -1371,11 +1373,14 @@ class TestLibraryDefaults:
     @staticmethod
     def verify(check, flags, monkeypatch, capsys):
         recorder = Recorder(result=_empty_report())
-        monkeypatch.setattr(probcal.cli, VERIFY_ROUTINES[check], recorder)
+        monkeypatch.setattr(probcal.harness, VERIFY_ROUTINES[check], recorder)
         assert main(["verify", check, *flags]) == EXIT_OK
         capsys.readouterr()
         [((first,), kwargs)] = recorder.calls
         return first, kwargs
+
+    def test_each_check_names_its_routine(self):
+        assert {check: entry[0] for check, entry in probcal.cli.CHECKS.items()} == VERIFY_ROUTINES
 
     @pytest.mark.parametrize("check", VERIFY_ROUTINES)
     def test_verify_without_flags_passes_only_the_spec(self, check, monkeypatch, capsys):
@@ -1412,7 +1417,7 @@ class TestLibraryDefaults:
     )
     def test_a_non_number_in_a_grid_exits_2(self, flags, message, monkeypatch, capsys):
         recorder = Recorder(result=_empty_report())
-        monkeypatch.setattr(probcal.cli, VERIFY_ROUTINES[flags[0]], recorder)
+        monkeypatch.setattr(probcal.harness, VERIFY_ROUTINES[flags[0]], recorder)
         assert main(["verify", *flags]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.endswith(f": error: argument {flags[1]}: {message}\n")

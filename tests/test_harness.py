@@ -734,17 +734,30 @@ def _raised(model):
     model.theta_, model.values_ = model.theta_ + 0.02, model.values_ + 0.02
 
 
+def _values_raised(model):
+    model.values_ = np.clip(model.values_ + 0.05, 0.0, 1.0)
+
+
+def _values_rolled(model):
+    model.values_ = np.roll(model.values_, 1)
+
+
+def _verdicts(*passed):
+    """Each check's expected verdict, in the order of _VERIFY_MC."""
+    return dict(zip(_VERIFY_MC, passed, strict=True))
+
+
+# what each check can see: theta-conc reads theta_ alone, so a wrong order of values_ passes it; AUC is
+# blind to a monotone bias; mce-bound's bound (0.346 at N = 1000, B = 10) hides a 0.05 bias, which at
+# these trial counts only ece-rate sees
 @pytest.mark.parametrize(
     "mutation, passed",
     [
-        pytest.param(None, dict.fromkeys(_VERIFY_MC, True), id="sound"),
-        # the order of the bins' values is wrong; theta-conc reads theta_ alone, so it cannot see it
-        pytest.param(
-            _values_reversed,
-            dict.fromkeys(("mce-bound", "ece-rate", "auc-loss", "size-sweep"), False),
-            id="values-reversed",
-        ),
-        pytest.param(_raised, {"theta-conc": False}, id="raised-0.02"),
+        pytest.param(None, _verdicts(True, True, True, True, True), id="sound"),
+        pytest.param(_values_reversed, _verdicts(False, False, False, True, False), id="values-reversed"),
+        pytest.param(_raised, _verdicts(True, False, True, False, True), id="raised-0.02"),
+        pytest.param(_values_raised, _verdicts(True, False, True, True, True), id="values-raised-0.05"),
+        pytest.param(_values_rolled, _verdicts(False, False, False, True, False), id="values-rolled"),
     ],
 )
 def test_each_check_fails_when_its_guarantee_is_broken(mutation, passed, monkeypatch):
@@ -758,7 +771,7 @@ def test_each_check_fails_when_its_guarantee_is_broken(mutation, passed, monkeyp
             return model
 
         monkeypatch.setattr(HistogramCalibrator, "_set_state", mutated)
-    assert {check: _VERIFY_MC[check]().passed for check in passed} == passed
+    assert {check: run().passed for check, run in _VERIFY_MC.items()} == passed
 
 
 def _first_test_set_one_class(monkeypatch):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -12,6 +12,7 @@ from probcal.binning import HistogramCalibrator
 from probcal.metrics import (
     ReliabilityBin,
     _bin_indices,
+    _cuts,
     accuracy,
     auc,
     ece,
@@ -362,3 +363,20 @@ class TestBinIndices:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+
+class TestCuts:
+    """The one equal-frequency cut is np.array_split's: its groups' cumulative sizes, as int64."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 5000), num_bins=st.integers(1, 6000))
+    @example(n=0, num_bins=1)
+    @example(n=3, num_bins=7)  # more bins than places: the last four groups are empty
+    @example(n=5000, num_bins=6000)
+    @example(n=4999, num_bins=10)
+    def test_is_array_splits_cut(self, n, num_bins):
+        cuts = _cuts(n, num_bins)
+        sizes = [group.size for group in np.array_split(np.arange(n), num_bins)]
+        assert cuts.dtype == np.int64
+        assert cuts[0] == 0 and cuts[-1] == n
+        assert cuts.tolist() == [0, *np.cumsum(sizes).tolist()]
