@@ -120,21 +120,23 @@ def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = 
 
 
 def _coded_test_set(spec: OracleSpec, model: HistogramCalibrator, n_test: int, test_stream) -> tuple:
-    """(levels, codes, labels): ``model``'s values ascending, and per test row, in arrays allocated
-    before the first draw, the rank of its value among them (uint8 up to 256 levels) and its label."""
+    """(levels, codes, labels, counts): ``model``'s values ascending; per row, in arrays made before the first
+    draw, its value's rank (uint8 up to 256 levels) and label; per level, its negatives and positives."""
     levels, rank = np.unique(model.values_, return_inverse=True)
     codes, labels = np.empty(n_test, np.min_scalar_type(levels.size - 1)), np.empty(n_test, bool)
+    counts = np.zeros(2 * levels.size, np.int64)
     for rows, scores, labels[rows] in _oracle_blocks(spec, n_test, test_stream):
-        codes[rows] = rank[_bin_indices(model.edges_, scores)]
-    return levels, codes, labels
+        codes[rows] = code = rank[_bin_indices(model.edges_, scores)]
+        counts += np.bincount(2 * code + labels[rows], minlength=counts.size)
+    return levels, codes, labels, counts.reshape(-1, 2)
 
 
-def _frequency_bins(levels: np.ndarray, codes: np.ndarray, labels: np.ndarray, num_bins: int) -> list:
+def _frequency_bins(levels, codes, labels, counts, num_bins: int) -> list:
     """``reliability(levels[codes], labels, num_bins)``, bit for bit: its bins cut the codes' stable sort
-    at the same ``_cuts``; level k spans places starts[k] to starts[k + 1], a bin averages its levels,
-    each repeated by its run in it, and a block's i-th row of level k is at starts[k] + i + earlier rows."""
+    at the same ``_cuts``; level k spans places starts[k] to starts[k + 1] (``counts``' row sums), a bin
+    averages its levels by their runs in it; a block's row i of level k is at starts[k] + i + earlier rows."""
     n = codes.size
-    starts = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=levels.size))))
+    starts = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
     cuts = _cuts(n, num_bins).tolist()
     seen, pos = starts[:-1].copy(), np.zeros(len(cuts), dtype=np.int64)  # positives before each cut
     for start in range(0, n, synth._BLOCK_ROWS):  # read at call time: one constant sets both block sizes
@@ -153,9 +155,9 @@ def _frequency_bins(levels: np.ndarray, codes: np.ndarray, labels: np.ndarray, n
     return bins + [ReliabilityBin(j, 0, math.nan, math.nan, 0.0) for j in range(n, num_bins)]
 
 
-def _raw_auc(test_stream, labels: np.ndarray) -> float:
-    """``auc`` of the test scores and ``labels``, bit for bit, from two more passes over the scores."""
-    neg, filled = np.empty(labels.size - np.count_nonzero(labels)), 0
+def _raw_auc(test_stream, labels: np.ndarray, n_neg: int) -> float:
+    """``auc`` of test scores and ``labels`` (``n_neg`` zeros), bit for bit, from two more score passes."""
+    neg, filled = np.empty(n_neg), 0
     for rows, scores in _score_blocks(labels.size, test_stream):
         chosen = scores[~labels[rows]]
         neg[filled : filled + chosen.size], filled = chosen, filled + chosen.size
@@ -189,10 +191,9 @@ def _errors(spec: OracleSpec, n_test: int, num_bins: int | None = None, with_auc
     None for a one-class test set."""
 
     def measure(t, cal, model, test_stream) -> TrialReport:
-        levels, codes, labels = _coded_test_set(spec, model, n_test, test_stream)
-        bins = _frequency_bins(levels, codes, labels, num_bins or model.n_bins_)
-        two_class = 0 < np.count_nonzero(labels) < n_test
-        cal_auc = _level_auc(codes, labels, levels.size) if with_auc and two_class else None
+        levels, codes, labels, counts = _coded_test_set(spec, model, n_test, test_stream)
+        bins = _frequency_bins(levels, codes, labels, counts, num_bins or model.n_bins_)
+        cal_auc = _level_auc(counts) if with_auc and counts.any(axis=0).all() else None
         return TrialReport(t, len(cal), model.n_bins_, mce(bins), ece(bins), auc_calibrated=cal_auc)
 
     return measure
@@ -309,11 +310,10 @@ def verify_auc_loss(
     n_test = default_test_size(n_cal)
 
     def measure(t, cal, model, test_stream) -> TrialReport:  # no MCE or ECE: the loss check reports neither
-        levels, codes, labels = _coded_test_set(spec, model, n_test, test_stream)
-        if not 0 < np.count_nonzero(labels) < n_test:
+        _, _, labels, counts = _coded_test_set(spec, model, n_test, test_stream)
+        if not counts.any(axis=0).all():  # one class
             return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan)
-        cal_auc = _level_auc(codes, labels, levels.size)  # first: the other order peaks 4 MB higher
-        raw = _raw_auc(test_stream, labels)
+        cal_auc, raw = _level_auc(counts), _raw_auc(test_stream, labels, int(counts[:, 0].sum()))
         return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan, raw, cal_auc, raw - cal_auc)
 
     points = []
@@ -419,8 +419,8 @@ def calibration_size_sweep(
     """
     for size in sizes:
         require_count(1, sizes=size)
-    if list(sizes) != sorted(sizes):
-        raise ValueError("sizes must be ascending")
+    if any(low >= high for low, high in zip(sizes, sizes[1:])):  # a repeated size tests nothing about size
+        raise ValueError("sizes must be strictly ascending")
     if len(sizes) < 2:
         raise ValueError("need at least two sizes")
     require_count(1, n_test=n_test, n_bins=n_bins)

@@ -148,14 +148,14 @@ def _twice_u(neg: np.ndarray, pos: np.ndarray) -> int:
     Only a positive that ties a negative needs the second search."""
     below = np.searchsorted(neg, pos)
     tied = neg.take(below, mode="clip") == pos
-    return int(2 * below.sum() + np.searchsorted(neg, pos[tied], "right").sum() - below[tied].sum())
+    twice_u, below = 2 * below.sum() - below[tied].sum(), None  # not held through the second search
+    return int(twice_u + np.searchsorted(neg, pos[tied], "right").sum())
 
 
-def _level_auc(codes: np.ndarray, z: np.ndarray, n_levels: int) -> float:
-    """``auc`` of scores coded by the rank of their value among ``n_levels``: the same
-    2U, from per-level positives times (2 * negatives below + negatives tied)."""
-    pos = np.bincount(codes[z == 1], minlength=n_levels)
-    neg = np.bincount(codes, minlength=n_levels) - pos
+def _level_auc(counts: np.ndarray) -> float:
+    """``auc`` of scores given as each value's negatives and positives (levels x 2, values ascending):
+    the same 2U, from per-level positives times (2 * negatives below + negatives tied)."""
+    neg, pos = counts.T
     twice_u = int((pos * (2 * np.cumsum(neg) - neg)).sum())
     return float(twice_u) / (2.0 * int(pos.sum()) * int(neg.sum()))
 

@@ -605,9 +605,9 @@ def calibrated_bins(model, test, num_bins, with_auc: bool) -> tuple:
     """``reliability`` in ``num_bins`` bins (None: skipped) and, if asked, ``auc`` of
     ``model.predict(test.scores)``, bit for bit, from the whole test set: a stable argsort of
     each row's small-integer value rank is a radix sort with the float order's permutation,
-    and the AUC is counted per value. The whole-array reference for the harness's streamed
-    measure."""
-    from probcal.metrics import _bin_indices, _level_auc, _summarize
+    and the AUC is counted per value from the positive rows' codes and all rows' codes. The whole-array
+    reference for the harness's streamed measure."""
+    from probcal.metrics import _bin_indices, _summarize
 
     levels, rank = np.unique(model.values_, return_inverse=True)
     codes = rank.astype(np.min_scalar_type(levels.size - 1))[_bin_indices(model.edges_, test.scores)]
@@ -615,7 +615,12 @@ def calibrated_bins(model, test, num_bins, with_auc: bool) -> tuple:
     if num_bins is not None:
         members = np.array_split(np.argsort(codes, kind="stable"), num_bins)
         bins = _summarize(levels[codes], test.labels, members)
-    return bins, _level_auc(codes, test.labels, levels.size) if with_auc else None
+    if not with_auc:
+        return bins, None
+    pos = np.bincount(codes[test.labels == 1], minlength=levels.size)
+    neg = np.bincount(codes, minlength=levels.size) - pos
+    twice_u = int((pos * (2 * np.cumsum(neg) - neg)).sum())  # per value: 2 * negatives below + negatives tied
+    return bins, float(twice_u) / (2.0 * int(pos.sum()) * int(neg.sum()))
 
 
 def oracle_draw(spec, n: int, seed):

@@ -757,6 +757,7 @@ class TestVerifyCommand:
             (["size-sweep", "--test-size", "0"], "n_test must be >= 1, got 0"),
             (["size-sweep", "--sizes", "0,100"], "sizes must be >= 1, got 0"),
             (["size-sweep", "--bins", "0"], "n_bins must be >= 1, got 0"),
+            (["size-sweep", "--sizes", "5,5"], "sizes must be strictly ascending"),
         ],
     )
     def test_degenerate_flags_are_input_errors(self, flags, message, capsys):

@@ -4,10 +4,11 @@ import os
 import re
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import calibrated_bins, whole_test_set_measure
@@ -320,6 +321,11 @@ class TestCalibrationSizeSweep:
         with pytest.raises(ValueError, match="ascending"):
             calibration_size_sweep(IDENTITY, sizes=(1000, 100), trials=2)
 
+    def test_rejects_repeated_sizes(self):
+        # two draws of one size say nothing about size, so "non-increasing with size" would hold vacuously
+        with pytest.raises(ValueError, match="strictly ascending"):
+            calibration_size_sweep(IDENTITY, sizes=(100, 1000, 1000), trials=2)
+
     def test_rejects_single_size(self):
         with pytest.raises(ValueError, match="two sizes"):
             calibration_size_sweep(IDENTITY, sizes=(100,), trials=2)
@@ -357,16 +363,16 @@ class TestCalibrationSizeSweep:
 @pytest.fixture()
 def harness_auc_calls(monkeypatch):
     """Record the test-set size of every AUC the harness computes, raw (``_raw_auc``, over
-    the test scores drawn again) or calibrated (``_level_auc`` over per-row level codes)."""
+    the test scores drawn again) or calibrated (``_level_auc`` over per-level class counts)."""
     calls = []
 
-    def counting_raw(test_stream, labels):
+    def counting_raw(test_stream, labels, n_neg):
         calls.append(len(labels))
-        return _raw_auc(test_stream, labels)
+        return _raw_auc(test_stream, labels, n_neg)
 
-    def counting_levels(codes, labels, n_levels):
-        calls.append(len(codes))
-        return _level_auc(codes, labels, n_levels)
+    def counting_levels(counts):
+        calls.append(int(counts.sum()))
+        return _level_auc(counts)
 
     monkeypatch.setattr("probcal.harness._raw_auc", counting_raw)
     monkeypatch.setattr("probcal.harness._level_auc", counting_levels)
@@ -378,9 +384,9 @@ def harness_summaries(monkeypatch):
     """Record the bin count of every reliability summary the harness builds."""
     calls = []
 
-    def counting(levels, codes, labels, num_bins):
+    def counting(levels, codes, labels, counts, num_bins):
         calls.append(num_bins)
-        return _frequency_bins(levels, codes, labels, num_bins)
+        return _frequency_bins(levels, codes, labels, counts, num_bins)
 
     monkeypatch.setattr("probcal.harness._frequency_bins", counting)
     return calls
@@ -546,12 +552,12 @@ def _assert_same_as_predict(model, test, num_bins):
 def _streamed_measure(spec, model, n_test, stream, num_bins) -> tuple:
     """The harness's (bins, calibrated AUC, raw AUC) of one test set, computed as its measures
     compute them; both AUCs are None for a one-class set."""
-    levels, codes, labels = _coded_test_set(spec, model, n_test, stream)
-    two_class = 0 < np.count_nonzero(labels) < n_test
+    levels, codes, labels, counts = _coded_test_set(spec, model, n_test, stream)
+    two_class = counts.any(axis=0).all()
     return (
-        _frequency_bins(levels, codes, labels, num_bins),
-        _level_auc(codes, labels, levels.size) if two_class else None,
-        _raw_auc(stream, labels) if two_class else None,
+        _frequency_bins(levels, codes, labels, counts, num_bins),
+        _level_auc(counts) if two_class else None,
+        _raw_auc(stream, labels, int(counts[:, 0].sum())) if two_class else None,
     )
 
 
@@ -699,14 +705,50 @@ class TestStreamedTestSet:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(synth, "_BLOCK_ROWS", block)
             patch.setattr(harness, "_score_blocks", _recording(tied, sizes))
-            assert _raw_auc(stream, labels) == auc(scores, labels)
+            assert _raw_auc(stream, labels, n_test - np.count_nonzero(labels)) == auc(scores, labels)
         assert sizes == 2 * [min(block, n_test - start) for start in range(0, n_test, block)]
+
+
+class TestLevelCounts:
+    """``_coded_test_set`` counts each level's negatives and positives as its blocks are drawn, and
+    ``_level_auc`` reads the AUC from those counts alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(n_bins=300, repeat=1, spec=IDENTITY, n_test=400, block=7, seed=0)  # 300 levels: uint16 codes
+    @example(n_bins=300, repeat=1, spec=IDENTITY, n_test=20, block=1, seed=1)  # most levels empty
+    @given(
+        n_bins=st.integers(1, 300),
+        repeat=st.integers(1, 4),
+        spec=st.sampled_from(SPECS),
+        n_test=st.integers(1, 400),
+        block=st.sampled_from([1, 7, 64, 1 << 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_and_auc_match_the_whole_set(self, n_bins, repeat, spec, n_test, block, seed):
+        # bins whose values repeat in runs of ``repeat`` give 1 to 300 levels (uint8 codes up to 256,
+        # uint16 above); more levels than rows leave some empty, and a constant rate of 0 or 1 one class
+        rng = np.random.default_rng(seed)
+        values = rng.permutation(np.arange(n_bins) // repeat) / max((n_bins - 1) // repeat, 1)
+        model = SimpleNamespace(edges_=np.linspace(0.0, 1.0, n_bins + 1), values_=values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synth, "_BLOCK_ROWS", block)
+            levels, codes, labels, counts = _coded_test_set(spec, model, n_test, np.random.SeedSequence(seed))
+        assert levels.size == -(-n_bins // repeat)
+        assert codes.dtype == (np.uint8 if levels.size <= 256 else np.uint16)
+        assert counts.dtype == np.int64 and counts.shape == (levels.size, 2)
+        for label in (0, 1):
+            whole = np.bincount(codes[labels == label], minlength=levels.size)
+            np.testing.assert_array_equal(counts[:, label], whole)
+        if 0 < np.count_nonzero(labels) < n_test:
+            assert _level_auc(counts) == auc(levels[codes], labels)
+        else:
+            assert not counts.any(axis=0).all()
 
 
 def test_a_million_row_test_set_is_streamed_in_bounded_memory():
     # ece-rate at n_cal 1e5 draws a 1e6-row test set. Drawn whole it peaks at 33.8 MiB of
     # traced allocations (8 MB for each float64 array); streamed it keeps one byte per row
-    # for the level code and one for the label, and peaks at 11.1 MiB
+    # for the level code and one for the label, and peaks at 6.7 MiB
     tracemalloc.start()
     try:
         verify_ece_rate(SQUARE, n_bins=10, n_grid=(1000, 100_000), trials=1, seed=1)
