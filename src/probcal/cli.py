@@ -7,8 +7,8 @@ does not use is an input error. Only simulate, verify and ``fit --method dpm``
 take --seed. verify calls the ``harness`` routine that ``CHECKS`` names.
 Exit codes, all set in ``main``: 0 success, 1 verification assertion failed,
 2 input error (bad or unused flag, unreadable or malformed input, unwritable
-output, a size too large for memory), 3 fit error. Errors and calibrator
-warnings print as one line each.
+output, a size too large for memory), 3 fit error, 130 interrupted (SIGINT).
+Errors, calibrator warnings and an interrupt print as one line each.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_INPUT = 2
 EXIT_FIT = 3
+EXIT_INTERRUPT = 130  # the shell's code for a command ended by SIGINT
 
 
 class FitError(Exception):
@@ -304,6 +305,9 @@ def main(argv=None) -> int:
             detail = f": {exc}" if str(exc) else ""
             print(f"error: out of memory{detail}; try smaller sizes", file=sys.stderr)
             return EXIT_INPUT
+        except KeyboardInterrupt:  # Ctrl-C; a forked block worker is killed and reaped on the way out
+            print("error: interrupted", file=sys.stderr)
+            return EXIT_INTERRUPT
 
 
 def run() -> None:

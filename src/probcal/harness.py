@@ -19,8 +19,8 @@ All five run their trials through one runner, ``_trials``, which draws
 and fits and then calls the routine's own measure. Trial t's streams derive
 from the master seed and a spawn key ``(t,)`` or ``(grid_index, t)``, so
 trial t draws the same data however many trials run and in whatever order.
-A measure reads its test set in ``synth``'s oracle blocks, keeps one byte per
-row for the fitted level and one for the label, and reports the whole set's figures.
+A measure reads its test set in ``synth``'s oracle blocks, keeps a level code and a label
+per row (auc-loss, one key of score and label), and reports the whole set's figures.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .data import write_csv
 from .metrics import ReliabilityBin, _bin_indices, _cuts, _level_auc, _twice_u, ece, mce
 from .serialize import write_json
 from . import synth
-from .synth import OracleSpec, _oracle_blocks, _score_blocks, generate_oracle, true_theta
+from .synth import OracleSpec, _oracle_blocks, generate_oracle, true_theta
 
 DEFAULT_MIN_TEST = 100_000
 _SLOPE_WINDOW = (-0.65, -0.35)  # verify_ece_rate's acceptance window for the log-log slope
@@ -119,15 +119,22 @@ def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = 
     return summary
 
 
-def _coded_test_set(spec: OracleSpec, model: HistogramCalibrator, n_test: int, test_stream) -> tuple:
+def _coded_test_set(spec: OracleSpec, model: HistogramCalibrator, n_test: int, test_stream, keys=None) -> tuple:
     """(levels, codes, labels, counts): ``model``'s values ascending; per row, in arrays made before the first
-    draw, its value's rank (uint8 up to 256 levels) and label; per level, its negatives and positives."""
+    draw, its value's rank (uint8 up to 256 levels) and label, or only its ``_twice_u`` key of score and label
+    into uint64 ``keys`` if given (codes and labels None); per level, its negatives and positives."""
     levels, rank = np.unique(model.values_, return_inverse=True)
-    codes, labels = np.empty(n_test, np.min_scalar_type(levels.size - 1)), np.empty(n_test, bool)
+    codes = labels = None
+    if keys is None:
+        codes, labels = np.empty(n_test, np.min_scalar_type(levels.size - 1)), np.empty(n_test, bool)
     counts = np.zeros(2 * levels.size, np.int64)
-    for rows, scores, labels[rows] in _oracle_blocks(spec, n_test, test_stream):
-        codes[rows] = code = rank[_bin_indices(model.edges_, scores)]
-        counts += np.bincount(2 * code + labels[rows], minlength=counts.size)
+    for rows, scores, positive in _oracle_blocks(spec, n_test, test_stream):
+        code = rank[_bin_indices(model.edges_, scores)]
+        counts += np.bincount(2 * code + positive, minlength=counts.size)
+        if keys is None:
+            codes[rows], labels[rows] = code, positive
+        else:
+            keys[rows] = scores.view(np.uint64) << 1 | positive
     return levels, codes, labels, counts.reshape(-1, 2)
 
 
@@ -155,18 +162,6 @@ def _frequency_bins(levels, codes, labels, counts, num_bins: int) -> list:
     return bins + [ReliabilityBin(j, 0, math.nan, math.nan, 0.0) for j in range(n, num_bins)]
 
 
-def _raw_auc(test_stream, labels: np.ndarray, n_neg: int) -> float:
-    """``auc`` of test scores and ``labels`` (``n_neg`` zeros), bit for bit, from two more score passes."""
-    neg, filled = np.empty(n_neg), 0
-    for rows, scores in _score_blocks(labels.size, test_stream):
-        chosen = scores[~labels[rows]]
-        neg[filled : filled + chosen.size], filled = chosen, filled + chosen.size
-    neg.sort()
-    blocks = _score_blocks(labels.size, test_stream)
-    twice_u = sum(_twice_u(neg, np.sort(scores[labels[rows]])) for rows, scores in blocks)
-    return float(twice_u) / (2.0 * (labels.size - neg.size) * neg.size)
-
-
 def _trials(spec: OracleSpec, n_cal: int, n_bins: int | None, trials: int, seed: int, path: tuple,
             measure: Callable) -> tuple:
     """``measure(t, cal, model, test_stream)`` for trials t = 0..trials-1 of one grid point.
@@ -174,7 +169,7 @@ def _trials(spec: OracleSpec, n_cal: int, n_bins: int | None, trials: int, seed:
     Trial t spawns two independent streams from SeedSequence(seed, spawn_key=(*path, t)),
     draws its calibration set from the oracle ``spec`` with the first and fits the histogram
     calibrator on it. The second stream is for ``measure``, which draws its test set from it
-    block by block and keeps only the codes and labels of its rows, until it returns.
+    block by block and keeps only the codes and labels, or keys, of its rows, until it returns.
     """
     results = []
     for t in range(trials):
@@ -310,10 +305,11 @@ def verify_auc_loss(
     n_test = default_test_size(n_cal)
 
     def measure(t, cal, model, test_stream) -> TrialReport:  # no MCE or ECE: the loss check reports neither
-        _, _, labels, counts = _coded_test_set(spec, model, n_test, test_stream)
+        counts = _coded_test_set(spec, model, n_test, test_stream, keys := np.empty(n_test, np.uint64))[3]
         if not counts.any(axis=0).all():  # one class
             return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan)
-        cal_auc, raw = _level_auc(counts), _raw_auc(test_stream, labels, int(counts[:, 0].sum()))
+        cal_auc, m = _level_auc(counts), int(counts[:, 1].sum())
+        raw = float(_twice_u(keys, m)) / (2.0 * m * (n_test - m))
         return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan, raw, cal_auc, raw - cal_auc)
 
     points = []

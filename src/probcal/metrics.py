@@ -23,6 +23,7 @@ SCHEMES = (SCHEME_FREQUENCY, SCHEME_WIDTH)
 DEFAULT_NUM_BINS = 10
 
 _CELLS = 1 << 12  # lookup cells of [0, 1]; a power of two, so a score's cell is exact
+_BLOCK_KEYS = 1 << 15  # sorted AUC keys read at a time
 
 
 def _bin_indices(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -132,24 +133,33 @@ def auc(scores, labels) -> float:
     """Empirical AUC with the tie convention: ties count one half.
 
     Equals (1/(m*n)) * sum over positive-negative pairs of
-    I(score_pos > score_neg) + 0.5 * I(score_pos == score_neg). Twice that
-    pair count (the Mann-Whitney U) is counted exactly by ``_twice_u``, O(N log N).
+    I(score_pos > score_neg) + 0.5 * I(score_pos == score_neg). Twice that pair count
+    (the Mann-Whitney U) is counted exactly by ``_twice_u``, from one sort of labelled keys.
     """
     y, z = scored_pair(scores, labels)
     _, m, n_neg = class_counts(z)
     if m == 0 or n_neg == 0:
         raise ValueError("AUC is undefined without both classes present")
-    return float(_twice_u(np.sort(y[z == 0]), np.sort(y[z == 1]))) / (2.0 * m * n_neg)
+    keys = np.add(y, 0.0).view(np.uint64)  # one new array, built in place
+    keys <<= 1
+    keys |= z == 1
+    return float(_twice_u(keys, m)) / (2.0 * m * n_neg)
 
 
-def _twice_u(neg: np.ndarray, pos: np.ndarray) -> int:
-    """Twice the Mann-Whitney U of sorted positives ``pos`` against sorted, non-empty negatives
-    ``neg``, by binary search: per positive, 2 * (#neg below) + (#neg tied) = 2 * wins + ties.
-    Only a positive that ties a negative needs the second search."""
-    below = np.searchsorted(neg, pos)
-    tied = neg.take(below, mode="clip") == pos
-    twice_u, below = 2 * below.sum() - below[tied].sum(), None  # not held through the second search
-    return int(twice_u + np.searchsorted(neg, pos[tied], "right").sum())
+def _twice_u(keys: np.ndarray, n_pos: int) -> int:
+    """2U, twice the Mann-Whitney U, of uint64 ``keys``: bits(score + 0.0) << 1 | label for scores in [0, 1],
+    ``n_pos`` of them positive; sorts ``keys`` in place. A value's negatives sort just before its positives,
+    so a positive at place i has i - (positives before it) negatives at or below it: 2U = 2 * (wins + ties)
+    - ties, the places read by blocks. A tie across the classes is two keys that differ in the label bit."""
+    keys.sort()
+    at_or_below, tied = 0, []
+    for start in range(0, keys.size, _BLOCK_KEYS):
+        block = keys[start : start + _BLOCK_KEYS + 1]  # and the next block's first key, its last key's pair
+        tied.append(block[:-1][(block[:-1] ^ block[1:]) == 1])  # each tied value's last negative
+        places = np.flatnonzero(block[:_BLOCK_KEYS] & 1)
+        at_or_below += int(places.sum()) + start * places.size
+    ends = np.searchsorted(keys, np.concatenate(tied)[:, None] + np.arange(3, dtype=np.uint64))  # class bounds
+    return 2 * (at_or_below - n_pos * (n_pos - 1) // 2) - int(np.diff(ends).prod(axis=1).sum())
 
 
 def _level_auc(counts: np.ndarray) -> float:

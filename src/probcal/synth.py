@@ -50,19 +50,15 @@ class OracleSpec:
         return np.full_like(y, self.level)
 
 
-def _score_blocks(n: int, seed):
-    """(rows, scores) per block of at most ``_BLOCK_ROWS`` oracle rows: the seed's first n draws."""
-    draw = np.random.default_rng(seed).random
-    for start in range(0, n, _BLOCK_ROWS):
-        yield slice(start, start + _BLOCK_ROWS), draw(min(_BLOCK_ROWS, n - start))
-
-
 def _oracle_blocks(spec: OracleSpec, n: int, seed):
-    """(rows, scores, labels as bool) per block of n oracle rows. Label i's uniform is the seed's
-    draw n + i, from a second generator advanced past the scores (O'Neill 2014)."""
-    draw = np.random.Generator(np.random.PCG64(seed).advance(int(n))).random  # advance takes no np.int64
-    for rows, scores in _score_blocks(n, seed):
-        yield rows, scores, draw(scores.size) < spec.probability(scores)
+    """(rows, scores, labels as bool) per block of at most ``_BLOCK_ROWS`` of n oracle rows: score i is the
+    seed's draw i, and label i's uniform is its draw n + i, from a second generator advanced past the scores
+    (O'Neill 2014)."""
+    scores = np.random.default_rng(seed).random
+    uniforms = np.random.Generator(np.random.PCG64(seed).advance(int(n))).random  # advance takes no np.int64
+    for start in range(0, n, _BLOCK_ROWS):
+        block = scores(min(_BLOCK_ROWS, n - start))
+        yield slice(start, start + _BLOCK_ROWS), block, uniforms(block.size) < spec.probability(block)
 
 
 def generate_oracle(spec: OracleSpec, n: int, seed) -> ScoredDataset:

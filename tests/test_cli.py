@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ import probcal.cli
 import probcal.data
 import probcal.harness
 import probcal.serialize
-from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_OK, main, run
+from probcal.cli import EXIT_ASSERTION, EXIT_FIT, EXIT_INPUT, EXIT_INTERRUPT, EXIT_OK, main, run
 from probcal.serialize import format_float, load_model
 
 
@@ -1080,6 +1081,62 @@ class TestModuleEntryPoint:
         result = self.run_module("fit", "--method", "histogram", "--out", str(tmp_path / "m.json"))
         assert result.returncode == EXIT_INPUT
         assert "required: --in" in result.stderr
+
+
+def _children(pid: int) -> list[int]:
+    """The live child processes of ``pid``, from /proc; none once it has ended."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as listing:
+            return [int(child) for child in listing.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+                    reason="reads each process's children from /proc")
+class TestInterrupt:
+    """SIGINT sent to a command's process group, as Ctrl-C sends it, ends the command with exit 130
+    and one stderr line, not a traceback, and leaves no process behind."""
+
+    @staticmethod
+    def interrupt(args, cwd, ready) -> tuple:
+        """Start ``probcal args`` in its own process group, wait until ``ready(pid)`` returns a value
+        (a list of pids) and send SIGINT to the group; then (exit code, stdout, stderr, that value)."""
+        source = str(Path(probcal.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "probcal.cli", *args], cwd=cwd, env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            seen = ready(proc.pid)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        return proc.returncode, out, err, seen
+
+    def test_verify_auc_loss_at_its_defaults(self, tmp_path):
+        # the defaults run for several seconds; one second in, the trials are under way
+        code, out, err, _ = self.interrupt(["verify", "auc-loss"], tmp_path, lambda pid: time.sleep(1.0))
+        assert (code, out, err) == (EXIT_INTERRUPT, "", "error: interrupted\n")
+
+    def test_fit_dpm_kills_and_reaps_its_block_worker(self, tmp_path):
+        assert main(["simulate", "--kind", "oracle", "--curve", "square", "--n", "10000", "--seed", "1",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+
+        def forked(pid):  # the two classes are fitted at once, one in a forked child
+            deadline = time.monotonic() + 30
+            while not (children := _children(pid)) and time.monotonic() < deadline:
+                time.sleep(0.002)
+            return children
+
+        argv = ["fit", "--method", "dpm", "--in", "s.csv", "--out", "dpm.json"]
+        code, out, err, children = self.interrupt(argv, tmp_path, forked)
+        assert children, "fit dpm forked no block worker"
+        assert (code, out, err) == (EXIT_INTERRUPT, "", "error: interrupted\n")
+        assert not any(os.path.exists(f"/proc/{child}") for child in children)
+        assert not (tmp_path / "dpm.json").exists()
 
 
 class TestSameBytesUnderEveryBLASKernel:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import calibrated_bins, whole_test_set_measure
-from probcal import harness, synth
+from probcal import harness, metrics, synth
 from probcal.binning import HistogramCalibrator
 from probcal.data import ScoredDataset
 from probcal.harness import (
@@ -22,7 +22,6 @@ from probcal.harness import (
     _coded_test_set,
     _frequency_bins,
     _monotone_assertion,
-    _raw_auc,
     calibration_size_sweep,
     default_test_size,
     hoeffding_bound,
@@ -34,8 +33,8 @@ from probcal.harness import (
     write_sweep_csv,
     write_sweep_json,
 )
-from probcal.metrics import _level_auc, auc, ece, mce, reliability
-from probcal.synth import OracleSpec, _oracle_blocks, _score_blocks, generate_oracle, true_theta
+from probcal.metrics import _level_auc, _twice_u, auc, ece, mce, reliability
+from probcal.synth import OracleSpec, _oracle_blocks, generate_oracle, true_theta
 
 IDENTITY = OracleSpec()
 SQUARE = OracleSpec(curve="square")
@@ -362,19 +361,19 @@ class TestCalibrationSizeSweep:
 
 @pytest.fixture()
 def harness_auc_calls(monkeypatch):
-    """Record the test-set size of every AUC the harness computes, raw (``_raw_auc``, over
-    the test scores drawn again) or calibrated (``_level_auc`` over per-level class counts)."""
+    """Record the test-set size of every AUC the harness computes, raw (``_twice_u`` over one key
+    per row of the test set) or calibrated (``_level_auc`` over per-level class counts)."""
     calls = []
 
-    def counting_raw(test_stream, labels, n_neg):
-        calls.append(len(labels))
-        return _raw_auc(test_stream, labels, n_neg)
+    def counting_raw(keys, n_pos):
+        calls.append(keys.size)
+        return _twice_u(keys, n_pos)
 
     def counting_levels(counts):
         calls.append(int(counts.sum()))
         return _level_auc(counts)
 
-    monkeypatch.setattr("probcal.harness._raw_auc", counting_raw)
+    monkeypatch.setattr("probcal.harness._twice_u", counting_raw)
     monkeypatch.setattr("probcal.harness._level_auc", counting_levels)
     return calls
 
@@ -551,13 +550,17 @@ def _assert_same_as_predict(model, test, num_bins):
 
 def _streamed_measure(spec, model, n_test, stream, num_bins) -> tuple:
     """The harness's (bins, calibrated AUC, raw AUC) of one test set, computed as its measures
-    compute them; both AUCs are None for a one-class set."""
+    compute them: the bins and calibrated AUC from the coded pass of ``_errors``, the raw AUC
+    from auc-loss's keyed pass, whose counts are the same; both AUCs are None for a one-class set."""
     levels, codes, labels, counts = _coded_test_set(spec, model, n_test, stream)
-    two_class = counts.any(axis=0).all()
+    keyed = _coded_test_set(spec, model, n_test, stream, keys := np.empty(n_test, np.uint64))
+    assert keyed[1:3] == (None, None)  # the keyed pass keeps no code or label per row
+    np.testing.assert_array_equal(keyed[3], counts)
+    two_class, m = counts.any(axis=0).all(), int(counts[:, 1].sum())
     return (
         _frequency_bins(levels, codes, labels, counts, num_bins),
         _level_auc(counts) if two_class else None,
-        _raw_auc(stream, labels, int(counts[:, 0].sum())) if two_class else None,
+        float(_twice_u(keys, m)) / (2.0 * m * (n_test - m)) if two_class else None,
     )
 
 
@@ -589,16 +592,16 @@ def _recording(blocks, sizes: list):
 
 def _assert_streamed_as_whole(spec, model, n_test, stream, num_bins, block):
     # synth's block size sets the draw's blocks and _frequency_bins' count blocks alike
-    drawn, raw, counting = [], [], _CountingNumpy()
+    drawn, counting = [], _CountingNumpy()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(synth, "_BLOCK_ROWS", block)
         patch.setattr(harness, "_oracle_blocks", _recording(_oracle_blocks, drawn))
-        patch.setattr(harness, "_score_blocks", _recording(_score_blocks, raw))
         patch.setattr(harness, "np", counting)
         streamed = _streamed_measure(spec, model, n_test, stream, num_bins)
     sizes = [min(block, n_test - start) for start in range(0, n_test, block)]
-    assert drawn == counting.sorted == sizes
-    assert raw == (2 * sizes if streamed[2] is not None else [])  # two passes for the raw AUC
+    assert counting.sorted == sizes
+    # one draw for the coded pass and one for the keyed pass: the raw AUC draws no scores again
+    assert drawn == 2 * sizes
     streamed = repr(streamed)
     whole = repr(whole_test_set_measure(spec, model, n_test, stream, num_bins))
     # compared outside the assert: pytest's diff of two reprs of thousands of bins takes minutes
@@ -691,22 +694,26 @@ class TestStreamedTestSet:
         block=st.sampled_from([1, 3, 64, 1 << 16]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_raw_auc_counts_ties_as_auc_does(self, n_test, grid, block, seed):
-        # scores drawn again on a grid tie within and across classes, and with 0 and 1
-        def tied(n, stream):
-            for rows, scores in _score_blocks(n, stream):
-                yield rows, np.round(scores * grid) / grid
-
-        sizes = []
-        stream = np.random.SeedSequence(seed)
-        scores = np.round(np.random.default_rng(stream).random(n_test) * grid) / grid
-        labels = np.random.default_rng(seed + 1).random(n_test) < 0.5
+    def test_keyed_pass_counts_ties_as_auc_does(self, n_test, grid, block, seed):
+        # auc-loss's keyed pass on a test set whose scores lie on a grid, so they tie within and
+        # across classes and with 0 and 1; small blocks split the draw and the sorted keys alike
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.random(n_test) * grid) / grid
+        labels = rng.random(n_test) < 0.5
         labels[:2] = True, False  # both classes
+        model = HistogramCalibrator(n_bins=4).fit(np.linspace(0.0, 1.0, 40), np.arange(40) % 3 == 0)
+
+        def tied(spec, n, stream):  # the draw, replaced by the rows above in blocks of ``block``
+            for start in range(0, n, block):
+                rows = slice(start, start + block)
+                yield rows, scores[rows], labels[rows]
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(synth, "_BLOCK_ROWS", block)
-            patch.setattr(harness, "_score_blocks", _recording(tied, sizes))
-            assert _raw_auc(stream, labels, n_test - np.count_nonzero(labels)) == auc(scores, labels)
-        assert sizes == 2 * [min(block, n_test - start) for start in range(0, n_test, block)]
+            patch.setattr(harness, "_oracle_blocks", tied)
+            patch.setattr(metrics, "_BLOCK_KEYS", block)
+            _, calibrated, raw = _streamed_measure(IDENTITY, model, n_test, np.random.SeedSequence(seed), 5)
+        assert raw == auc(scores, labels)
+        assert calibrated == auc(model.predict(scores), labels)
 
 
 class TestLevelCounts:
@@ -745,13 +752,23 @@ class TestLevelCounts:
             assert not counts.any(axis=0).all()
 
 
-def test_a_million_row_test_set_is_streamed_in_bounded_memory():
-    # ece-rate at n_cal 1e5 draws a 1e6-row test set. Drawn whole it peaks at 33.8 MiB of
-    # traced allocations (8 MB for each float64 array); streamed it keeps one byte per row
-    # for the level code and one for the label, and peaks at 6.7 MiB
+@pytest.mark.parametrize(
+    "run",
+    [
+        # drawn whole, a test set peaks at 33.8 MiB of traced allocations (8 MB for each float64
+        # array); streamed, ece-rate keeps one byte per row for the level code and one for the
+        # label, and peaks at 6.7 MiB
+        lambda: verify_ece_rate(SQUARE, n_bins=10, n_grid=(1000, 100_000), trials=1, seed=1),
+        # auc-loss keeps one 8-byte key per row of score and label, sorted in place: 12.5 MiB
+        lambda: verify_auc_loss(SQUARE, n_cal=100_000, bin_grid=(10,), trials=2, seed=1),
+    ],
+    ids=["ece-rate", "auc-loss"],
+)
+def test_a_million_row_test_set_is_streamed_in_bounded_memory(run):
+    # at n_cal 1e5 each check draws a 1e6-row test set per trial
     tracemalloc.start()
     try:
-        verify_ece_rate(SQUARE, n_bins=10, n_grid=(1000, 100_000), trials=1, seed=1)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

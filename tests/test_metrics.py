@@ -7,12 +7,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from oracles import auc_by_pair_enumeration, bin_indices_by_search, ece_by_definition
+from oracles import (
+    auc_by_pair_enumeration,
+    bin_indices_by_search,
+    ece_by_definition,
+    twice_u_by_class_search,
+)
+from probcal import metrics
 from probcal.binning import HistogramCalibrator
 from probcal.metrics import (
     ReliabilityBin,
     _bin_indices,
     _cuts,
+    _twice_u,
     accuracy,
     auc,
     ece,
@@ -243,6 +250,56 @@ class TestAuc:
         scores = np.array(grid[:n]) / 10**6
         squashed = scores / 2.0 + 0.25  # strictly increasing, stays in [0, 1]
         assert auc(squashed, labels) == pytest.approx(auc(scores, labels), abs=1e-12)
+
+
+# scores where the float order is easy to get wrong: both zeros, the ends, the smallest subnormal,
+# and neighbours by np.nextafter at 1 and across the binade boundary at 0.5
+_EDGE_SCORES = [
+    -0.0, 0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+]
+
+
+class TestTwiceU:
+    """``_twice_u`` reads 2U from one sort of uint64 keys, bits(score + 0.0) << 1 | label, whose places it
+    reads ``_BLOCK_KEYS`` at a time; ``twice_u_by_class_search`` is the class-sort count it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @example(values=[0.5], rows=[(0, 0), (0, 0), (0, 0), (0, 1), (0, 1)], block=3)  # a tie across a boundary
+    @example(values=[0.5], rows=[(0, 0), (0, 0), (0, 1), (0, 1)], block=3)  # and inside a block
+    @example(values=[-0.0, 0.0], rows=[(0, 1), (1, 0), (0, 0), (1, 1)], block=1)  # -0.0 ties 0.0
+    @example(values=[0.0, 1.0], rows=[(1, 1), (0, 0), (0, 0)], block=64)  # one positive
+    @example(values=[0.5], rows=[(0, 1), (0, 0)], block=1)  # one value, one of each class
+    @given(
+        values=st.lists(st.sampled_from(_EDGE_SCORES) | st.floats(0.0, 1.0), min_size=1, max_size=6),
+        rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=2, max_size=200),
+        block=st.sampled_from([1, 3, 64]),
+    )
+    def test_equals_the_class_search(self, values, rows, block):
+        # few values force long ties, which small blocks cut at every place; each row picks a value and a label
+        scores = np.array([values[i % len(values)] for i, _ in rows])
+        labels = np.array([label for _, label in rows])
+        assume(0 < labels.sum() < labels.size)
+        for z in (labels, 1 - labels):  # both class orders
+            m, n_neg = int(z.sum()), z.size - int(z.sum())
+            expected = twice_u_by_class_search(scores, z)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(metrics, "_BLOCK_KEYS", block)
+                assert _twice_u(np.add(scores, 0.0).view(np.uint64) << 1 | (z == 1), m) == expected
+                assert auc(scores, z) == float(expected) / (2.0 * m * n_neg)
+
+    def test_a_million_raw_scores_in_ten_mib(self):
+        # the keys are one new 8 MB array (7.6 MiB) built in place, with a 1-byte label test; the class
+        # copies and their sorts that the one sort replaced peaked at 15.75 MiB
+        rng = np.random.default_rng(7)
+        scores = rng.random(10**6)
+        labels = (rng.random(scores.size) < scores).astype(np.int64)
+        tracemalloc.start()
+        try:
+            auc(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
 
 class TestPointMetrics:
