@@ -195,8 +195,8 @@ class StickBreakingPosterior:
     components: np.ndarray      # (T, 4): mean, precision_scale, shape, rate
     elbo: float
     elbo_history: list = field(default_factory=list)
-    n_iter: int = 0
-    converged: bool = False
+    n_iter: int | None = None  # None: unknown, as in a posterior loaded from a model file
+    converged: bool | None = None
 
     def expected_weights(self) -> np.ndarray:
         g1, g2 = self.sticks.T

@@ -19,7 +19,7 @@ All five run their trials through one runner, ``_trials``, which draws
 and fits and then calls the routine's own measure. Trial t's streams derive
 from the master seed and a spawn key ``(t,)`` or ``(grid_index, t)``, so
 trial t draws the same data however many trials run and in whatever order.
-A measure reads its test set in ``synth``'s oracle blocks, keeps a level code and a label
+A measure reads its test set in ``synth``'s oracle blocks, keeps one code of level and label
 per row (auc-loss, one key of score and label), and reports the whole set's figures.
 """
 
@@ -120,27 +120,26 @@ def _spread(reports: Sequence[TrialReport], names: Sequence[str], spread: str = 
 
 
 def _coded_test_set(spec: OracleSpec, model: HistogramCalibrator, n_test: int, test_stream, keys=None) -> tuple:
-    """(levels, codes, labels, counts): ``model``'s values ascending; per row, in arrays made before the first
-    draw, its value's rank (uint8 up to 256 levels) and label, or only its ``_twice_u`` key of score and label
-    into uint64 ``keys`` if given (codes and labels None); per level, its negatives and positives."""
+    """(levels, codes, counts): ``model``'s values ascending; per row, in an array made before the first draw,
+    one code 2 * (its value's rank) + label (uint8 up to 128 levels), or only its ``_twice_u`` key of score
+    and label into uint64 ``keys`` if given (codes None); per level, its negatives and positives."""
     levels, rank = np.unique(model.values_, return_inverse=True)
-    codes = labels = None
-    if keys is None:
-        codes, labels = np.empty(n_test, np.min_scalar_type(levels.size - 1)), np.empty(n_test, bool)
+    rank = (2 * rank).astype(np.min_scalar_type(2 * levels.size - 1))  # each block's code keeps this dtype
+    codes = np.empty(n_test, rank.dtype) if keys is None else None
     counts = np.zeros(2 * levels.size, np.int64)
     for rows, scores, positive in _oracle_blocks(spec, n_test, test_stream):
-        code = rank[_bin_indices(model.edges_, scores)]
-        counts += np.bincount(2 * code + positive, minlength=counts.size)
+        code = rank[_bin_indices(model.edges_, scores)] | positive
+        counts += np.bincount(code, minlength=counts.size)
         if keys is None:
-            codes[rows], labels[rows] = code, positive
+            codes[rows] = code
         else:
             keys[rows] = scores.view(np.uint64) << 1 | positive
-    return levels, codes, labels, counts.reshape(-1, 2)
+    return levels, codes, counts.reshape(-1, 2)
 
 
-def _frequency_bins(levels, codes, labels, counts, num_bins: int) -> list:
-    """``reliability(levels[codes], labels, num_bins)``, bit for bit: its bins cut the codes' stable sort
-    at the same ``_cuts``; level k spans places starts[k] to starts[k + 1] (``counts``' row sums), a bin
+def _frequency_bins(levels, codes, counts, num_bins: int) -> list:
+    """``reliability(levels[codes >> 1], codes & 1, num_bins)``, bit for bit: its bins cut the ranks' stable
+    sort at the same ``_cuts``; level k spans places starts[k] to starts[k + 1] (``counts``' row sums), a bin
     averages its levels by their runs in it; a block's row i of level k is at starts[k] + i + earlier rows."""
     n = codes.size
     starts = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
@@ -148,10 +147,10 @@ def _frequency_bins(levels, codes, labels, counts, num_bins: int) -> list:
     seen, pos = starts[:-1].copy(), np.zeros(len(cuts), dtype=np.int64)  # positives before each cut
     for start in range(0, n, synth._BLOCK_ROWS):  # read at call time: one constant sets both block sizes
         block = codes[start : start + synth._BLOCK_ROWS]
-        order = np.argsort(block, kind="stable")
-        per_level = np.bincount(block, minlength=levels.size)
-        place = (seen - np.cumsum(per_level) + per_level)[block[order]] + np.arange(block.size)
-        pos += np.searchsorted(place[labels[start : start + synth._BLOCK_ROWS][order]], cuts)
+        block = block[np.argsort(block >> 1, kind="stable")]  # by rank; each level's rows keep their order
+        per_level = np.bincount(block >> 1, minlength=levels.size)
+        place = (seen - np.cumsum(per_level) + per_level)[block >> 1] + np.arange(block.size)
+        pos += np.searchsorted(place[(block & 1).astype(bool)], cuts)
         seen += per_level
     bins, pos = [], pos.tolist()
     for j in range(min(num_bins, n)):  # bins beyond the n-th are empty
@@ -169,7 +168,7 @@ def _trials(spec: OracleSpec, n_cal: int, n_bins: int | None, trials: int, seed:
     Trial t spawns two independent streams from SeedSequence(seed, spawn_key=(*path, t)),
     draws its calibration set from the oracle ``spec`` with the first and fits the histogram
     calibrator on it. The second stream is for ``measure``, which draws its test set from it
-    block by block and keeps only the codes and labels, or keys, of its rows, until it returns.
+    block by block and keeps only the codes, or keys, of its rows, until it returns.
     """
     results = []
     for t in range(trials):
@@ -180,15 +179,15 @@ def _trials(spec: OracleSpec, n_cal: int, n_bins: int | None, trials: int, seed:
     return tuple(results)
 
 
-def _errors(spec: OracleSpec, n_test: int, num_bins: int | None = None, with_auc: bool = False) -> Callable:
+def _errors(spec: OracleSpec, n_test: int, num_bins: int | None = None) -> Callable:
     """The measure of mce-bound, ece-rate and size-sweep: MCE and ECE on ``n_test`` fresh
-    rows in ``num_bins`` bins (default: as fitted) and, ``with_auc``, the calibrated AUC,
-    None for a one-class test set."""
+    rows in ``num_bins`` bins (default: as fitted), and the calibrated AUC, None for a
+    one-class test set."""
 
     def measure(t, cal, model, test_stream) -> TrialReport:
-        levels, codes, labels, counts = _coded_test_set(spec, model, n_test, test_stream)
-        bins = _frequency_bins(levels, codes, labels, counts, num_bins or model.n_bins_)
-        cal_auc = _level_auc(counts) if with_auc and counts.any(axis=0).all() else None
+        levels, codes, counts = _coded_test_set(spec, model, n_test, test_stream)
+        bins = _frequency_bins(levels, codes, counts, num_bins or model.n_bins_)
+        cal_auc = _level_auc(counts) if counts.any(axis=0).all() else None
         return TrialReport(t, len(cal), model.n_bins_, mce(bins), ece(bins), auc_calibrated=cal_auc)
 
     return measure
@@ -305,7 +304,7 @@ def verify_auc_loss(
     n_test = default_test_size(n_cal)
 
     def measure(t, cal, model, test_stream) -> TrialReport:  # no MCE or ECE: the loss check reports neither
-        counts = _coded_test_set(spec, model, n_test, test_stream, keys := np.empty(n_test, np.uint64))[3]
+        counts = _coded_test_set(spec, model, n_test, test_stream, keys := np.empty(n_test, np.uint64))[2]
         if not counts.any(axis=0).all():  # one class
             return TrialReport(t, len(cal), model.n_bins_, math.nan, math.nan)
         cal_auc, m = _level_auc(counts), int(counts[:, 1].sum())
@@ -421,7 +420,7 @@ def calibration_size_sweep(
         raise ValueError("need at least two sizes")
     require_count(1, n_test=n_test, n_bins=n_bins)
     require_count(2, trials=trials)
-    measure = _errors(spec, n_test, _SWEEP_NUM_BINS, with_auc=True)
+    measure = _errors(spec, n_test, _SWEEP_NUM_BINS)
     points = []
     for grid_index, n_cal in enumerate(sizes):
         reports = _trials(spec, n_cal, n_bins, trials, seed, (grid_index,), measure)

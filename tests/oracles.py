@@ -654,3 +654,20 @@ def whole_test_set_measure(spec, model, n_test: int, test_stream, num_bins: int)
     two_class = 0 < test.n_pos < test.n_samples
     bins, calibrated = calibrated_bins(model, test, num_bins, two_class)
     return bins, calibrated, auc(test.scores, test.labels) if two_class else None
+
+
+def population_errors(spec, model) -> tuple:
+    """(errors, mce, ece) of a fitted histogram ``model`` on the oracle ``spec``, in closed form. Scores are
+    uniform on [0, 1] and a fit's edges run from 0 to 1, so level k of ``np.unique(model.values_)`` takes
+    the scores of the bins valued at it: a share of the rows equal to their total width, whose positive rate
+    is the width-weighted mean of ``true_theta`` over them. Its error is |level - that rate|; MCE is the
+    largest error and ECE the width-weighted sum. Bins of one value pool into one level, as the model's
+    outputs cannot tell them apart; with distinct values the errors are per bin."""
+    from probcal.synth import true_theta
+
+    levels, rank = np.unique(model.values_, return_inverse=True)
+    widths = np.diff(model.edges_)
+    mass = np.bincount(rank, weights=widths, minlength=levels.size)  # every bin has a positive width
+    rate = np.bincount(rank, weights=widths * true_theta(spec, model.edges_), minlength=levels.size) / mass
+    errors = np.abs(levels - rate)
+    return errors, float(errors.max()), float((mass * errors).sum())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import calibrated_bins, whole_test_set_measure
+from oracles import calibrated_bins, oracle_draw, population_errors, whole_test_set_measure
 from probcal import harness, metrics, synth
 from probcal.binning import HistogramCalibrator
 from probcal.data import ScoredDataset
@@ -33,7 +33,7 @@ from probcal.harness import (
     write_sweep_csv,
     write_sweep_json,
 )
-from probcal.metrics import _level_auc, _twice_u, auc, ece, mce, reliability
+from probcal.metrics import _bin_indices, _level_auc, _twice_u, auc, ece, mce, reliability
 from probcal.synth import OracleSpec, _oracle_blocks, generate_oracle, true_theta
 
 IDENTITY = OracleSpec()
@@ -383,9 +383,9 @@ def harness_summaries(monkeypatch):
     """Record the bin count of every reliability summary the harness builds."""
     calls = []
 
-    def counting(levels, codes, labels, counts, num_bins):
+    def counting(levels, codes, counts, num_bins):
         calls.append(num_bins)
-        return _frequency_bins(levels, codes, labels, counts, num_bins)
+        return _frequency_bins(levels, codes, counts, num_bins)
 
     monkeypatch.setattr("probcal.harness._frequency_bins", counting)
     return calls
@@ -412,25 +412,26 @@ def _assert_direct_fit(
 
 class TestTrialStreamsAndAucWork:
     """Trial t at grid point g draws from SeedSequence(seed, spawn_key=(g, t)),
-    or (t,) for the single-point checks, and computes only the AUCs and the
-    reliability summary (MCE and ECE) its check reports."""
+    or (t,) for the single-point checks, and computes only the raw AUC its check reports and
+    the reliability summary (MCE and ECE); every error trial reads its calibrated AUC from the
+    level counts it holds."""
 
     def test_mce_bound(self, harness_auc_calls, harness_summaries):
         report = verify_mce_bound(SQUARE, n_cal=200, n_bins=5, trials=3, n_test=2000, seed=4)
-        assert harness_auc_calls == []
+        assert harness_auc_calls == [2000] * 3
         assert harness_summaries == [5] * 3
         for r in report.points[0].reports:
-            _assert_direct_fit(r, SQUARE, 4, (r.trial,), 2000, 5, raw=False, calibrated=False)
+            _assert_direct_fit(r, SQUARE, 4, (r.trial,), 2000, 5, raw=False, calibrated=True)
 
     def test_ece_rate(self, harness_auc_calls, harness_summaries):
         report = verify_ece_rate(SQUARE, n_bins=5, n_grid=(100, 10_000), trials=2, seed=4)
-        assert harness_auc_calls == []
+        assert harness_auc_calls == [default_test_size(n) for n in (100, 10_000) for _ in range(2)]
         assert harness_summaries == [5] * 2 * 2
         for g, point in enumerate(report.points):
             for r in point.reports:
                 n_test = default_test_size(r.n_cal)
                 _assert_direct_fit(
-                    r, SQUARE, 4, (g, r.trial), n_test, 5, raw=False, calibrated=False
+                    r, SQUARE, 4, (g, r.trial), n_test, 5, raw=False, calibrated=True
                 )
 
     def test_auc_loss(self, harness_auc_calls, harness_summaries):
@@ -552,13 +553,13 @@ def _streamed_measure(spec, model, n_test, stream, num_bins) -> tuple:
     """The harness's (bins, calibrated AUC, raw AUC) of one test set, computed as its measures
     compute them: the bins and calibrated AUC from the coded pass of ``_errors``, the raw AUC
     from auc-loss's keyed pass, whose counts are the same; both AUCs are None for a one-class set."""
-    levels, codes, labels, counts = _coded_test_set(spec, model, n_test, stream)
+    levels, codes, counts = _coded_test_set(spec, model, n_test, stream)
     keyed = _coded_test_set(spec, model, n_test, stream, keys := np.empty(n_test, np.uint64))
-    assert keyed[1:3] == (None, None)  # the keyed pass keeps no code or label per row
-    np.testing.assert_array_equal(keyed[3], counts)
+    assert keyed[1] is None  # the keyed pass keeps no code per row
+    np.testing.assert_array_equal(keyed[2], counts)
     two_class, m = counts.any(axis=0).all(), int(counts[:, 1].sum())
     return (
-        _frequency_bins(levels, codes, labels, counts, num_bins),
+        _frequency_bins(levels, codes, counts, num_bins),
         _level_auc(counts) if two_class else None,
         float(_twice_u(keys, m)) / (2.0 * m * (n_test - m)) if two_class else None,
     )
@@ -641,9 +642,9 @@ class TestCalibratedBins:
         test = ScoredDataset(test_scores, (rng.random(n_test) < test_scores).astype(int))
         _assert_same_as_predict(model, test, model.n_bins_ if metric_bins is None else metric_bins)
 
-    @pytest.mark.parametrize("n_bins, levels", [(200, range(129, 257)), (400, range(257, 65537))])
+    @pytest.mark.parametrize("n_bins, levels", [(200, range(129, 257)), (400, range(257, 32769))])
     def test_many_levels(self, n_bins, levels):
-        # codes are uint8 up to 256 levels and uint16 above
+        # past 128 levels, 2 * rank + label needs two bytes: 129 to 256 levels and 257 to 32,768 alike
         cal = generate_oracle(IDENTITY, 200_000, 1)
         model = HistogramCalibrator(n_bins=n_bins).fit(cal.scores, cal.labels)
         assert np.unique(model.theta_).size in levels
@@ -651,8 +652,7 @@ class TestCalibratedBins:
         for num_bins in (model.n_bins_, 10):
             _assert_same_as_predict(model, test, num_bins)
         stream = np.random.SeedSequence(2)
-        dtype = np.uint8 if n_bins == 200 else np.uint16
-        assert _coded_test_set(IDENTITY, model, 10, stream)[1].dtype == dtype
+        assert _coded_test_set(IDENTITY, model, 10, stream)[1].dtype == np.uint16
         # 30,011 rows in blocks of 4,096: the last block is short; 40,000 bins: some are empty
         for num_bins in (model.n_bins_, 10, 40_000):
             _assert_streamed_as_whole(IDENTITY, model, 30_011, stream, num_bins, 4096)
@@ -716,50 +716,119 @@ class TestStreamedTestSet:
         assert calibrated == auc(model.predict(scores), labels)
 
 
+def _levels_model(n_levels: int, repeat: int = 1, seed: int = 0) -> SimpleNamespace:
+    """A histogram model of ``n_levels * repeat`` equal-width bins on [0, 1] whose values, shuffled,
+    repeat in runs of ``repeat``: ``n_levels`` distinct levels."""
+    n_bins = n_levels * repeat
+    values = np.random.default_rng(seed).permutation(np.arange(n_bins) // repeat) / max(n_levels - 1, 1)
+    return SimpleNamespace(edges_=np.linspace(0.0, 1.0, n_bins + 1), values_=values)
+
+
 class TestLevelCounts:
-    """``_coded_test_set`` counts each level's negatives and positives as its blocks are drawn, and
-    ``_level_auc`` reads the AUC from those counts alone."""
+    """``_coded_test_set`` keeps one code, 2 * rank + label, per row and counts each level's negatives
+    and positives as its blocks are drawn; ``_level_auc`` reads the AUC from those counts alone, and
+    ``_frequency_bins`` the reliability bins of the codes."""
 
     @settings(max_examples=200, deadline=None)
-    @example(n_bins=300, repeat=1, spec=IDENTITY, n_test=400, block=7, seed=0)  # 300 levels: uint16 codes
-    @example(n_bins=300, repeat=1, spec=IDENTITY, n_test=20, block=1, seed=1)  # most levels empty
+    @example(n_levels=128, repeat=1, spec=IDENTITY, n_test=400, block=7, num_bins=9, seed=0)  # uint8 codes
+    @example(n_levels=129, repeat=1, spec=IDENTITY, n_test=400, block=7, num_bins=9, seed=0)  # uint16 codes
+    @example(n_levels=300, repeat=1, spec=IDENTITY, n_test=20, block=1, num_bins=3, seed=1)  # most levels empty
+    @example(n_levels=3, repeat=2, spec=SQUARE, n_test=128, block=64, num_bins=2, seed=2)  # cut at a block's end
+    @example(n_levels=5, repeat=1, spec=IDENTITY, n_test=6, block=7, num_bins=500, seed=3)  # more bins than rows
     @given(
-        n_bins=st.integers(1, 300),
+        n_levels=st.integers(1, 300),
         repeat=st.integers(1, 4),
         spec=st.sampled_from(SPECS),
         n_test=st.integers(1, 400),
         block=st.sampled_from([1, 7, 64, 1 << 16]),
+        num_bins=st.integers(1, 500),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_counts_and_auc_match_the_whole_set(self, n_bins, repeat, spec, n_test, block, seed):
-        # bins whose values repeat in runs of ``repeat`` give 1 to 300 levels (uint8 codes up to 256,
-        # uint16 above); more levels than rows leave some empty, and a constant rate of 0 or 1 one class
-        rng = np.random.default_rng(seed)
-        values = rng.permutation(np.arange(n_bins) // repeat) / max((n_bins - 1) // repeat, 1)
-        model = SimpleNamespace(edges_=np.linspace(0.0, 1.0, n_bins + 1), values_=values)
+    def test_counts_and_auc_match_the_whole_set(self, n_levels, repeat, spec, n_test, block, num_bins, seed):
+        # 1 to 300 levels, across the 128-level boundary of uint8 codes; more levels than rows leave some
+        # empty, more bins than rows leave bins empty, and a constant rate of 0 or 1 gives one class
+        model = _levels_model(n_levels, repeat, seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(synth, "_BLOCK_ROWS", block)
-            levels, codes, labels, counts = _coded_test_set(spec, model, n_test, np.random.SeedSequence(seed))
-        assert levels.size == -(-n_bins // repeat)
-        assert codes.dtype == (np.uint8 if levels.size <= 256 else np.uint16)
+            levels, codes, counts = _coded_test_set(spec, model, n_test, np.random.SeedSequence(seed))
+            bins = _frequency_bins(levels, codes, counts, num_bins)
+        ranks, labels = codes >> 1, codes & 1
+        assert levels.size == n_levels
+        assert codes.dtype == (np.uint8 if n_levels <= 128 else np.uint16) and ranks.max() < n_levels
+        test = oracle_draw(spec, n_test, np.random.SeedSequence(seed))
+        expected = np.unique(model.values_, return_inverse=True)[1][_bin_indices(model.edges_, test.scores)]
+        np.testing.assert_array_equal(ranks, expected)
+        np.testing.assert_array_equal(labels, test.labels)
         assert counts.dtype == np.int64 and counts.shape == (levels.size, 2)
         for label in (0, 1):
-            whole = np.bincount(codes[labels == label], minlength=levels.size)
+            whole = np.bincount(ranks[labels == label], minlength=levels.size)
             np.testing.assert_array_equal(counts[:, label], whole)
         if 0 < np.count_nonzero(labels) < n_test:
-            assert _level_auc(counts) == auc(levels[codes], labels)
+            assert _level_auc(counts) == auc(levels[ranks], labels)
         else:
             assert not counts.any(axis=0).all()
+        # repr is exact for floats and shows NaN, which == would not match
+        assert repr(bins) == repr(reliability(levels[ranks], labels, num_bins))
+
+    @pytest.mark.parametrize("block", [1, 7, 16, 64])
+    @pytest.mark.parametrize("num_bins", [2, 4, 8, 64, 100])
+    def test_bins_cut_on_level_and_block_boundaries(self, block, num_bins):
+        # 16 rows at each of 4 levels, shuffled: 2, 4 and 8 bins cut on level boundaries, blocks of 16 end
+        # on every cut of 2 and 4 bins, and 64 and 100 bins hold one row or none
+        model = _levels_model(4, seed=5)
+        scores = np.random.default_rng(5).permutation(np.repeat([0.1, 0.3, 0.6, 0.9], 16))
+        labels = np.arange(64) % 3 == 0
+
+        def drawn(spec, n, stream):
+            for start in range(0, n, block):
+                rows = slice(start, start + block)
+                yield rows, scores[rows], labels[rows]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synth, "_BLOCK_ROWS", block)
+            patch.setattr(harness, "_oracle_blocks", drawn)
+            levels, codes, counts = _coded_test_set(IDENTITY, model, 64, None)
+            bins = _frequency_bins(levels, codes, counts, num_bins)
+        np.testing.assert_array_equal(counts.sum(axis=1), [16] * 4)
+        np.testing.assert_array_equal(codes & 1, labels)
+        predicted = model.values_[_bin_indices(model.edges_, scores)]
+        assert repr(bins) == repr(reliability(predicted, labels, num_bins))
+
+    def test_the_coded_pass_holds_one_byte_per_row(self):
+        # at 10 levels the code is the pass's only per-row state: 2**18 more rows raise its traced peak
+        # by 2**18 bytes (two per row with a separate label), and its block temporaries stay as they were
+        model, peaks = _levels_model(10), []
+        for n_test in (1 << 18, 1 << 19):
+            tracemalloc.start()
+            try:
+                _coded_test_set(SQUARE, model, n_test, np.random.SeedSequence(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0] - (1 << 18)) < 8192
+
+    @pytest.mark.parametrize(
+        "n_levels, dtype",
+        [(1, np.uint8), (128, np.uint8), (129, np.uint16), (32_768, np.uint16), (32_769, np.uint32)],
+    )
+    def test_code_dtype_and_bytes_per_row(self, n_levels, dtype):
+        # 2 * rank + label fits one byte up to 128 levels and two up to 32,768; the top rank's codes stay exact
+        model = _levels_model(n_levels)
+        codes = _coded_test_set(SQUARE, model, 5000, np.random.SeedSequence(1))[1]
+        assert codes.dtype == dtype and codes.nbytes == 5000 * np.dtype(dtype).itemsize
+        test = oracle_draw(SQUARE, 5000, np.random.SeedSequence(1))
+        ranks = np.unique(model.values_, return_inverse=True)[1][_bin_indices(model.edges_, test.scores)]
+        np.testing.assert_array_equal(codes, 2 * ranks + test.labels)
 
 
 @pytest.mark.parametrize(
     "run",
     [
         # drawn whole, a test set peaks at 33.8 MiB of traced allocations (8 MB for each float64
-        # array); streamed, ece-rate keeps one byte per row for the level code and one for the
-        # label, and peaks at 6.7 MiB
+        # array); streamed, ece-rate keeps one byte per row, its level and label in one code, and
+        # peaks at 5.4 MiB
         lambda: verify_ece_rate(SQUARE, n_bins=10, n_grid=(1000, 100_000), trials=1, seed=1),
-        # auc-loss keeps one 8-byte key per row of score and label, sorted in place: 12.5 MiB
+        # auc-loss keeps one 8-byte key per row of score and label, sorted in place: 11.4 MiB
         lambda: verify_auc_loss(SQUARE, n_cal=100_000, bin_grid=(10,), trials=2, seed=1),
     ],
     ids=["ece-rate", "auc-loss"],
@@ -831,6 +900,34 @@ def test_each_check_fails_when_its_guarantee_is_broken(mutation, passed, monkeyp
 
         monkeypatch.setattr(HistogramCalibrator, "_set_state", mutated)
     assert {check: run().passed for check, run in _VERIFY_MC.items()} == passed
+
+
+@pytest.mark.parametrize(
+    "mutation", [None, _values_reversed, _raised, _values_raised, _values_rolled],
+    ids=["sound", "values-reversed", "raised-0.02", "values-raised-0.05", "values-rolled"],
+)
+@pytest.mark.parametrize("curve", ["identity", "square", "logistic"])
+def test_per_level_errors_match_the_population(curve, mutation):
+    # the per-level MCE and ECE of a test set, read from _coded_test_set's counts, lie within a Hoeffding
+    # radius (Hoeffding 1963) of the exact figures: given its row count, level k's labels are independent
+    # with mean its population rate, and the rows fall in the levels by their masses; each of the 2L
+    # two-sided bounds, L rates and L shares, fails with probability at most 1e-6 / (2L)
+    spec, n_test = OracleSpec(curve=curve), 200_000
+    cal_ss, test_ss = np.random.SeedSequence(1, spawn_key=(0,)).spawn(2)
+    cal = generate_oracle(spec, 1000, cal_ss)
+    model = HistogramCalibrator(n_bins=10).fit(cal.scores, cal.labels)
+    if mutation is not None:
+        mutation(model)
+    errors, pop_mce, pop_ece = population_errors(spec, model)
+    levels, _, counts = _coded_test_set(spec, model, n_test, test_ss)
+    rows = counts.sum(axis=1)
+    assert rows.all()  # every level has rows, so the two MCEs range over the same levels
+    measured = np.abs(levels - counts[:, 1] / rows)
+    log_term = math.log(4 * levels.size / 1e-6) / 2
+    radius, mass_radius = np.sqrt(log_term / rows), math.sqrt(log_term / n_test)
+    assert abs(measured.max() - pop_mce) <= radius.max()
+    ece_radius = (rows * radius).sum() / n_test + errors.sum() * mass_radius
+    assert abs((rows * measured).sum() / n_test - pop_ece) <= ece_radius
 
 
 def _first_test_set_one_class(monkeypatch):

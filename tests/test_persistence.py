@@ -471,6 +471,16 @@ class TestModelValidation:
         save_model(model, path)
         assert load_model(path).converged_ is None
 
+    def test_dpm_reload_does_not_claim_convergence_or_its_absence(self, tmp_path):
+        # a model file holds no sweep count or convergence flag, so a reload leaves both unknown
+        model = _fitted_models()[4]
+        path = tmp_path / "dpm.json"
+        save_model(model, path)
+        reloaded = load_model(path)
+        for fitted, loaded in zip((model.positive_, model.negative_), (reloaded.positive_, reloaded.negative_)):
+            assert isinstance(fitted.converged, bool) and fitted.n_iter >= 1
+            assert (loaded.converged, loaded.n_iter) == (None, None)
+
     @settings(max_examples=300, deadline=None)
     @given(index=st.integers(0, 4), pick=st.integers(0, 10), delete=st.booleans(), value=json_values)
     def test_corrupted_field_loads_or_raises_value_error(self, index, pick, delete, value):
